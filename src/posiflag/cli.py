@@ -38,6 +38,7 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
+    InvariantViolated,
     NotHyperbolic,
     NotSingleJordanBlock,
     NotTransverse,
@@ -386,12 +387,15 @@ def bench(d_values, samples: int, seed: int) -> BenchReport:
                 start = time.perf_counter()
                 verdict = run(m, counter=counter)
                 total += (time.perf_counter() - start) * 1000.0
-                assert verdict.is_positive, "generator must produce fully positive inputs"
+                if not verdict.is_positive:
+                    raise InvariantViolated("generator must produce fully positive inputs")
                 counts.add(counter.evaluations)
-            assert len(counts) == 1, "per-input counts must not vary across samples"
+            if len(counts) != 1:
+                raise InvariantViolated("per-input counts must not vary across samples")
             per_method[name] = (counts.pop(), total)
         staged_dets = per_method["staged"][0]
-        assert staged_dets == staged_minor_count(d), "staged count must match closed form"
+        if staged_dets != staged_minor_count(d):
+            raise InvariantViolated("staged count must match closed form")
         for name in ("staged", "oracle"):
             dets, total = per_method[name]
             rows.append(BenchRow(d, name, dets, total))

@@ -26,7 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    BadParameters,
     CapExceeded,
+    DimensionMismatch,
     NotHyperbolic,
     NotSingleJordanBlock,
     NotTransverse,
@@ -34,10 +36,10 @@ from .errors import (
     SingularGapTooSmall,
     ZeroSuperdiagonal,
 )
-from .flags import Flag, transverse, unipotent_fixed_flag
+from .flags import Flag, adapted_basis, transverse, unipotent_fixed_flag
 from .linalg import Matrix, jordan_block_sizes
 from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, barbot_flag, sym_power
-from .tuples import is_positive_triple
+from .tuples import _TupleEngine
 
 
 @dataclass(eq=False)
@@ -62,8 +64,10 @@ class SingularProfile:
 
     def __post_init__(self):
         vals = self.values
-        assert all(a >= b for a, b in zip(vals, vals[1:])), "values must decrease"
-        assert all(v > 0 for v in vals), "values must be positive"
+        if any(a < b for a, b in zip(vals, vals[1:])):
+            raise BadParameters("singular values must not increase")
+        if any(v <= 0 for v in vals):
+            raise BadParameters("singular values must be positive")
 
     @property
     def gaps(self) -> tuple[float, ...]:
@@ -88,7 +92,7 @@ def svd_flag(g, gap_tol: float = 1e-8) -> FloatFlag:
     """
     arr = np.asarray(g, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("svd_flag needs a square matrix")
+        raise BadParameters(f"svd_flag needs a square matrix, got shape {arr.shape}")
     u, s, _ = np.linalg.svd(arr)
     gaps = [s[i] / s[i + 1] if s[i + 1] > 0 else math.inf for i in range(len(s) - 1)]
     min_gap = min(gaps, default=math.inf)
@@ -104,7 +108,7 @@ def svd_flag(g, gap_tol: float = 1e-8) -> FloatFlag:
 def flag_distance(a: FloatFlag, b: FloatFlag) -> float:
     """Largest principal angle between corresponding subspaces, over all depths."""
     if a.dim != b.dim:
-        raise ValueError("flag dims differ")
+        raise DimensionMismatch(f"flag dims differ: {a.dim} vs {b.dim}")
     worst = 0.0
     for k in range(1, a.dim):
         overlap = a.frame[:, :k].T @ b.frame[:, :k]
@@ -127,11 +131,13 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     fixed = unipotent_fixed_flag(u)
     if not transverse(fixed, g):
         raise NotTransverse("flag must be transverse to the fixed flag")
+    # the triple at every t shares its anchor pair (F, G)
+    anchor = {(0, 2): adapted_basis(fixed, g)}
     acc = Matrix.identity(d)
     for t in range(1, cap + 1):
         acc = acc @ u
         try:
-            verdict, _ = is_positive_triple(fixed, g.apply(acc), g)
+            verdict, _ = _TupleEngine([fixed, g.apply(acc), g], anchor).chain((0, 1, 2))
         except (NotTransverse, ZeroSuperdiagonal):
             continue
         if verdict.is_positive:

@@ -43,6 +43,11 @@ class PreconditionViolated(PosiflagError):
     pass
 
 
+class InvariantViolated(PosiflagError):
+    """An internal postcondition failed: a defect in this package, not a
+    property of the input.  Raised explicitly so that it survives `-O`."""
+
+
 class NotTransverse(PosiflagError):
     """Two flags that were required to be transverse are not.
 

@@ -67,7 +67,10 @@ class _Cursor:
         tok = self.take()
         if not _RATIONAL.match(tok):
             raise ParseError(f"expected rational entry, got '{tok}'")
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in entry '{tok}'") from None
 
     @property
     def exhausted(self) -> bool:

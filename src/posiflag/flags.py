@@ -14,11 +14,13 @@ is exactly what the tuple-positivity certificates in this package test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    BadParameters,
     DimensionMismatch,
+    InvariantViolated,
     NotSingleJordanBlock,
     NotTransverse,
     SingularMatrix,
@@ -30,6 +32,19 @@ def _column_grid(cols: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...]
     """Assemble column vectors into a row-major grid."""
     d = len(cols[0])
     return tuple(tuple(c[i] for c in cols) for i in range(d))
+
+
+def _columns(m: Matrix) -> list[tuple[Fraction, ...]]:
+    return list(zip(*m.rows_tuple()))
+
+
+def _is_upper(rows) -> bool:
+    """Whether a row-major grid is zero below its diagonal.
+
+    For invertible frames A and B, A^-1 B is upper triangular exactly when
+    both present the same flag.
+    """
+    return not any(any(row[:i]) for i, row in enumerate(rows))
 
 
 class Flag:
@@ -64,13 +79,8 @@ class Flag:
             return NotImplemented
         if self.dim != other.dim:
             return False
-        d = self.dim
-        for k in range(1, d):
-            cols = [self.frame.column(i) for i in range(1, k + 1)]
-            cols += [other.frame.column(i) for i in range(1, k + 1)]
-            if _grid_rank(_column_grid(cols)) != k:
-                return False
-        return True
+        a, b = _columns(self.frame), _columns(other.frame)
+        return all(_grid_rank(_column_grid(a[:k] + b[:k])) == k for k in range(1, self.dim))
 
     def __repr__(self) -> str:
         return f"Flag({self.frame!r})"
@@ -90,12 +100,8 @@ def transverse(f: Flag, g: Flag) -> bool:
     if f.dim != g.dim:
         raise DimensionMismatch(f"flag dims differ: {f.dim} vs {g.dim}")
     d = f.dim
-    for k in range(1, d):
-        cols = [f.frame.column(i) for i in range(1, k + 1)]
-        cols += [g.frame.column(i) for i in range(1, d - k + 1)]
-        if _grid_det(_column_grid(cols)) == 0:
-            return False
-    return True
+    f_cols, g_cols = _columns(f.frame), _columns(g.frame)
+    return all(_grid_det(_column_grid(f_cols[:k] + g_cols[:d - k])) != 0 for k in range(1, d))
 
 
 @dataclass(frozen=True)
@@ -106,77 +112,100 @@ class AdaptedBasis:
     scale is fixed by making the k-th coordinate of that column in F's
     frame equal to 1 (that coordinate is nonzero by transversality, the
     earlier ones need not be).  In these coordinates F becomes the
-    ascending coordinate flag and H the descending one.
+    ascending coordinate flag and H the descending one; construction
+    checks exactly that, and stores `inverse`, the map from ambient to
+    adapted coordinates.
     """
 
     matrix: Matrix
     source: tuple[Flag, Flag]
+    inverse: Matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        f, h = self.source
+        if not self.matrix.dim == f.dim == h.dim:
+            raise DimensionMismatch("basis and flags must share one dimension")
+        try:
+            inverse = self.matrix.inverse()
+        except SingularMatrix:
+            raise InvariantViolated("an adapted basis must be invertible") from None
+        if not _is_upper((inverse @ f.frame).rows_tuple()):
+            raise InvariantViolated("adapted basis must carry the ascending flag to F")
+        # the descending flag's frame is the reversal, whose inverse reverses rows
+        if not _is_upper((inverse @ h.frame).rows_tuple()[::-1]):
+            raise InvariantViolated("adapted basis must carry the descending flag to H")
+        object.__setattr__(self, "inverse", inverse)
 
 
 def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:
     if not transverse(f, h):
         raise NotTransverse("flags are not transverse; no adapted basis exists")
     d = f.dim
+    f_cols, h_cols = _columns(f.frame), _columns(h.frame)
     out_cols: list[tuple[Fraction, ...]] = []
     for k in range(1, d + 1):
         # kernel of [F cols 1..k | H cols 1..d-k+1] is one line by transversality
-        cols = [f.frame.column(i) for i in range(1, k + 1)]
-        cols += [h.frame.column(i) for i in range(1, d - k + 2)]
-        kern = _grid_kernel(_column_grid(cols))
-        assert len(kern) == 1, "transverse pair must give a one-dimensional kernel"
+        kern = _grid_kernel(_column_grid(f_cols[:k] + h_cols[:d - k + 1]))
+        if len(kern) != 1:
+            raise InvariantViolated("a transverse pair must give a one-dimensional kernel")
         coeffs = kern[0][:k]
         lead = coeffs[k - 1]
-        assert lead != 0, "intersection line cannot sit in the smaller subspace"
+        if lead == 0:
+            raise InvariantViolated("the intersection line cannot sit in the smaller subspace")
         vec = tuple(
-            sum((coeffs[i] * f.frame.entry(r, i + 1) for i in range(k)), Fraction(0)) / lead
-            for r in range(1, d + 1)
+            sum((coeffs[i] * f_cols[i][r] for i in range(k)), Fraction(0)) / lead
+            for r in range(d)
         )
         out_cols.append(vec)
     return AdaptedBasis(Matrix(_column_grid(out_cols)), (f, h))
 
 
-def transporter(f: Flag, h: Flag, g: Flag) -> Matrix:
+def transporter(f: Flag, h: Flag, g: Flag, basis: AdaptedBasis | None = None) -> Matrix:
     """Unipotent matrix carrying h to g while fixing f, in (f, h)-adapted coordinates.
 
     Writes g's frame in the adapted coordinates and reduces it to reverse
     column-echelon form: the column for g's m-th subspace gets pivot 1 at
     coordinate d-m+1 and zeros below, and becomes column d-m+1 of the
-    result.  Requires transverse(f, h) and transverse(f, g); g need not
-    be transverse to h, and the degenerate positions of the output encode
-    exactly how transversality of (g, h) fails.
+    result.  Requires transverse(f, h) and transverse(f, g): a zero pivot
+    is exactly a failure of the latter.  g need not be transverse to h,
+    and the degenerate positions of the output encode exactly how
+    transversality of (g, h) fails.
+
+    `basis`, when given, must be adapted to (f, h); callers transporting
+    many flags through one pair pass it so that the basis and its inverse
+    are built once.  The postconditions are checked in adapted
+    coordinates, where f is the ascending and h the descending coordinate
+    flag (AdaptedBasis checks this on construction): the result u is upper
+    unipotent, so it fixes f, and c = (u . reversal) t for the upper
+    triangular t recorded by the reduction, c being g's frame in adapted
+    coordinates, so u carries the descending flag to g.
     """
     if f.dim != h.dim or f.dim != g.dim:
         raise DimensionMismatch("flag dims differ")
-    if not transverse(f, g):
-        raise NotTransverse("base flag and target flag are not transverse")
-    p = adapted_basis(f, h).matrix
+    if basis is None:
+        basis = adapted_basis(f, h)
+    elif basis.source != (f, h):
+        raise BadParameters("basis is not adapted to the pair (f, h)")
     d = f.dim
-    p_inv = p.inverse()
-    c = p_inv @ g.frame
-    placed: list[tuple[int, list[Fraction]]] = []  # (pivot row, column)
-    out: dict[int, list[Fraction]] = {}
-    for m in range(1, d + 1):
-        col = list(c.column(m))
-        for pivot_row, prior in placed:
-            factor = col[pivot_row - 1]
+    c = basis.inverse @ g.frame
+    placed: list[list[Fraction]] = []  # reduced columns, pivot rows d, d-1, ...
+    t = [[Fraction(0)] * d for _ in range(d)]  # c = (u . reversal) t, t upper triangular
+    for m, col in enumerate(_columns(c)):
+        col = list(col)
+        for i, prior in enumerate(placed):
+            factor = t[i][m] = col[d - 1 - i]
             if factor:
                 for r in range(d):
                     col[r] -= factor * prior[r]
-        pivot_row = d - m + 1
-        lead = col[pivot_row - 1]
-        assert lead != 0, "pivot guaranteed by transversality of f and g"
-        col = [x / lead for x in col]
-        placed.append((pivot_row, col))
-        out[pivot_row] = col
-    u = Matrix(_column_grid([tuple(out[j]) for j in range(1, d + 1)]))
-    # postconditions: shape, and both flag conditions in ambient coordinates
-    for i in range(1, d + 1):
-        assert u.entry(i, i) == 1
-        for j in range(1, i):
-            assert u.entry(i, j) == 0
-    ambient = p @ u @ p_inv
-    assert h.apply(ambient) == g, "transporter must carry h to g"
-    assert f.apply(ambient) == f, "transporter must fix f"
+        lead = t[m][m] = col[d - 1 - m]
+        if lead == 0:
+            raise NotTransverse("base flag and target flag are not transverse")
+        placed.append([x / lead for x in col])
+    u = Matrix(_column_grid(placed[::-1]))
+    if not (_is_upper(u.rows_tuple()) and all(u.entry(i, i) == 1 for i in range(1, d + 1))):
+        raise InvariantViolated("a transporter must be upper unipotent, so that it fixes f")
+    if Matrix(_column_grid(placed)) @ Matrix(t) != c:
+        raise InvariantViolated("a transporter must carry h to g")
     return u
 
 
@@ -202,5 +231,6 @@ def unipotent_fixed_flag(u: Matrix) -> Flag:
             if _grid_rank(_column_grid(cols + [cand])) == len(cols) + 1:
                 cols.append(cand)
                 break
-        assert len(cols) == k
+        if len(cols) != k:
+            raise InvariantViolated("each kernel of (u - I)^k must add one dimension")
     return Flag(Matrix(_column_grid(cols)))

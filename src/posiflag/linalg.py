@@ -281,8 +281,10 @@ class Matrix:
         if self.dim != other.dim:
             raise DimensionMismatch(f"cannot multiply dim {self.dim} by dim {other.dim}")
         o_cols = list(zip(*other._rows))
+        # zero terms are skipped: triangular and diagonal factors are common
         return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in o_cols] for row in self._rows]
+            [[sum(a * b for a, b in zip(row, col) if a and b) for col in o_cols]
+             for row in self._rows]
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":

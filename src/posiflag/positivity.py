@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .errors import NotUnipotentUpperTriangular, PreconditionViolated
+from .errors import InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated
 from .linalg import Matrix, MinorIndex, _det_bareiss_int
 
 
@@ -243,7 +243,8 @@ def boundary_corner_check(u: Matrix) -> BoundaryReport:
         raise PreconditionViolated(
             f"boundary_corner_check requires a NonnegativeBoundary input, got {verdict.status.value}"
         )
-    assert verdict.witness is not None
+    if verdict.witness is None:
+        raise InvariantViolated("a boundary verdict must carry a witness")
     k = verdict.witness.index.size
     d = u.dim
     ev = MinorEvaluator(u)
@@ -258,7 +259,8 @@ def boundary_corner_check(u: Matrix) -> BoundaryReport:
                 break
         if failing is not None:
             break
-    assert failing is not None, "boundary level must contain a consecutive vanishing minor"
+    if failing is None:
+        raise InvariantViolated("a boundary level must contain a consecutive vanishing minor")
     corner = MinorIndex(tuple(range(1, k + 1)), tuple(range(d - k + 1, d + 1)))
     return BoundaryReport(k, failing, corner, u.minor(corner))
 

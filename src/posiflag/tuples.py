@@ -22,6 +22,7 @@ from itertools import combinations
 from .errors import (
     BadParameters,
     DimensionMismatch,
+    InvariantViolated,
     NotTransverse,
     NotUnipotentUpperTriangular,
     PreconditionViolated,
@@ -89,8 +90,7 @@ class TupleCertificate:
         n = len(self.factors) + 2
         if len(flags) != n:
             return False
-        p = self.adapted.matrix
-        p_inv = p.inverse()
+        p, p_inv = self.adapted.matrix, self.adapted.inverse
         last = flags[-1]
         prod = Matrix.identity(p.dim)
         for j in range(n - 1, 1, -1):
@@ -100,31 +100,114 @@ class TupleCertificate:
         return True
 
 
-def _require_all_transverse(flags: list[Flag]):
-    """Check every pair, reporting the first failure by 1-based positions.
-
-    Order: the anchor pair (1, n) first since the adapted basis needs it,
-    then (1, j) for the transporter targets, then the remaining pairs.
-    """
-    n = len(flags)
-    pairs = [(1, n)] + [(1, j) for j in range(2, n)]
-    pairs += [
-        (a, b)
-        for a in range(2, n + 1)
-        for b in range(a + 1, n + 1)
-    ]
-    for a, b in pairs:
-        if not transverse(flags[a - 1], flags[b - 1]):
-            raise NotTransverse(
-                f"flags {a} and {b} are not transverse", pair=(a, b)
-            )
-
-
 def _aggregate(verdicts: tuple[PositivityVerdict, ...]) -> PositivityVerdict:
     for v in verdicts:
         if not v.is_positive:
             return v
     return PositivityVerdict(Status.POSITIVE, None, "staged")
+
+
+class _TupleEngine:
+    """Memo of the objects behind the certificates of subtuples of one family.
+
+    Everything is keyed by 0-based flag index: pair transversality per
+    (i, j) with i < j, the adapted basis per anchor pair (a, e), the
+    transporter transporter(F_a, F_e, F_x) and, when an inner factor
+    needs it, its inverse per (a, e, x), and the sign normalization and
+    staged verdict of the last chain factor per (a, e, c); that factor is
+    the transporter of (a, e, c) itself.  For n flags this is at most
+    C(n, 2) bases and C(n, 3) transporters.  An engine lives for one call
+    of a public entry point, so nothing is kept between calls.
+    `bases` seeds anchor pairs already built by the caller.
+    """
+
+    def __init__(self, flags: list[Flag], bases: dict[tuple[int, int], AdaptedBasis] | None = None):
+        self.flags = flags
+        self._bases = dict(bases or {})
+        self._transverse = {pair: True for pair in self._bases}
+        self._transporters: dict[tuple[int, int, int], Matrix] = {}
+        self._inverses: dict[tuple[int, int, int], Matrix] = {}
+        self._last: dict[tuple[int, int, int], tuple[Matrix, PositivityVerdict] | Exception] = {}
+
+    def require_transverse(self, idx: tuple[int, ...]):
+        """Check every pair of the subtuple, reporting the first failure by
+        1-based positions within it.
+
+        Order: the anchor pair (1, n) first since the adapted basis needs
+        it, then (1, j) for the transporter targets, then the remaining
+        pairs.
+        """
+        n = len(idx)
+        pairs = [(1, n)] + [(1, j) for j in range(2, n)]
+        pairs += [(a, b) for a in range(2, n + 1) for b in range(a + 1, n + 1)]
+        for a, b in pairs:
+            key = (idx[a - 1], idx[b - 1])
+            ok = self._transverse.get(key)
+            if ok is None:
+                ok = self._transverse[key] = transverse(self.flags[key[0]], self.flags[key[1]])
+            if not ok:
+                raise NotTransverse(f"flags {a} and {b} are not transverse", pair=(a, b))
+
+    def basis(self, a: int, e: int) -> AdaptedBasis:
+        ab = self._bases.get((a, e))
+        if ab is None:
+            ab = self._bases[(a, e)] = adapted_basis(self.flags[a], self.flags[e])
+        return ab
+
+    def transporter(self, a: int, e: int, x: int) -> Matrix:
+        u = self._transporters.get((a, e, x))
+        if u is None:
+            f = self.flags
+            u = self._transporters[(a, e, x)] = transporter(f[a], f[e], f[x], self.basis(a, e))
+        return u
+
+    def inverse(self, a: int, e: int, x: int) -> Matrix:
+        u_inv = self._inverses.get((a, e, x))
+        if u_inv is None:
+            u_inv = self._inverses[(a, e, x)] = self.transporter(a, e, x).inverse()
+        return u_inv
+
+    def last(self, a: int, e: int, c: int) -> tuple[Matrix, PositivityVerdict]:
+        """Sign normalization and staged verdict of the factor transporter(a, e, c)."""
+        hit = self._last.get((a, e, c))
+        if hit is None:
+            try:
+                dmat, normalized = sign_normalize(self.transporter(a, e, c))
+                hit = (dmat, tp_staged(normalized))
+            except ZeroSuperdiagonal as exc:
+                hit = exc.with_traceback(None)
+            self._last[(a, e, c)] = hit
+        if isinstance(hit, ZeroSuperdiagonal):
+            raise ZeroSuperdiagonal(str(hit), hit.position)
+        return hit
+
+    def chain(self, idx: tuple[int, ...]) -> tuple[PositivityVerdict, TupleCertificate]:
+        """Chain certificate of the subtuple of flags at `idx` (at least 3).
+
+        With c_j the transporter of (idx_1, idx_n, idx_j) and c_n the
+        identity, u_{n-1} = c_{n-1} and u_j = c_{j+1}^{-1} c_j below it.
+        """
+        self.require_transverse(idx)
+        a, e = idx[0], idx[-1]
+        inner = idx[1:-1]
+        factors = tuple(
+            self.inverse(a, e, y) @ self.transporter(a, e, x)
+            for x, y in zip(inner, inner[1:])
+        ) + (self.transporter(a, e, inner[-1]),)
+        if not all(is_upper_unipotent(u) for u in factors[:-1]):
+            raise InvariantViolated("chain factors are quotients of unipotents")
+        dmat, last_verdict = self.last(a, e, inner[-1])
+        verdicts = tuple(tp_staged(dmat @ u @ dmat) for u in factors[:-1]) + (last_verdict,)
+        cert = TupleCertificate(self.basis(a, e), dmat, factors, verdicts)
+        return _aggregate(verdicts), cert
+
+    def positive(self, idx: tuple[int, ...]) -> bool:
+        """Chain verdict collapsed to a boolean; a zero superdiagonal means no."""
+        try:
+            verdict, _ = self.chain(idx)
+        except ZeroSuperdiagonal:
+            return False
+        return verdict.is_positive
 
 
 def is_positive_tuple_chain(
@@ -146,20 +229,7 @@ def is_positive_tuple_chain(
     for f in flags[1:]:
         if f.dim != d:
             raise DimensionMismatch("flags in a tuple must share one dimension")
-    _require_all_transverse(flags)
-    ab = adapted_basis(flags[0], flags[-1])
-    cumulative = {n: Matrix.identity(d)}
-    for j in range(2, n):
-        cumulative[j] = transporter(flags[0], flags[-1], flags[j - 1])
-    factors = tuple(
-        cumulative[j + 1].inverse() @ cumulative[j] for j in range(2, n)
-    )
-    for u in factors:
-        assert is_upper_unipotent(u), "chain factors are quotients of unipotents"
-    dmat, _ = sign_normalize(factors[-1])
-    verdicts = tuple(tp_staged(dmat @ u @ dmat) for u in factors)
-    cert = TupleCertificate(ab, dmat, factors, verdicts)
-    return _aggregate(verdicts), cert
+    return _TupleEngine(list(flags)).chain(tuple(range(n)))
 
 
 def is_positive_triple(
@@ -188,9 +258,10 @@ def is_positive_tuple_quad(flags: list[Flag]) -> PositivityVerdict:
     if n == 3:
         verdict, _ = is_positive_triple(*flags)
         return verdict
-    _require_all_transverse(flags)
+    engine = _TupleEngine(list(flags))
+    engine.require_transverse(tuple(range(n)))
     for sub in combinations(range(n), 4):
-        verdict, _ = is_positive_tuple_chain([flags[i] for i in sub])
+        verdict, _ = engine.chain(sub)
         if not verdict.is_positive:
             return verdict
     return PositivityVerdict(Status.POSITIVE, None, "staged")
@@ -250,15 +321,6 @@ class SampleReport:
     quads_checked: int
 
 
-def _tuple_positive(flags: list[Flag]) -> bool:
-    """Chain verdict collapsed to a boolean; a zero superdiagonal means no."""
-    try:
-        verdict, _ = is_positive_tuple_chain(flags)
-    except ZeroSuperdiagonal:
-        return False
-    return verdict.is_positive
-
-
 def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
     """Finite-sample consistency check of positivity propagation.
 
@@ -267,14 +329,14 @@ def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
     positive triple, and if one exists asserts that every ordered
     quadruple of the sample is positive.  A finite check, not a proof.
     """
-    flags = list(sample.flags)
-    _require_all_transverse(flags)
-    n = len(flags)
+    n = len(sample.flags)
+    engine = _TupleEngine(list(sample.flags))
+    engine.require_transverse(tuple(range(n)))
     positive_triple = None
     triples = 0
     for sub in combinations(range(n), 3):
         triples += 1
-        if _tuple_positive([flags[i] for i in sub]):
+        if engine.positive(sub):
             positive_triple = tuple(i + 1 for i in sub)
             break
     if positive_triple is None:
@@ -284,7 +346,7 @@ def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
     quads = 0
     for sub in combinations(range(n), 4):
         quads += 1
-        if not _tuple_positive([flags[i] for i in sub]):
+        if not engine.positive(sub):
             return SampleReport(
                 "inconsistent",
                 positive_triple,

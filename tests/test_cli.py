@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from posiflag import Flag, Matrix, pascal, standard_flags
+from posiflag import Flag, InvariantViolated, Matrix, pascal, standard_flags
 from posiflag.cli import main
 from posiflag.fileio import (
     format_frames,
@@ -84,6 +84,13 @@ class TestTpCheck:
         result = runner.invoke(main, ["tp-check", "--input", path])
         assert result.exit_code == 2
         assert "error:" in result.stderr
+
+    def test_zero_denominator_exit_two(self, runner, files):
+        path = files("zero.mat", "dim 2\nentries\n1 1/0\n0 1\n")
+        result = runner.invoke(main, ["tp-check", "--input", path])
+        assert result.exit_code == 2
+        assert "zero denominator" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_precondition_exit_three(self, runner, files):
         path = files("low.mat", format_matrix(Matrix(((1, 0), (1, 1)))))
@@ -443,6 +450,13 @@ class TestBench:
     def test_bad_range_exit_two(self, runner):
         result = runner.invoke(main, ["bench", "--d-min", "5", "--d-max", "4"])
         assert result.exit_code == 2
+
+    def test_closed_form_gate_is_an_explicit_error(self, monkeypatch):
+        import posiflag.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "staged_minor_count", lambda d: -1)
+        with pytest.raises(InvariantViolated, match="closed form"):
+            cli_module.bench(range(3, 4), 1, 0)
 
     def test_text_format_has_table(self, runner):
         result = runner.invoke(main, ["bench", "--d-min", "3", "--d-max", "3"])

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from posiflag import (
+    BadParameters,
     CapExceeded,
+    DimensionMismatch,
     Flag,
     LimitEntry,
     Matrix,
@@ -56,8 +58,10 @@ class TestSvdFlag:
         assert info.value.min_gap == pytest.approx(1.0)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameters):
             svd_flag(np.ones((2, 3)))
+        with pytest.raises(BadParameters):
+            svd_flag(np.ones(3))
 
     def test_block_family_power_approaches_endpoint(self):
         # the family at h^5, h = diag(2, 1/2), is already within 1e-6 of
@@ -83,7 +87,7 @@ class TestFlagDistance:
     def test_dim_mismatch(self):
         a2 = float_flag(standard_flags(2)[0])
         a3 = float_flag(standard_flags(3)[0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             flag_distance(a2, a3)
 
 
@@ -91,6 +95,12 @@ class TestSingularProfileType:
     def test_gaps(self):
         p = SingularProfile((8.0, 2.0, 1.0))
         assert p.gaps == (4.0, 2.0)
+
+    def test_rejects_increasing_or_nonpositive_values(self):
+        with pytest.raises(BadParameters):
+            SingularProfile((1.0, 2.0))
+        with pytest.raises(BadParameters):
+            SingularProfile((2.0, 0.0))
 
 
 def triple_ok(u: Matrix, t: int, g: Flag) -> bool:

@@ -1,0 +1,258 @@
+"""Differential tests of the memoizing tuple engine.
+
+Every engine result is compared with a recomputation from scratch through
+the public `adapted_basis` and `transporter`, one subtuple at a time, on
+Veronese, Barbot and deliberately degenerate families of 4 to 7 flags.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from posiflag import (
+    Flag,
+    FlagMapSample,
+    Matrix,
+    NotTransverse,
+    PositivityVerdict,
+    SampleReport,
+    Status,
+    ZeroSuperdiagonal,
+    adapted_basis,
+    barbot_flag,
+    barbot_spec,
+    check_sampled_positivity,
+    is_positive_triple,
+    is_positive_tuple_chain,
+    is_positive_tuple_quad,
+    pascal,
+    power_positivity_threshold,
+    random_tp,
+    sign_normalize,
+    standard_flags,
+    tp_staged,
+    transporter,
+    transverse,
+    unipotent_fixed_flag,
+    veronese_flag,
+)
+from posiflag.tuples import _TupleEngine
+from helpers import distinct_points, poison_factor, tuple_from_factors
+
+# superdiagonal entry (1, 2) vanishes: sign normalization must refuse it
+ZERO_SUPER = Matrix(((1, 0, 1), (0, 1, 1), (0, 0, 1)))
+
+
+# -- uncached reference: every subtuple rebuilt from scratch ----------------
+
+
+def ref_transverse(flags):
+    n = len(flags)
+    pairs = [(1, n)] + [(1, j) for j in range(2, n)]
+    pairs += [(a, b) for a in range(2, n + 1) for b in range(a + 1, n + 1)]
+    for a, b in pairs:
+        if not transverse(flags[a - 1], flags[b - 1]):
+            raise NotTransverse(f"flags {a} and {b} are not transverse", pair=(a, b))
+
+
+def ref_chain(flags):
+    """(verdict, adapted matrix, sign, factors, verdicts), uncached."""
+    n, d = len(flags), flags[0].dim
+    ref_transverse(flags)
+    p = adapted_basis(flags[0], flags[-1]).matrix
+    cumulative = {n: Matrix.identity(d)}
+    for j in range(2, n):
+        cumulative[j] = transporter(flags[0], flags[-1], flags[j - 1])
+    factors = tuple(cumulative[j + 1].inverse() @ cumulative[j] for j in range(2, n))
+    dmat, _ = sign_normalize(factors[-1])
+    verdicts = tuple(tp_staged(dmat @ u @ dmat) for u in factors)
+    verdict = next((v for v in verdicts if not v.is_positive), None)
+    if verdict is None:
+        verdict = PositivityVerdict(Status.POSITIVE, None, "staged")
+    return verdict, p, dmat, factors, verdicts
+
+
+def ref_positive(flags):
+    try:
+        return ref_chain(flags)[0].is_positive
+    except ZeroSuperdiagonal:
+        return False
+
+
+def ref_quad(flags):
+    if len(flags) == 3:
+        return ref_chain(flags)[0]
+    ref_transverse(flags)
+    for sub in combinations(range(len(flags)), 4):
+        verdict = ref_chain([flags[i] for i in sub])[0]
+        if not verdict.is_positive:
+            return verdict
+    return PositivityVerdict(Status.POSITIVE, None, "staged")
+
+
+def ref_sampled(flags):
+    n = len(flags)
+    ref_transverse(flags)
+    positive_triple, triples = None, 0
+    for sub in combinations(range(n), 3):
+        triples += 1
+        if ref_positive([flags[i] for i in sub]):
+            positive_triple = tuple(i + 1 for i in sub)
+            break
+    if positive_triple is None:
+        return SampleReport("vacuously consistent, no positive triple", None, None, triples, 0)
+    quads = 0
+    for sub in combinations(range(n), 4):
+        quads += 1
+        if not ref_positive([flags[i] for i in sub]):
+            return SampleReport("inconsistent", positive_triple, tuple(i + 1 for i in sub),
+                                triples, quads)
+    return SampleReport("consistent", positive_triple, None, triples, quads)
+
+
+def outcome(fn, *args):
+    """A result, or the kind and detail of the exception raised instead."""
+    try:
+        return fn(*args)
+    except NotTransverse as exc:
+        return ("NotTransverse", exc.pair, str(exc))
+    except ZeroSuperdiagonal as exc:
+        return ("ZeroSuperdiagonal", exc.position, str(exc))
+
+
+# -- families ----------------------------------------------------------------
+
+
+def families():
+    """(name, points, flags) for n = 4..7 on each kind of family."""
+    rng = random.Random(2_024)
+    out = []
+    for n in range(4, 8):
+        pts = distinct_points(n, rng)
+        out.append((f"veronese d=3 n={n}", pts, [veronese_flag(x, 3) for x in pts]))
+        spec = barbot_spec(*((3, 1), (5, 2))[n % 2])
+        pts = distinct_points(n, rng)
+        out.append((f"barbot n={n}", pts, [barbot_flag(spec, x) for x in pts]))
+        # a repeated flag: never transverse to its copy
+        pts = distinct_points(n, rng)
+        flags = [veronese_flag(x, 3) for x in pts]
+        i, j = sorted(rng.sample(range(n), 2))
+        flags[j] = flags[i]
+        out.append((f"repeated n={n}", pts, flags))
+        # a chain tuple with one poisoned factor: positive triples, failing quads
+        factors = [random_tp(3, rng.randint(0, 10**9)) for _ in range(n - 2)]
+        k = rng.randrange(n - 2)
+        factors[k] = poison_factor(factors[k], rng)
+        out.append((f"poisoned n={n}", distinct_points(n, rng), tuple_from_factors(3, factors)))
+        # a factor with a zero superdiagonal entry
+        factors = [random_tp(3, rng.randint(0, 10**9)) for _ in range(n - 2)]
+        factors[-1] = ZERO_SUPER
+        out.append((f"zero-super n={n}", distinct_points(n, rng), tuple_from_factors(3, factors)))
+    return out
+
+
+FAMILIES = families()
+IDS = [name for name, _, _ in FAMILIES]
+
+
+@pytest.mark.parametrize("name,pts,flags", FAMILIES, ids=IDS)
+def test_engine_chain_matches_uncached(name, pts, flags):
+    engine = _TupleEngine(list(flags))
+    for size in (3, 4, len(flags)):
+        for idx in combinations(range(len(flags)), size):
+            sub = [flags[i] for i in idx]
+            want = outcome(ref_chain, sub)
+            got = outcome(engine.chain, idx)
+            if isinstance(want, tuple) and isinstance(want[0], str):
+                assert got == want, (name, idx)
+                continue
+            verdict, cert = got
+            assert (verdict, cert.adapted.matrix, cert.sign, cert.factors, cert.verdicts) == want
+            assert cert.replays(sub)
+
+
+@pytest.mark.parametrize("name,pts,flags", FAMILIES, ids=IDS)
+def test_public_routes_match_uncached(name, pts, flags):
+    flags = list(flags)
+    chain = outcome(is_positive_tuple_chain, flags)
+    want = outcome(ref_chain, flags)
+    if isinstance(want[0], str):
+        assert chain == want
+    else:
+        assert chain[0] == want[0] and chain[1].factors == want[3]
+    assert outcome(is_positive_tuple_quad, flags) == outcome(ref_quad, flags)
+    sample = FlagMapSample(tuple(pts), tuple(flags))
+    assert outcome(check_sampled_positivity, sample) == outcome(ref_sampled, flags)
+
+
+@pytest.mark.parametrize("name,pts,flags", FAMILIES, ids=IDS)
+def test_quad_and_chain_agree(name, pts, flags):
+    for size in (4, 5):
+        for idx in combinations(range(len(flags)), size):
+            sub = [flags[i] for i in idx]
+            try:
+                chain = is_positive_tuple_chain(sub)[0].is_positive
+            except ZeroSuperdiagonal:
+                chain = False
+            except NotTransverse as exc:
+                with pytest.raises(NotTransverse) as info:
+                    is_positive_tuple_quad(sub)
+                assert info.value.pair == exc.pair
+                continue
+            try:
+                quad = is_positive_tuple_quad(sub).is_positive
+            except ZeroSuperdiagonal:
+                quad = False
+            assert chain == quad, (name, idx)
+
+
+def test_families_cover_every_outcome():
+    seen = set()
+    for _, pts, flags in FAMILIES:
+        report = outcome(check_sampled_positivity, FlagMapSample(tuple(pts), tuple(flags)))
+        seen.add(report[0] if isinstance(report, tuple) else report.status)
+        chain = outcome(is_positive_tuple_chain, list(flags))
+        if chain[0] == "ZeroSuperdiagonal":
+            seen.add("ZeroSuperdiagonal")
+    assert seen >= {"consistent", "inconsistent", "vacuously consistent, no positive triple",
+                    "NotTransverse", "ZeroSuperdiagonal"}
+
+
+def brute_threshold(u: Matrix, g: Flag, cap: int) -> int | None:
+    fixed = unipotent_fixed_flag(u)
+    for t in range(1, cap + 1):
+        try:
+            verdict, _ = is_positive_triple(fixed, g.apply(u.power(t)), g)
+        except (NotTransverse, ZeroSuperdiagonal):
+            continue
+        if verdict.is_positive:
+            return t
+    return None
+
+
+@pytest.mark.parametrize("d,a", [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_threshold_matches_brute_force_scan(d, a):
+    _, desc = standard_flags(d)
+    g = desc.apply(Matrix.elementary(d, 1, 2, a))
+    want = brute_threshold(pascal(d), g, 40)
+    assert want is not None
+    assert power_positivity_threshold(pascal(d), g) == want
+
+
+def test_threshold_matches_brute_force_on_random_flags():
+    rng = random.Random(77)
+    checked = 0
+    while checked < 6:
+        d = rng.choice((3, 4))
+        frame = Matrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+        if frame.det() == 0:
+            continue
+        g = Flag(frame)
+        if not transverse(unipotent_fixed_flag(pascal(d)), g):
+            continue
+        want = brute_threshold(pascal(d), g, 60)
+        if want is None:
+            continue
+        assert power_positivity_threshold(pascal(d), g, cap=60) == want
+        checked += 1

@@ -52,6 +52,8 @@ def test_parse_matrix_errors():
         parse_matrix("dim 1 entries 0.5")
     with pytest.raises(ParseError):
         parse_matrix("dim 1 entries 1 trailing")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_matrix("dim 2 entries 1 1/0 0 1")
 
 
 def test_frames_round_trip():

@@ -1,16 +1,23 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import posiflag.flags as flags_module
 from posiflag import (
+    AdaptedBasis,
+    BadParameters,
     Flag,
+    InvariantViolated,
     Matrix,
     NotSingleJordanBlock,
     NotTransverse,
     SingularMatrix,
     Status,
     adapted_basis,
+    is_positive_tuple_chain,
     pascal,
     random_tp,
     standard_flags,
@@ -206,3 +213,68 @@ class TestUnipotentFixedFlag:
         split = Matrix(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)))
         with pytest.raises(NotSingleJordanBlock):
             unipotent_fixed_flag(split)
+
+
+def skew_kernel(monkeypatch):
+    """Corrupt adapted_basis: scale the first coordinate of every kernel vector."""
+    real = flags_module._grid_kernel
+
+    def skewed(rows):
+        return [(2 * v[0],) + v[1:] for v in real(rows)]
+
+    monkeypatch.setattr(flags_module, "_grid_kernel", skewed)
+
+
+class TestInvariants:
+    def test_corrupted_adapted_basis_is_an_explicit_error(self, monkeypatch):
+        asc, desc = standard_flags(3)
+        h = desc.apply(pascal(3))
+        skew_kernel(monkeypatch)
+        with pytest.raises(InvariantViolated, match="descending flag"):
+            adapted_basis(asc, h)
+        with pytest.raises(InvariantViolated):
+            is_positive_tuple_chain([asc, desc.apply(pascal(3).power(2)), h])
+
+    def test_kernel_dimension_is_checked(self, monkeypatch):
+        real = flags_module._grid_kernel
+        monkeypatch.setattr(flags_module, "_grid_kernel", lambda rows: real(rows) * 2)
+        asc, desc = standard_flags(3)
+        with pytest.raises(InvariantViolated, match="one-dimensional"):
+            adapted_basis(asc, desc)
+
+    def test_basis_not_adapted_to_its_source(self):
+        asc, desc = standard_flags(3)
+        with pytest.raises(InvariantViolated):
+            AdaptedBasis(Matrix.identity(3), (asc, desc.apply(pascal(3))))
+        with pytest.raises(InvariantViolated):
+            AdaptedBasis(Matrix.diagonal((1, 1, 0)), (asc, desc))
+
+    def test_checks_survive_optimize_flag(self):
+        code = (
+            "import posiflag.flags as m\n"
+            "from posiflag import InvariantViolated, pascal, standard_flags\n"
+            "real = m._grid_kernel\n"
+            "m._grid_kernel = lambda rows: [(2 * v[0],) + v[1:] for v in real(rows)]\n"
+            "asc, desc = standard_flags(3)\n"
+            "try:\n"
+            "    m.adapted_basis(asc, desc.apply(pascal(3)))\n"
+            "except InvariantViolated:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "raised"
+
+    def test_basis_argument_matches_fresh_build(self):
+        rng = random.Random(17)
+        asc, desc = standard_flags(4)
+        basis = adapted_basis(asc, desc)
+        for _ in range(5):
+            g = desc.apply(random_tp(4, rng.randint(0, 10**9)))
+            assert transporter(asc, desc, g, basis) == transporter(asc, desc, g)
+
+    def test_basis_for_another_pair_rejected(self):
+        asc, desc = standard_flags(3)
+        other = adapted_basis(desc, asc)
+        with pytest.raises(BadParameters):
+            transporter(asc, desc, desc.apply(pascal(3)), other)
