@@ -139,6 +139,10 @@ def _seq_str(seq) -> str:
 @click.group()
 def main():
     """Exact total positivity of unipotent matrices and flag tuples."""
+    # exact results may exceed the interpreter's int/str digit limit; print
+    # them in full (inputs are bounded by the parsers instead)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command("tp-check")

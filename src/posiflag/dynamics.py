@@ -15,6 +15,9 @@ coefficient) in which rotation-like elements act by isometries; in the
 plain basis the clean ratio formula simply does not hold.  Blocks are
 scaled to unit determinant so representatives of the same projective
 element measure alike.
+
+numpy is imported inside the float functions, so importing this module
+(and the exact subcommands of the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import (
     BadParameters,
@@ -76,6 +81,8 @@ class SingularProfile:
 
 def float_flag(f: Flag) -> FloatFlag:
     """Orthonormalized float copy of an exact flag."""
+    import numpy as np
+
     arr = np.array(
         [[float(f.frame.entry(i, j)) for j in range(1, f.dim + 1)] for i in range(1, f.dim + 1)]
     )
@@ -90,6 +97,8 @@ def svd_flag(g, gap_tol: float = 1e-8) -> FloatFlag:
     1 + gap_tol; otherwise the subspaces are not canonical and
     SingularGapTooSmall reports the narrowest gap.
     """
+    import numpy as np
+
     arr = np.asarray(g, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise BadParameters(f"svd_flag needs a square matrix, got shape {arr.shape}")
@@ -107,6 +116,8 @@ def svd_flag(g, gap_tol: float = 1e-8) -> FloatFlag:
 
 def flag_distance(a: FloatFlag, b: FloatFlag) -> float:
     """Largest principal angle between corresponding subspaces, over all depths."""
+    import numpy as np
+
     if a.dim != b.dim:
         raise DimensionMismatch(f"flag dims differ: {a.dim} vs {b.dim}")
     worst = 0.0
@@ -180,6 +191,8 @@ def attracting_fixed_point(g: MoebiusElement) -> ProjectivePoint:
 
 def _weights(spec: BarbotSpec) -> np.ndarray:
     """Per-coordinate weights making rotations act by isometries blockwise."""
+    import numpy as np
+
     m1 = spec.d - spec.j
     w = np.empty(spec.d)
     for t, e_idx in enumerate(spec.perm):
@@ -193,6 +206,8 @@ def _weights(spec: BarbotSpec) -> np.ndarray:
 
 def _tau_hat(spec: BarbotSpec, g: MoebiusElement, n: int) -> np.ndarray:
     """Float matrix of the block family at g^n: det-normalized, weighted basis."""
+    import numpy as np
+
     m1 = spec.d - spec.j
     gn = g.power(n)
     absdet = abs(float(g.det)) ** n
@@ -220,6 +235,8 @@ def singular_ratio_profile(
     for i <= k-1 or i >= d-k+1, and sqrt(r) for the middle indices.
     Returns (i, measured, predicted) for i = 1..d-1.
     """
+    import numpy as np
+
     if not g.is_hyperbolic:
         raise NotHyperbolic("singular ratio profile needs a hyperbolic element")
     sig = np.linalg.svd(_tau_hat(spec, g, n), compute_uv=False)
@@ -256,6 +273,8 @@ def limit_convergence(
     Entries where the singular gaps are below tolerance are marked
     skipped instead of carrying a meaningless distance.
     """
+    import numpy as np
+
     if not g.is_hyperbolic:
         raise NotHyperbolic("limit convergence needs a hyperbolic element")
     x_plus = attracting_fixed_point(g)

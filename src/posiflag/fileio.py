@@ -15,6 +15,10 @@ A flags file is a sequence of `frame` blocks, each introducing one matrix
 in the format above.  A sample file is a sequence of records, each a
 `point p q` line followed by a `frame` block.  A points file is one `p q`
 pair per line (a leading `point` token is accepted).
+
+Every integer in a token (a numerator, a denominator, a dimension or a
+coordinate) may have at most MAX_DIGITS digits, the interpreter's default
+int/str conversion limit; a longer one is a ParseError.
 """
 
 from __future__ import annotations
@@ -27,6 +31,17 @@ from .linalg import Matrix
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _INT = re.compile(r"^[+-]?\d+$")
+
+MAX_DIGITS = 4300
+
+
+def _check_digits(tok: str):
+    digits = max(len(part.lstrip("+-")) for part in tok.split("/"))
+    if digits > MAX_DIGITS:
+        raise ParseError(
+            f"integer of {digits} digits in token '{tok[:20]}...'; "
+            f"the limit is {MAX_DIGITS} digits"
+        )
 
 
 def _tokens(text: str) -> list[str]:
@@ -61,12 +76,14 @@ class _Cursor:
         tok = self.take()
         if not _INT.match(tok):
             raise ParseError(f"expected integer {what}, got '{tok}'")
+        _check_digits(tok)
         return int(tok)
 
     def take_rational(self) -> Fraction:
         tok = self.take()
         if not _RATIONAL.match(tok):
             raise ParseError(f"expected rational entry, got '{tok}'")
+        _check_digits(tok)
         try:
             return Fraction(tok)
         except ZeroDivisionError:

@@ -25,7 +25,15 @@ from .errors import (
     NotTransverse,
     SingularMatrix,
 )
-from .linalg import Matrix, _grid_det, _grid_kernel, _grid_rank, jordan_block_sizes
+from .linalg import (
+    Matrix,
+    _bareiss,
+    _cleared,
+    _grid_det,
+    _grid_rank,
+    _solve,
+    jordan_block_sizes,
+)
 
 
 def _column_grid(cols: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -45,6 +53,11 @@ def _is_upper(rows) -> bool:
     both present the same flag.
     """
     return not any(any(row[:i]) for i, row in enumerate(rows))
+
+
+def _is_unipotent(rows) -> bool:
+    """Whether a row-major grid is upper triangular with unit diagonal."""
+    return _is_upper(rows) and all(row[i] == 1 for i, row in enumerate(rows))
 
 
 class Flag:
@@ -137,27 +150,59 @@ class AdaptedBasis:
         object.__setattr__(self, "inverse", inverse)
 
 
+def _reverse_echelon(
+    c: Matrix, failure: str
+) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Write c = (u . reversal) t with u upper unipotent and t upper triangular.
+
+    This is reverse column-echelon form: the m-th column of c (m = 1..d),
+    less its multiples of the columns reduced before it, gets pivot 1 at
+    coordinate d-m+1 and zeros below, and is column d-m+1 of u.  The flag
+    of u . reversal is then that of c, and u fixes the ascending
+    coordinate flag.  Read with coordinates reversed, the columns of c
+    are the rows of a matrix A = t^T U with U unit upper triangular, so
+    one fraction-free forward elimination of A (rows scaled to integers)
+    gives U from its final rows and t from its multipliers.  A zero pivot
+    happens exactly when the flag of c is not transverse to the ascending
+    coordinate flag, and raises NotTransverse(failure).  Returns the
+    reduced columns, pivot rows d, d-1, ..., and t.
+    """
+    d = c.dim
+    scaled = _cleared(col[::-1] for col in _columns(c))
+    a = [r for r, _ in scaled]
+    if not _bareiss(a, swaps=False) or a[-1][-1] == 0:
+        raise NotTransverse(failure)
+    leading = [1] + [a[k][k] for k in range(d - 1)]  # leading minors of A
+    zero, one = Fraction(0), Fraction(1)
+    placed = [
+        [Fraction(row[r], row[m]) if r > m else one if r == m else zero
+         for r in range(d - 1, -1, -1)]
+        for m, row in enumerate(a)
+    ]
+    t = [
+        [Fraction(a[m][i], leading[i] * scaled[m][1]) if i <= m else zero for m in range(d)]
+        for i in range(d)
+    ]
+    return placed, t
+
+
 def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:
-    if not transverse(f, h):
-        raise NotTransverse("flags are not transverse; no adapted basis exists")
-    d = f.dim
-    f_cols, h_cols = _columns(f.frame), _columns(h.frame)
-    out_cols: list[tuple[Fraction, ...]] = []
-    for k in range(1, d + 1):
-        # kernel of [F cols 1..k | H cols 1..d-k+1] is one line by transversality
-        kern = _grid_kernel(_column_grid(f_cols[:k] + h_cols[:d - k + 1]))
-        if len(kern) != 1:
-            raise InvariantViolated("a transverse pair must give a one-dimensional kernel")
-        coeffs = kern[0][:k]
-        lead = coeffs[k - 1]
-        if lead == 0:
-            raise InvariantViolated("the intersection line cannot sit in the smaller subspace")
-        vec = tuple(
-            sum((coeffs[i] * f_cols[i][r] for i in range(k)), Fraction(0)) / lead
-            for r in range(d)
+    """The basis adapted to (f, h): F u, for c = F^-1 H = (u . reversal) t.
+
+    F u presents f because u is upper unipotent, and F u . reversal
+    presents h because t is upper triangular, so column k of F u spans
+    F^k intersect H^{d-k+1}, with k-th coordinate 1 in F's frame.
+    """
+    if f.dim != h.dim:
+        raise DimensionMismatch(f"flag dims differ: {f.dim} vs {h.dim}")
+    c = Matrix._of(_solve(f.frame.rows_tuple(), h.frame.rows_tuple()))
+    placed, _ = _reverse_echelon(c, "flags are not transverse; no adapted basis exists")
+    u = Matrix(_column_grid(placed[::-1]))
+    if not _is_unipotent(u.rows_tuple()):
+        raise InvariantViolated(
+            "each F^k intersect H^{d-k+1} must be a one-dimensional line with unit k-th coordinate"
         )
-        out_cols.append(vec)
-    return AdaptedBasis(Matrix(_column_grid(out_cols)), (f, h))
+    return AdaptedBasis(f.frame @ u, (f, h))
 
 
 def transporter(f: Flag, h: Flag, g: Flag, basis: AdaptedBasis | None = None) -> Matrix:
@@ -186,23 +231,10 @@ def transporter(f: Flag, h: Flag, g: Flag, basis: AdaptedBasis | None = None) ->
         basis = adapted_basis(f, h)
     elif basis.source != (f, h):
         raise BadParameters("basis is not adapted to the pair (f, h)")
-    d = f.dim
     c = basis.inverse @ g.frame
-    placed: list[list[Fraction]] = []  # reduced columns, pivot rows d, d-1, ...
-    t = [[Fraction(0)] * d for _ in range(d)]  # c = (u . reversal) t, t upper triangular
-    for m, col in enumerate(_columns(c)):
-        col = list(col)
-        for i, prior in enumerate(placed):
-            factor = t[i][m] = col[d - 1 - i]
-            if factor:
-                for r in range(d):
-                    col[r] -= factor * prior[r]
-        lead = t[m][m] = col[d - 1 - m]
-        if lead == 0:
-            raise NotTransverse("base flag and target flag are not transverse")
-        placed.append([x / lead for x in col])
+    placed, t = _reverse_echelon(c, "base flag and target flag are not transverse")
     u = Matrix(_column_grid(placed[::-1]))
-    if not (_is_upper(u.rows_tuple()) and all(u.entry(i, i) == 1 for i in range(1, d + 1))):
+    if not _is_unipotent(u.rows_tuple()):
         raise InvariantViolated("a transporter must be upper unipotent, so that it fixes f")
     if Matrix(_column_grid(placed)) @ Matrix(t) != c:
         raise InvariantViolated("a transporter must carry h to g")

@@ -6,16 +6,19 @@ reduced, and all public indices are 1-based: rows and columns are numbered
 1..d, and a minor is addressed by strictly increasing 1-based row and
 column tuples.
 
-Determinants follow a two-route contract: integral matrices go through
-fraction-free (Bareiss) elimination in plain integer arithmetic, everything
-else through rational Gaussian elimination.  Both are exact; tests compare
-them against each other and against cofactor expansion.
+Determinants, inverses, solves and products share one idea: scale each
+row (or column) by the lcm of its denominators, compute in plain integers,
+and build `Fraction`s only at the end.  Determinants and solves then run
+fraction-free (Bareiss) elimination, where every interior division is
+exact.  Tests compare them against cofactor expansion and against sympy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -95,68 +98,121 @@ def _grid_kernel(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...
     return basis
 
 
-def _det_bareiss_int(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of an integer grid.
+def _bareiss(a: list[list[int]], swaps: bool = True) -> int:
+    """Fraction-free forward elimination of a square integer grid, in place.
 
-    One-step Bareiss elimination: every interior division is exact, so the
-    whole computation stays in plain (arbitrary-precision) integers.
+    One-step Bareiss: after step k, a[i][j] for i, j > k is the minor of
+    the (row-swapped) grid on rows 0..k, i and columns 0..k, j, so every
+    division by the previous pivot is exact and the whole computation
+    stays in plain integers.  Row k is final once it is the pivot row, so
+    a[k][k] is the leading (k+1)-minor, and a[i][k] below it keeps the
+    multiplier of step k.  A zero pivot is replaced by a lower row when
+    `swaps` is set.  Returns the sign of the row permutation, or 0 at a
+    zero pivot that cannot be replaced (the last pivot a[n-1][n-1] is
+    left to the caller).
     """
-    n = len(rows)
-    a = [list(r) for r in rows]
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    swap = i
-                    break
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None) if swaps else None
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        pivot = a[k][k]
+        row_k = a[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
+            aik = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign
 
 
-def _det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by rational Gaussian elimination with row swaps."""
-    n = len(rows)
+def _det_bareiss_int(rows: Sequence[Sequence[int]]) -> int:
+    """Fraction-free determinant of an integer grid."""
     a = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for r in range(c, n):
-            if a[r][c] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c] != 0:
-                f = a[r][c] / a[c][c]
-                for j in range(c, n):
-                    a[r][j] -= f * a[c][j]
-    return det
+    return _bareiss(a) * a[-1][-1]
+
+
+def _cleared(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[list[int], int]]:
+    """Each vector as (v * s, s), s the lcm of its denominators, so v * s is integral."""
+    out = []
+    for v in vectors:
+        s = lcm(*[x.denominator for x in v])
+        if s == 1:
+            out.append(([x.numerator for x in v], 1))
+        else:
+            out.append(([x.numerator * (s // x.denominator) for x in v], s))
+    return out
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """n/d as a Fraction; for d = 1 the one-argument form skips the gcd."""
+    return Fraction(n) if d == 1 else Fraction(n, d)
 
 
 def _grid_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    if all(x.denominator == 1 for r in rows for x in r):
-        return Fraction(_det_bareiss_int([[x.numerator for x in r] for r in rows]))
-    return _det_rational(rows)
+    """Determinant of a square grid: rows scaled to integers, then Bareiss."""
+    scaled = _cleared(rows)
+    det = _det_bareiss_int([r for r, _ in scaled])
+    return _ratio(det, prod(s for _, s in scaled))
+
+
+def _solve(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """A^-1 B for a square invertible grid A and a grid B with as many rows.
+
+    Each row of [A | B] is scaled by the lcm of its denominators, which
+    leaves the solution unchanged.  Then one fraction-free (Bareiss)
+    Gauss-Jordan elimination runs in plain integers: after step k every
+    entry is a minor of the scaled grid, so each division by the previous
+    pivot is exact, and at the end the left block is D times the identity
+    and the right block is D A^-1 B, D being the last pivot.  Raises
+    SingularMatrix when A is singular.
+    """
+    n = len(a)
+    m = [r for r, _ in _cleared([tuple(ra) + tuple(rb) for ra, rb in zip(a, b)])]
+    width = len(m[0])
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            raise SingularMatrix("matrix is not invertible")
+        m[k], m[p] = m[p], m[k]
+        row_k = m[k]
+        pivot = row_k[k]
+        for i, row_i in enumerate(m):
+            if i == k:
+                continue
+            f = row_i[k]
+            row_i[k] = 0
+            for j in range(k + 1, width):
+                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+        prev = pivot
+    return tuple(tuple(_ratio(x, prev) for x in row[n:]) for row in m)
+
+
+def _back_substitute(
+    u: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """U^-1 B for an upper unipotent grid U, by back substitution.
+
+    The unit diagonal means no division and no inverse; zero terms are
+    skipped, so a triangular B costs only its nonzero part.
+    """
+    n = len(u)
+    x: list[tuple[Fraction, ...]] = [()] * n
+    for i in range(n - 1, -1, -1):
+        terms = [(c, x[k]) for k, c in enumerate(u[i][i + 1:], i + 1) if c]
+        x[i] = tuple(
+            bij - sum(c * xk[j] for c, xk in terms if xk[j]) for j, bij in enumerate(b[i])
+        )
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +281,14 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _of(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
+        """Wrap a square tuple grid of Fractions built here, without checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_rows", rows)
+        object.__setattr__(m, "dim", len(rows))
+        return m
+
+    @classmethod
     def identity(cls, d: int) -> "Matrix":
         if d < 1:
             raise BadParameters("dimension must be positive")
@@ -280,12 +344,12 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.dim != other.dim:
             raise DimensionMismatch(f"cannot multiply dim {self.dim} by dim {other.dim}")
-        o_cols = list(zip(*other._rows))
-        # zero terms are skipped: triangular and diagonal factors are common
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col) if a and b) for col in o_cols]
-             for row in self._rows]
-        )
+        # denominators cleared once per row and per column; integer dot products
+        cols = _cleared(zip(*other._rows))
+        return Matrix._of(tuple(
+            tuple(_ratio(sum(map(mul, r, c)), s * t) for c, t in cols)
+            for r, s in _cleared(self._rows)
+        ))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.dim != other.dim:
@@ -317,24 +381,14 @@ class Matrix:
     # -- decompositions and invariants --------------------------------------
 
     def det(self) -> Fraction:
-        """Exact determinant.
-
-        Integral matrices use fraction-free (Bareiss) elimination, others
-        rational Gaussian elimination.
-        """
+        """Exact determinant, by fraction-free (Bareiss) elimination."""
         return _grid_det(self._rows)
 
     def rank(self) -> int:
         return _grid_rank(self._rows)
 
     def inverse(self) -> "Matrix":
-        d = self.dim
-        aug = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(d)]
-               for i, r in enumerate(self._rows)]
-        rref, pivots = _rref(aug)
-        if pivots[:d] != list(range(d)):
-            raise SingularMatrix("matrix is not invertible")
-        return Matrix([r[d:] for r in rref[:d]])
+        return Matrix._of(_solve(self._rows, Matrix.identity(self.dim)._rows))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """Square submatrix selected by 1-based index tuples."""

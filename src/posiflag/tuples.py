@@ -29,7 +29,7 @@ from .errors import (
     ZeroSuperdiagonal,
 )
 from .flags import AdaptedBasis, Flag, adapted_basis, transporter, transverse
-from .linalg import Matrix
+from .linalg import Matrix, _back_substitute
 from .positivity import PositivityVerdict, Status, is_upper_unipotent, tp_staged
 from .reps import ProjectivePoint
 
@@ -112,12 +112,13 @@ class _TupleEngine:
 
     Everything is keyed by 0-based flag index: pair transversality per
     (i, j) with i < j, the adapted basis per anchor pair (a, e), the
-    transporter transporter(F_a, F_e, F_x) and, when an inner factor
-    needs it, its inverse per (a, e, x), and the sign normalization and
-    staged verdict of the last chain factor per (a, e, c); that factor is
-    the transporter of (a, e, c) itself.  For n flags this is at most
-    C(n, 2) bases and C(n, 3) transporters.  An engine lives for one call
-    of a public entry point, so nothing is kept between calls.
+    transporter transporter(F_a, F_e, F_x) per (a, e, x), and the sign
+    normalization and staged verdict of the last chain factor per
+    (a, e, c); that factor is the transporter of (a, e, c) itself.  Inner
+    factors are unique per subtuple and are not kept.  For n flags this
+    is at most C(n, 2) bases and C(n, 3) transporters.  An engine lives
+    for one call of a public entry point, so nothing is kept between
+    calls.
     `bases` seeds anchor pairs already built by the caller.
     """
 
@@ -126,7 +127,6 @@ class _TupleEngine:
         self._bases = dict(bases or {})
         self._transverse = {pair: True for pair in self._bases}
         self._transporters: dict[tuple[int, int, int], Matrix] = {}
-        self._inverses: dict[tuple[int, int, int], Matrix] = {}
         self._last: dict[tuple[int, int, int], tuple[Matrix, PositivityVerdict] | Exception] = {}
 
     def require_transverse(self, idx: tuple[int, ...]):
@@ -161,11 +161,13 @@ class _TupleEngine:
             u = self._transporters[(a, e, x)] = transporter(f[a], f[e], f[x], self.basis(a, e))
         return u
 
-    def inverse(self, a: int, e: int, x: int) -> Matrix:
-        u_inv = self._inverses.get((a, e, x))
-        if u_inv is None:
-            u_inv = self._inverses[(a, e, x)] = self.transporter(a, e, x).inverse()
-        return u_inv
+    def quotient(self, a: int, e: int, y: int, x: int) -> Matrix:
+        """c_y^-1 c_x for the transporters c of (a, e, y) and (a, e, x).
+
+        Transporters are upper unipotent, so this is a back substitution.
+        """
+        c_y, c_x = self.transporter(a, e, y), self.transporter(a, e, x)
+        return Matrix._of(_back_substitute(c_y.rows_tuple(), c_x.rows_tuple()))
 
     def last(self, a: int, e: int, c: int) -> tuple[Matrix, PositivityVerdict]:
         """Sign normalization and staged verdict of the factor transporter(a, e, c)."""
@@ -191,8 +193,7 @@ class _TupleEngine:
         a, e = idx[0], idx[-1]
         inner = idx[1:-1]
         factors = tuple(
-            self.inverse(a, e, y) @ self.transporter(a, e, x)
-            for x, y in zip(inner, inner[1:])
+            self.quotient(a, e, y, x) for x, y in zip(inner, inner[1:])
         ) + (self.transporter(a, e, inner[-1]),)
         if not all(is_upper_unipotent(u) for u in factors[:-1]):
             raise InvariantViolated("chain factors are quotients of unipotents")

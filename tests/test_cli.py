@@ -1,9 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import posiflag
 from posiflag import Flag, InvariantViolated, Matrix, pascal, standard_flags
 from posiflag.cli import main
 from posiflag.fileio import (
@@ -33,6 +38,13 @@ def files(tmp_path):
         return str(path)
 
     return write
+
+
+def run_cli_process(code: str) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter that imports this posiflag."""
+    env = {**os.environ, "PYTHONPATH": str(Path(posiflag.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
 
 
 def desc_frame(d: int) -> Matrix:
@@ -280,6 +292,31 @@ class TestGenerators:
         result = runner.invoke(main, ["sym-power", "--d", "3", "--g", path])
         assert result.exit_code == 0
         assert parse_matrix(result.output) == Matrix.reversal(3)
+
+    def test_sym_power_prints_long_integers_in_full(self, files):
+        # the (1, 1) entry is 10^5000, beyond the interpreter's default
+        # 4300-digit int/str limit, which the CLI entry point lifts
+        path = files("big.mat", f"dim 2\nentries\n{10 ** 1000} 0\n0 1\n")
+        out = run_cli_process(
+            "from posiflag.cli import main\n"
+            f"main(['sym-power', '--d', '6', '--g', {path!r}], standalone_mode=False)\n"
+        )
+        assert out.stdout.splitlines()[2].split()[0] == "1" + "0" * 5000
+
+    def test_overlong_token_exit_two(self, runner, files):
+        path = files("long.mat", "dim 1\nentries\n" + "7" * 5000 + "\n")
+        result = runner.invoke(main, ["tp-check", "--input", path])
+        assert result.exit_code == 2
+        assert "5000 digits" in result.output and "limit is 4300 digits" in result.output
+
+    def test_exact_subcommand_does_not_import_numpy(self):
+        out = run_cli_process(
+            "import sys\n"
+            "from posiflag.cli import main\n"
+            "main(['pascal', '--d', '3'], standalone_mode=False)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert out.stdout.splitlines()[-1] == "False"
 
     def test_sym_power_needs_two_by_two(self, runner, files):
         path = files("big.mat", format_matrix(Matrix.identity(3)))

@@ -4,6 +4,7 @@ import pytest
 
 from posiflag import Matrix, ParseError
 from posiflag.fileio import (
+    MAX_DIGITS,
     format_frames,
     format_matrix,
     format_points,
@@ -99,3 +100,13 @@ def test_sample_requires_point_frame_alternation():
         parse_sample("point 1 0 dim 1 entries 1")
     with pytest.raises(ParseError):
         parse_sample("")
+
+
+def test_token_digit_limit():
+    at_limit = "9" * MAX_DIGITS
+    assert parse_matrix(f"dim 1 entries -{at_limit}/{'8' * MAX_DIGITS}").entry(1, 1) < -1
+    for token in ("7" * (MAX_DIGITS + 1), "1/" + "3" * 5000, "-" + "2" * 5000):
+        with pytest.raises(ParseError, match=f"limit is {MAX_DIGITS} digits"):
+            parse_matrix(f"dim 1 entries {token}")
+    with pytest.raises(ParseError, match="5000 digits"):
+        parse_points("1 " + "4" * 5000)

@@ -215,29 +215,38 @@ class TestUnipotentFixedFlag:
             unipotent_fixed_flag(split)
 
 
-def skew_kernel(monkeypatch):
-    """Corrupt adapted_basis: scale the first coordinate of every kernel vector."""
-    real = flags_module._grid_kernel
+def skew_reduction(monkeypatch):
+    """Corrupt adapted_basis: scale the first coordinate of every reduced
+    column except the first basis vector, so the basis stays unipotent
+    over F's frame but no longer spans the lines of H."""
+    real = flags_module._reverse_echelon
 
-    def skewed(rows):
-        return [(2 * v[0],) + v[1:] for v in real(rows)]
+    def skewed(c, failure):
+        placed, t = real(c, failure)
+        return [[2 * col[0]] + col[1:] for col in placed[:-1]] + placed[-1:], t
 
-    monkeypatch.setattr(flags_module, "_grid_kernel", skewed)
+    monkeypatch.setattr(flags_module, "_reverse_echelon", skewed)
 
 
 class TestInvariants:
     def test_corrupted_adapted_basis_is_an_explicit_error(self, monkeypatch):
         asc, desc = standard_flags(3)
         h = desc.apply(pascal(3))
-        skew_kernel(monkeypatch)
+        skew_reduction(monkeypatch)
         with pytest.raises(InvariantViolated, match="descending flag"):
             adapted_basis(asc, h)
         with pytest.raises(InvariantViolated):
             is_positive_tuple_chain([asc, desc.apply(pascal(3).power(2)), h])
 
     def test_kernel_dimension_is_checked(self, monkeypatch):
-        real = flags_module._grid_kernel
-        monkeypatch.setattr(flags_module, "_grid_kernel", lambda rows: real(rows) * 2)
+        # a reduced column with an entry below its pivot leaves F^k
+        real = flags_module._reverse_echelon
+
+        def below_pivot(c, failure):
+            placed, t = real(c, failure)
+            return [col[:-1] + [1] for col in placed], t
+
+        monkeypatch.setattr(flags_module, "_reverse_echelon", below_pivot)
         asc, desc = standard_flags(3)
         with pytest.raises(InvariantViolated, match="one-dimensional"):
             adapted_basis(asc, desc)
@@ -253,8 +262,9 @@ class TestInvariants:
         code = (
             "import posiflag.flags as m\n"
             "from posiflag import InvariantViolated, pascal, standard_flags\n"
-            "real = m._grid_kernel\n"
-            "m._grid_kernel = lambda rows: [(2 * v[0],) + v[1:] for v in real(rows)]\n"
+            "real = m._solve\n"
+            "m._solve = lambda a, b: tuple(tuple(2 * x for x in r) if i == 0 else r\n"
+            "                              for i, r in enumerate(real(a, b)))\n"
             "asc, desc = standard_flags(3)\n"
             "try:\n"
             "    m.adapted_basis(asc, desc.apply(pascal(3)))\n"

@@ -1,0 +1,177 @@
+"""Differential tests of the fraction-free kernels against independent routes.
+
+Each kernel is compared with a definition computed another way: the
+adapted basis with one kernel per column, solves and inverses with sympy,
+the integer-dot product with a plain Fraction product, and the unit
+triangular solve with `inverse() @`.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from posiflag import Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, transverse
+from posiflag.linalg import _back_substitute, _grid_det, _grid_kernel, _solve
+
+SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+integers = st.integers(-6, 6).map(Fraction)
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5))
+
+
+@st.composite
+def grids(draw, entries, rows=None, cols=None):
+    d = draw(st.integers(1, 5)) if rows is None else rows
+    w = d if cols is None else cols
+    return tuple(tuple(draw(entries) for _ in range(w)) for _ in range(d))
+
+
+@st.composite
+def square_pairs(draw, entries):
+    """A square grid and a second grid with as many rows."""
+    a = draw(grids(entries))
+    b = draw(grids(entries, rows=len(a), cols=draw(st.integers(1, 4))))
+    return a, b
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def from_sympy(m):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows))
+
+
+# -- adapted basis against one kernel per column -----------------------------
+
+
+def kernel_definition(f: Flag, h: Flag) -> Matrix:
+    """Column k spans F^k intersect H^{d-k+1}, scaled to unit k-th F-coordinate.
+
+    The line is the kernel of [F cols 1..k | H cols 1..d-k+1]; its first k
+    coordinates give the combination of F's columns.
+    """
+    d = f.dim
+    f_cols = list(zip(*f.frame.rows_tuple()))
+    h_cols = list(zip(*h.frame.rows_tuple()))
+    out = []
+    for k in range(1, d + 1):
+        stacked = f_cols[:k] + h_cols[:d - k + 1]
+        kern = _grid_kernel(tuple(tuple(c[i] for c in stacked) for i in range(d)))
+        assert len(kern) == 1
+        coeffs = kern[0][:k]
+        out.append(tuple(
+            sum((coeffs[i] * f_cols[i][r] for i in range(k)), Fraction(0)) / coeffs[k - 1]
+            for r in range(d)
+        ))
+    return Matrix(tuple(tuple(c[i] for c in out) for i in range(d)))
+
+
+@st.composite
+def flag_pairs(draw, entries):
+    d = draw(st.integers(2, 4))
+    frames = []
+    for _ in range(2):
+        rows = draw(grids(entries, rows=d))
+        assume(_grid_det(rows) != 0)
+        frames.append(Flag(Matrix(rows)))
+    return frames
+
+
+class TestAdaptedBasis:
+    @SETTINGS
+    @given(st.one_of(flag_pairs(integers), flag_pairs(rationals)))
+    def test_matches_kernel_definition(self, pair):
+        f, h = pair
+        if not transverse(f, h):
+            with pytest.raises(NotTransverse, match="no adapted basis exists"):
+                adapted_basis(f, h)
+            return
+        assert adapted_basis(f, h).matrix == kernel_definition(f, h)
+
+
+# -- solve and inverse against sympy -------------------------------------------
+
+
+class TestSolve:
+    @SETTINGS
+    @given(st.one_of(square_pairs(integers), square_pairs(rationals)))
+    def test_solve_matches_sympy(self, ab):
+        a, b = ab
+        sa = to_sympy(a)
+        if sa.det() == 0:
+            with pytest.raises(SingularMatrix):
+                _solve(a, b)
+            return
+        assert _solve(a, b) == from_sympy(sa.LUsolve(to_sympy(b)))
+
+    @SETTINGS
+    @given(st.one_of(grids(integers), grids(rationals)))
+    def test_inverse_matches_sympy(self, rows):
+        m, sm = Matrix(rows), to_sympy(rows)
+        if sm.det() == 0:
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+            return
+        assert m.inverse().rows_tuple() == from_sympy(sm.inv())
+
+    @SETTINGS
+    @given(st.one_of(grids(integers), grids(rationals)))
+    def test_det_matches_sympy(self, rows):
+        det = to_sympy(rows).det()
+        assert _grid_det(rows) == Fraction(int(det.p), int(det.q))
+
+
+# -- integer-dot product against the plain Fraction product ------------------
+
+
+@st.composite
+def matrix_pairs(draw, entries):
+    a = draw(grids(entries))
+    return Matrix(a), Matrix(draw(grids(entries, rows=len(a))))
+
+
+def naive_product(a: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+    cols = list(zip(*b.rows_tuple()))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
+        for row in a.rows_tuple()
+    )
+
+
+class TestMatmul:
+    @SETTINGS
+    @given(st.one_of(matrix_pairs(integers), matrix_pairs(rationals)))
+    def test_matches_naive_product(self, ab):
+        a, b = ab
+        product = a @ b
+        assert product.rows_tuple() == naive_product(a, b)
+        assert all(type(x) is Fraction for r in product.rows_tuple() for x in r)
+
+
+# -- unit triangular back substitution against inverse() @ --------------------
+
+
+@st.composite
+def unipotent_systems(draw, entries):
+    d = draw(st.integers(1, 5))
+    u = tuple(
+        tuple(Fraction(1) if i == j else draw(entries) if j > i else Fraction(0)
+              for j in range(d))
+        for i in range(d)
+    )
+    return Matrix(u), Matrix(draw(grids(entries, rows=d)))
+
+
+class TestBackSubstitution:
+    @SETTINGS
+    @given(st.one_of(unipotent_systems(integers), unipotent_systems(rationals)))
+    def test_matches_inverse_product(self, ub):
+        u, b = ub
+        assert _back_substitute(u.rows_tuple(), b.rows_tuple()) == (u.inverse() @ b).rows_tuple()
