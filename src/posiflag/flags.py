@@ -31,6 +31,8 @@ from .linalg import (
     _cleared,
     _grid_det,
     _grid_rank,
+    _is_unipotent,
+    _is_upper,
     _solve,
     jordan_block_sizes,
 )
@@ -44,20 +46,6 @@ def _column_grid(cols: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...]
 
 def _columns(m: Matrix) -> list[tuple[Fraction, ...]]:
     return list(zip(*m.rows_tuple()))
-
-
-def _is_upper(rows) -> bool:
-    """Whether a row-major grid is zero below its diagonal.
-
-    For invertible frames A and B, A^-1 B is upper triangular exactly when
-    both present the same flag.
-    """
-    return not any(any(row[:i]) for i, row in enumerate(rows))
-
-
-def _is_unipotent(rows) -> bool:
-    """Whether a row-major grid is upper triangular with unit diagonal."""
-    return _is_upper(rows) and all(row[i] == 1 for i, row in enumerate(rows))
 
 
 class Flag:
@@ -84,6 +72,10 @@ class Flag:
 
     def contains(self, v: tuple[Fraction, ...], k: int) -> bool:
         """Membership of a vector in the k-th subspace, by a rank test."""
+        if len(v) != self.dim:
+            raise DimensionMismatch(
+                f"vector has {len(v)} coordinates but the flag has dimension {self.dim}"
+            )
         cols = [self.frame.column(i) for i in range(1, k + 1)] + [tuple(v)]
         return _grid_rank(_column_grid(cols)) == k
 

@@ -1,16 +1,18 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Everything in this module computes with `fractions.Fraction`; no floating
-point ever enters.  Square matrices are immutable, entries are stored
-reduced, and all public indices are 1-based: rows and columns are numbered
-1..d, and a minor is addressed by strictly increasing 1-based row and
-column tuples.
+Entries are `fractions.Fraction`; no floating point ever enters.  Square
+matrices are immutable, entries are stored reduced, and all public indices
+are 1-based: rows and columns are numbered 1..d, and a minor is addressed
+by strictly increasing 1-based row and column tuples.
 
-Determinants, inverses, solves and products share one idea: scale each
-row (or column) by the lcm of its denominators, compute in plain integers,
-and build `Fraction`s only at the end.  Determinants and solves then run
-fraction-free (Bareiss) elimination, where every interior division is
-exact.  Tests compare them against cofactor expansion and against sympy.
+Determinants, inverses, solves, ranks, kernels and products share one
+idea: scale each row (or column) by the lcm of its denominators
+(`_cleared`), compute in plain integers, and build `Fraction`s only at the
+end.  Two fraction-free (Bareiss) eliminations, where every interior
+division is exact, do the elimination work: `_bareiss` runs forward for
+determinants and echelon reductions, and `_gauss_jordan` reaches reduced
+echelon form for solves, inverses, ranks and kernels.  Tests compare them
+against cofactor expansion and against sympy.
 """
 
 from __future__ import annotations
@@ -46,56 +48,7 @@ def _to_fraction(x) -> Fraction:
 # grid helpers: plain tuples of tuples of Fraction, any shape, 0-based.
 # Used internally for rectangular work (kernels of stacked frames, ranks of
 # concatenated column blocks); the public Matrix type below is square only.
-
-
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def _grid_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_rref(rows)[1])
-
-
-def _grid_kernel(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Canonical kernel basis of a rectangular grid (free column = 1)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rref[ri][fc]
-        basis.append(tuple(v))
-    return basis
+# They eliminate in `int` on grids whose rows `_cleared` made integral.
 
 
 def _bareiss(a: list[list[int]], swaps: bool = True) -> int:
@@ -162,39 +115,101 @@ def _grid_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return _ratio(det, prod(s for _, s in scaled))
 
 
+def _gauss_jordan(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free reduced row echelon form of a rectangular rational grid.
+
+    Each row is scaled by the lcm of its denominators, which leaves the
+    row space unchanged.  Then one fraction-free (Bareiss) Gauss-Jordan
+    elimination runs in plain integers, taking as pivot the first nonzero
+    entry at or below the current row and skipping columns that have
+    none.  After each step every entry still to be updated is a minor of
+    the scaled grid, so each division by the previous pivot is exact.
+    Skipped columns keep being updated, so at the end m[r][c] / D is the
+    reduced echelon entry for every column c without a pivot, D being the
+    last pivot.  A pivot column is zero off its pivot row and is not
+    rewritten after its own step.  Returns (m, pivot columns, D).
+    """
+    m = [r for r, _ in _cleared(rows)]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    live = list(range(ncols))  # columns without a pivot so far
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if m[i][c]), None)
+        if p is None:
+            continue
+        live.remove(c)
+        m[r], m[p] = m[p], m[r]
+        row_r = m[r]
+        pivot = row_r[c]
+        for i, row_i in enumerate(m):
+            if i == r:
+                continue
+            f = row_i[c]
+            row_i[c] = 0
+            for j in live:
+                row_i[j] = (pivot * row_i[j] - f * row_r[j]) // prev
+        pivots.append(c)
+        prev = pivot
+    return m, pivots, prev
+
+
+def _grid_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(_gauss_jordan(rows)[1])
+
+
+def _grid_kernel(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+    """Canonical kernel basis of a rectangular grid (free column = 1)."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, pivots, den = _gauss_jordan(rows)
+    zero, one = Fraction(0), Fraction(1)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(m, pivots):
+            v[pc] = _ratio(-row[fc], den)
+        basis.append(tuple(v))
+    return basis
+
+
 def _solve(
     a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
 ) -> tuple[tuple[Fraction, ...], ...]:
     """A^-1 B for a square invertible grid A and a grid B with as many rows.
 
-    Each row of [A | B] is scaled by the lcm of its denominators, which
-    leaves the solution unchanged.  Then one fraction-free (Bareiss)
-    Gauss-Jordan elimination runs in plain integers: after step k every
-    entry is a minor of the scaled grid, so each division by the previous
-    pivot is exact, and at the end the left block is D times the identity
-    and the right block is D A^-1 B, D being the last pivot.  Raises
-    SingularMatrix when A is singular.
+    The reduced echelon form of [A | B] (by `_gauss_jordan`) is
+    [I | A^-1 B] exactly when its pivots cover A.  Raises SingularMatrix
+    when they do not, that is when A is singular.
     """
     n = len(a)
-    m = [r for r, _ in _cleared([tuple(ra) + tuple(rb) for ra, rb in zip(a, b)])]
-    width = len(m[0])
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            raise SingularMatrix("matrix is not invertible")
-        m[k], m[p] = m[p], m[k]
-        row_k = m[k]
-        pivot = row_k[k]
-        for i, row_i in enumerate(m):
-            if i == k:
-                continue
-            f = row_i[k]
-            row_i[k] = 0
-            for j in range(k + 1, width):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
-        prev = pivot
-    return tuple(tuple(_ratio(x, prev) for x in row[n:]) for row in m)
+    m, pivots, den = _gauss_jordan([tuple(ra) + tuple(rb) for ra, rb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("matrix is not invertible")
+    return tuple(tuple(_ratio(x, den) for x in row[n:]) for row in m)
+
+
+def _is_upper(rows) -> bool:
+    """Whether a row-major grid is zero below its diagonal.
+
+    For invertible frames A and B, A^-1 B is upper triangular exactly when
+    both present the same flag.
+    """
+    return not any(any(row[:i]) for i, row in enumerate(rows))
+
+
+def _is_unipotent(rows) -> bool:
+    """Whether a row-major grid is upper triangular with unit diagonal."""
+    return _is_upper(rows) and all(row[i] == 1 for i, row in enumerate(rows))
 
 
 def _back_substitute(

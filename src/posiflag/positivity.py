@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import prod
 
 from .errors import InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated
-from .linalg import Matrix, MinorIndex, _det_bareiss_int
+from .linalg import Matrix, MinorIndex, _cleared, _det_bareiss_int, _is_unipotent, _ratio
 
 
 class Status(Enum):
@@ -95,14 +95,7 @@ class DetCounter:
 
 
 def is_upper_unipotent(m: Matrix) -> bool:
-    d = m.dim
-    for i in range(1, d + 1):
-        if m.entry(i, i) != 1:
-            return False
-        for j in range(1, i):
-            if m.entry(i, j) != 0:
-                return False
-    return True
+    return _is_unipotent(m.rows_tuple())
 
 
 def _require_upper_unipotent(m: Matrix):
@@ -112,32 +105,23 @@ def _require_upper_unipotent(m: Matrix):
         )
 
 
-def _int_scaled(m: Matrix) -> tuple[list[list[int]], int]:
-    """Clear denominators: returns (L*m as an integer grid, L)."""
-    rows = m.rows_tuple()
-    scale = lcm(*[x.denominator for r in rows for x in r]) if m.dim else 1
-    grid = [[int(x * scale) for x in r] for r in rows]
-    return grid, scale
-
-
 class MinorEvaluator:
     """Evaluates individual minors of one fixed matrix.
 
-    Denominators are cleared once up front; each minor is then a single
-    fraction-free integer elimination, rescaled back exactly.  Every call
-    increments the attached counter.
+    Denominators are cleared once up front, row by row; each minor is then
+    a single fraction-free integer elimination, divided by the product of
+    its rows' scales.  Every call increments the attached counter.
     """
 
     def __init__(self, m: Matrix, counter: DetCounter | None = None):
         self.matrix = m
-        self.grid, self.scale = _int_scaled(m)
+        self.grid, self.scales = zip(*_cleared(m.rows_tuple()))
         self.counter = counter if counter is not None else DetCounter()
 
     def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Fraction:
         self.counter.evaluations += 1
         sub = [[self.grid[i - 1][j - 1] for j in cols] for i in rows]
-        d = _det_bareiss_int(sub)
-        return Fraction(d, self.scale ** len(rows))
+        return _ratio(_det_bareiss_int(sub), prod(self.scales[i - 1] for i in rows))
 
 
 def _full_scan(
@@ -147,12 +131,13 @@ def _full_scan(
 
     Minors of size k are expanded along their last row into size k-1
     values, all of which are kept from the previous level, so each minor
-    costs O(k) multiplications.  The scan works on the denominator-cleared
-    integer grid; signs are unaffected and the witness value is rescaled
-    exactly.  Stops early once the status is forced to Outside.
+    costs O(k) multiplications.  The scan works on the integer grid with
+    each row's denominators cleared; the scales are positive, so signs are
+    unaffected, and the witness value is divided by its rows' scales.
+    Stops early once the status is forced to Outside.
     """
     d = m.dim
-    grid, scale = _int_scaled(m)
+    grid, scales = zip(*_cleared(m.rows_tuple()))
     indices = range(1, d + 1)
     prev: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
     first_offender: tuple[MinorIndex, Fraction] | None = None
@@ -178,7 +163,7 @@ def _full_scan(
                         if first_offender is None:
                             first_offender = (
                                 MinorIndex(rows, cols),
-                                Fraction(acc, scale ** k),
+                                _ratio(acc, prod(scales[i - 1] for i in rows)),
                             )
                         if acc < 0:
                             idx, val = first_offender

@@ -31,7 +31,7 @@ from .errors import (
 from .flags import AdaptedBasis, Flag, adapted_basis, transporter, transverse
 from .linalg import Matrix, _back_substitute
 from .positivity import PositivityVerdict, Status, is_upper_unipotent, tp_staged
-from .reps import ProjectivePoint
+from .reps import ProjectivePoint, cyclically_ordered
 
 
 def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
@@ -289,10 +289,7 @@ class FlagMapSample:
             raise PreconditionViolated("a sample needs at least 3 points")
         if len(set(self.points)) != len(self.points):
             raise PreconditionViolated("sample points must be pairwise distinct")
-        keys = [p.angle_key for p in self.points]
-        start = keys.index(min(keys))
-        rotated = keys[start:] + keys[:start]
-        if any(a >= b for a, b in zip(rotated, rotated[1:])):
+        if not cyclically_ordered(list(self.points)):
             raise PreconditionViolated("sample points are not in strict cyclic order")
 
     @classmethod

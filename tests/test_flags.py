@@ -9,6 +9,7 @@ import posiflag.flags as flags_module
 from posiflag import (
     AdaptedBasis,
     BadParameters,
+    DimensionMismatch,
     Flag,
     InvariantViolated,
     Matrix,
@@ -64,6 +65,16 @@ class TestFlagType:
         assert not asc.contains((F(0), F(1), F(0)), 1)
         assert asc.contains((F(1), F(1), F(0)), 2)
         assert asc.contains((F(1), F(1), F(1)), 3)
+
+    def test_contains_rejects_a_longer_vector(self):
+        asc, _ = standard_flags(2)
+        with pytest.raises(DimensionMismatch, match="3 coordinates .* dimension 2"):
+            asc.contains((F(1), F(0), F(5)), 1)
+
+    def test_contains_rejects_a_shorter_vector(self):
+        asc, _ = standard_flags(2)
+        with pytest.raises(DimensionMismatch, match="1 coordinates .* dimension 2"):
+            asc.contains((F(1),), 1)
 
     def test_apply_is_left_action(self):
         rng = random.Random(1)

@@ -1,9 +1,9 @@
 """Differential tests of the fraction-free kernels against independent routes.
 
 Each kernel is compared with a definition computed another way: the
-adapted basis with one kernel per column, solves and inverses with sympy,
-the integer-dot product with a plain Fraction product, and the unit
-triangular solve with `inverse() @`.
+adapted basis with one sympy nullspace per column, solves, inverses,
+ranks and kernels with sympy, the integer-dot product with a plain
+Fraction product, and the unit triangular solve with `inverse() @`.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from posiflag import Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, transverse
-from posiflag.linalg import _back_substitute, _grid_det, _grid_kernel, _solve
+from posiflag.linalg import _back_substitute, _grid_det, _grid_kernel, _grid_rank, _solve
 
 SETTINGS = settings(
     max_examples=60, deadline=None, derandomize=True,
@@ -54,8 +54,9 @@ def from_sympy(m):
 def kernel_definition(f: Flag, h: Flag) -> Matrix:
     """Column k spans F^k intersect H^{d-k+1}, scaled to unit k-th F-coordinate.
 
-    The line is the kernel of [F cols 1..k | H cols 1..d-k+1]; its first k
-    coordinates give the combination of F's columns.
+    The line is the kernel of [F cols 1..k | H cols 1..d-k+1], taken from
+    sympy so that it does not share the elimination inside `adapted_basis`;
+    its first k coordinates give the combination of F's columns.
     """
     d = f.dim
     f_cols = list(zip(*f.frame.rows_tuple()))
@@ -63,9 +64,9 @@ def kernel_definition(f: Flag, h: Flag) -> Matrix:
     out = []
     for k in range(1, d + 1):
         stacked = f_cols[:k] + h_cols[:d - k + 1]
-        kern = _grid_kernel(tuple(tuple(c[i] for c in stacked) for i in range(d)))
+        kern = to_sympy(tuple(tuple(c[i] for c in stacked) for i in range(d))).nullspace()
         assert len(kern) == 1
-        coeffs = kern[0][:k]
+        coeffs = from_sympy(kern[0].T)[0][:k]
         out.append(tuple(
             sum((coeffs[i] * f_cols[i][r] for i in range(k)), Fraction(0)) / coeffs[k - 1]
             for r in range(d)
@@ -126,6 +127,62 @@ class TestSolve:
     def test_det_matches_sympy(self, rows):
         det = to_sympy(rows).det()
         assert _grid_det(rows) == Fraction(int(det.p), int(det.q))
+
+
+# -- rank and kernel against sympy ---------------------------------------------
+
+
+@st.composite
+def rect_grids(draw, entries, square=False):
+    """Tall, wide or square grids, often with a zero row, a zero column or a
+    column that is a multiple of an earlier one.
+
+    A dependent column has no pivot, so the reduced echelon entries in it
+    are right only if the elimination keeps updating it after it is skipped.
+    """
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
+    g = [list(row) for row in draw(grids(entries, rows=r, cols=c))]
+    kind = draw(st.sampled_from(["dependent", "zero row", "zero column", "plain"]))
+    if kind == "dependent" and c > 1:
+        j = draw(st.integers(1, c - 1))
+        i = draw(st.integers(0, j - 1))
+        t = draw(entries)
+        for row in g:
+            row[j] = t * row[i]
+    elif kind == "zero row":
+        g[draw(st.integers(0, r - 1))] = [Fraction(0)] * c
+    elif kind == "zero column":
+        j = draw(st.integers(0, c - 1))
+        for row in g:
+            row[j] = Fraction(0)
+    return tuple(tuple(row) for row in g)
+
+
+def check_kernel(rows, kern):
+    """kern is sympy's nullspace of rows, and rows . v = 0 for each v in it."""
+    assert kern == [from_sympy(v.T)[0] for v in to_sympy(rows).nullspace()]
+    for v in kern:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+
+
+class TestRankKernel:
+    @SETTINGS
+    @given(st.one_of(rect_grids(integers), rect_grids(rationals)))
+    def test_grid_rank_matches_sympy(self, rows):
+        assert _grid_rank(rows) == to_sympy(rows).rank()
+
+    @SETTINGS
+    @given(st.one_of(rect_grids(integers), rect_grids(rationals)))
+    def test_grid_kernel_matches_sympy(self, rows):
+        check_kernel(rows, _grid_kernel(rows))
+
+    @SETTINGS
+    @given(st.one_of(rect_grids(integers, square=True), rect_grids(rationals, square=True)))
+    def test_matrix_rank_and_kernel_match_sympy(self, rows):
+        m = Matrix(rows)
+        assert m.rank() == to_sympy(rows).rank()
+        check_kernel(rows, m.kernel_basis())
 
 
 # -- integer-dot product against the plain Fraction product ------------------
