@@ -41,8 +41,8 @@ from .errors import (
     SingularGapTooSmall,
     ZeroSuperdiagonal,
 )
-from .flags import Flag, adapted_basis, transverse, unipotent_fixed_flag
-from .linalg import Matrix, jordan_block_sizes
+from .flags import Flag, _coordinates, transverse, unipotent_fixed_flag
+from .linalg import Matrix
 from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, barbot_flag, sym_power
 from .tuples import _TupleEngine
 
@@ -136,19 +136,19 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     some t just moves the scan on.  Reaching the cap raises CapExceeded
     rather than returning anything.
     """
-    d = u.dim
-    if jordan_block_sizes(u) != (d,):
-        raise NotSingleJordanBlock("threshold search needs a single Jordan block")
-    fixed = unipotent_fixed_flag(u)
+    try:
+        fixed = unipotent_fixed_flag(u)
+    except NotSingleJordanBlock:
+        raise NotSingleJordanBlock("threshold search needs a single Jordan block") from None
     if not transverse(fixed, g):
         raise NotTransverse("flag must be transverse to the fixed flag")
     # the triple at every t shares its anchor pair (F, G)
-    anchor = {(0, 2): adapted_basis(fixed, g)}
-    acc = Matrix.identity(d)
+    anchor = {(0, 2): _coordinates(fixed, g, "flag must be transverse to the fixed flag")}
+    acc = Matrix.identity(u.dim)
     for t in range(1, cap + 1):
         acc = acc @ u
         try:
-            verdict, _ = _TupleEngine([fixed, g.apply(acc), g], anchor).chain((0, 1, 2))
+            verdict = _TupleEngine([fixed, g.apply(acc), g], anchor).chain((0, 1, 2))[0]
         except (NotTransverse, ZeroSuperdiagonal):
             continue
         if verdict.is_positive:

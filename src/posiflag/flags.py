@@ -8,7 +8,8 @@ acts by plain matrix multiplication on frames.
 
 The transporter of two flags H, G relative to a base flag F is the unique
 unipotent upper-triangular matrix (in a basis adapted to the pair (F, H))
-whose ambient conjugate fixes F and carries H to G.  Its total positivity
+whose ambient conjugate fixes F and carries H to G: c_H^-1 c_G, for the
+coordinates c of H and G over F (see _coordinates).  Its total positivity
 is exactly what the tuple-positivity certificates in this package test.
 """
 
@@ -18,15 +19,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
-    BadParameters,
     DimensionMismatch,
     InvariantViolated,
     NotSingleJordanBlock,
     NotTransverse,
+    NotUnipotent,
     SingularMatrix,
 )
 from .linalg import (
     Matrix,
+    _back_substitute,
     _bareiss,
     _cleared,
     _grid_det,
@@ -34,7 +36,6 @@ from .linalg import (
     _is_unipotent,
     _is_upper,
     _solve,
-    jordan_block_sizes,
 )
 
 
@@ -178,81 +179,78 @@ def _reverse_echelon(
     return placed, t
 
 
-def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:
-    """The basis adapted to (f, h): F u, for c = F^-1 H = (u . reversal) t.
+def _coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
+    """The coordinates of h over f: the u in F^-1 H = (u . reversal) t.
 
     F u presents f because u is upper unipotent, and F u . reversal
-    presents h because t is upper triangular, so column k of F u spans
-    F^k intersect H^{d-k+1}, with k-th coordinate 1 in F's frame.
+    presents h because t is upper triangular, so F u is the basis adapted
+    to (f, h).  The form is unique, so g's frame in that basis is
+    (c_h^-1 c_g . reversal) t_g.  Raises NotTransverse(failure) unless f
+    and h are transverse.
     """
-    if f.dim != h.dim:
-        raise DimensionMismatch(f"flag dims differ: {f.dim} vs {h.dim}")
     c = Matrix._of(_solve(f.frame.rows_tuple(), h.frame.rows_tuple()))
-    placed, _ = _reverse_echelon(c, "flags are not transverse; no adapted basis exists")
+    placed, t = _reverse_echelon(c, failure)
     u = Matrix(_column_grid(placed[::-1]))
     if not _is_unipotent(u.rows_tuple()):
         raise InvariantViolated(
             "each F^k intersect H^{d-k+1} must be a one-dimensional line with unit k-th coordinate"
         )
+    if Matrix(_column_grid(placed)) @ Matrix(t) != c:
+        raise InvariantViolated("adapted coordinates must carry the descending flag to H")
+    return u
+
+
+def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:
+    """The basis adapted to (f, h): F u, for u the coordinates of h over f."""
+    if f.dim != h.dim:
+        raise DimensionMismatch(f"flag dims differ: {f.dim} vs {h.dim}")
+    u = _coordinates(f, h, "flags are not transverse; no adapted basis exists")
     return AdaptedBasis(f.frame @ u, (f, h))
 
 
-def transporter(f: Flag, h: Flag, g: Flag, basis: AdaptedBasis | None = None) -> Matrix:
+def transporter(f: Flag, h: Flag, g: Flag) -> Matrix:
     """Unipotent matrix carrying h to g while fixing f, in (f, h)-adapted coordinates.
 
-    Writes g's frame in the adapted coordinates and reduces it to reverse
-    column-echelon form: the column for g's m-th subspace gets pivot 1 at
-    coordinate d-m+1 and zeros below, and becomes column d-m+1 of the
-    result.  Requires transverse(f, h) and transverse(f, g): a zero pivot
-    is exactly a failure of the latter.  g need not be transverse to h,
-    and the degenerate positions of the output encode exactly how
-    transversality of (g, h) fails.
-
-    `basis`, when given, must be adapted to (f, h); callers transporting
-    many flags through one pair pass it so that the basis and its inverse
-    are built once.  The postconditions are checked in adapted
-    coordinates, where f is the ascending and h the descending coordinate
-    flag (AdaptedBasis checks this on construction): the result u is upper
-    unipotent, so it fixes f, and c = (u . reversal) t for the upper
-    triangular t recorded by the reduction, c being g's frame in adapted
-    coordinates, so u carries the descending flag to g.
+    This is c_h^-1 c_g for the coordinates c of h and g over f, by back
+    substitution.  Requires transverse(f, h) and transverse(f, g).  g need
+    not be transverse to h, and the degenerate positions of the output
+    encode exactly how transversality of (g, h) fails.
     """
     if f.dim != h.dim or f.dim != g.dim:
         raise DimensionMismatch("flag dims differ")
-    if basis is None:
-        basis = adapted_basis(f, h)
-    elif basis.source != (f, h):
-        raise BadParameters("basis is not adapted to the pair (f, h)")
-    c = basis.inverse @ g.frame
-    placed, t = _reverse_echelon(c, "base flag and target flag are not transverse")
-    u = Matrix(_column_grid(placed[::-1]))
-    if not _is_unipotent(u.rows_tuple()):
+    c_h = _coordinates(f, h, "flags are not transverse; no adapted basis exists")
+    c_g = _coordinates(f, g, "base flag and target flag are not transverse")
+    u = _back_substitute(c_h.rows_tuple(), c_g.rows_tuple())
+    if not _is_unipotent(u):
         raise InvariantViolated("a transporter must be upper unipotent, so that it fixes f")
-    if Matrix(_column_grid(placed)) @ Matrix(t) != c:
-        raise InvariantViolated("a transporter must carry h to g")
-    return u
+    return Matrix._of(u)
 
 
 def unipotent_fixed_flag(u: Matrix) -> Flag:
     """The full fixed flag of a unipotent matrix with one Jordan block.
 
-    Subspace k is the kernel of (u - I)^k; the single-block condition
-    makes each kernel exactly one dimension larger than the last, so the
-    kernels assemble into a complete flag (the unique u-invariant one).
+    Subspace k is the kernel of N^k, N = u - I.  With N^d = 0 and each
+    kernel one dimension larger than the last, the kernels form a complete
+    flag (the unique u-invariant one); frame column k is the first kernel
+    vector of N^k not annihilated by N^(k-1), tested in cleared integers.
     """
     d = u.dim
-    if jordan_block_sizes(u) != (d,):
-        raise NotSingleJordanBlock(
-            "fixed flag construction needs a single Jordan block"
-        )
     n = u - Matrix.identity(d)
+    powers = [Matrix.identity(d)]
+    for _ in range(d):
+        powers.append(powers[-1] @ n)
+    if any(x != 0 for row in powers[d].rows_tuple() for x in row):
+        raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
     cols: list[tuple[Fraction, ...]] = []
-    power = Matrix.identity(d)
     for k in range(1, d + 1):
-        power = power @ n
-        kern = power.kernel_basis()
-        for cand in kern:
-            if _grid_rank(_column_grid(cols + [cand])) == len(cols) + 1:
+        kern = powers[k].kernel_basis()
+        if len(kern) != k:
+            raise NotSingleJordanBlock(
+                "fixed flag construction needs a single Jordan block"
+            )
+        below = [row for row, _ in _cleared(powers[k - 1].rows_tuple())]
+        for cand, (v, _) in zip(kern, _cleared(kern)):
+            if any(sum(x * y for x, y in zip(row, v)) != 0 for row in below):
                 cols.append(cand)
                 break
         if len(cols) != k:

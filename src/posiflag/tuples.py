@@ -5,10 +5,12 @@ when, in a basis adapted to (F_1, F_n), there are totally positive
 unipotent factors u_2, ..., u_{n-1} with F_j = (u_{n-1} ... u_j) F_n for
 every j.  The factors are pinned down by the cumulative transporters
 c_j carrying F_n to F_j: c_n is the identity and c_j = c_{j+1} u_j, so
-u_j = c_{j+1}^{-1} c_j.  The definition allows any adapted basis; the
-only freedom that affects total positivity of the factors is a diagonal
-sign flip, which is resolved here by conjugating every factor by the one
-+-1 diagonal that makes u_{n-1}'s superdiagonal positive.
+u_j = c_{j+1}^{-1} c_j, which is also the quotient of the coordinates
+of F_{j+1} and F_j over F_1 (see flags): F_n drops out.  The definition
+allows any adapted basis; the only freedom that affects total positivity
+of the factors is a diagonal sign flip, which is resolved here by
+conjugating every factor by the one +-1 diagonal that makes u_{n-1}'s
+superdiagonal positive.
 
 The quadruple route certifies an n-tuple by checking only its ordered
 4-element subtuples, which suffices; both routes agree on every input.
@@ -28,10 +30,19 @@ from .errors import (
     PreconditionViolated,
     ZeroSuperdiagonal,
 )
-from .flags import AdaptedBasis, Flag, adapted_basis, transporter, transverse
-from .linalg import Matrix, _back_substitute
+from .flags import AdaptedBasis, Flag, _coordinates, transverse
+from .linalg import Matrix, _back_substitute, _is_unipotent
 from .positivity import PositivityVerdict, Status, is_upper_unipotent, tp_staged
 from .reps import ProjectivePoint, cyclically_ordered
+
+
+def _sign_conjugate(u: Matrix, sign: Matrix) -> Matrix:
+    """sign @ u @ sign for a +-1 diagonal sign: entry (i, j) negated when s_i s_j = -1."""
+    s = [row[i] for i, row in enumerate(sign.rows_tuple())]
+    return Matrix._of(tuple(
+        tuple(x if s_i == s_j else -x for x, s_j in zip(row, s))
+        for row, s_i in zip(u.rows_tuple(), s)
+    ))
 
 
 def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
@@ -57,7 +68,7 @@ def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
             )
         signs.append(signs[-1] * (1 if s > 0 else -1))
     dmat = Matrix.diagonal(signs)
-    return dmat, dmat @ u @ dmat
+    return dmat, _sign_conjugate(u, dmat)
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,7 @@ class TupleCertificate:
 
     @property
     def normalized_factors(self) -> tuple[Matrix, ...]:
-        return tuple(self.sign @ u @ self.sign for u in self.factors)
+        return tuple(_sign_conjugate(u, self.sign) for u in self.factors)
 
     def replays(self, flags: list[Flag]) -> bool:
         """Whether multiplying out the factors reproduces every flag of the tuple."""
@@ -108,34 +119,31 @@ def _aggregate(verdicts: tuple[PositivityVerdict, ...]) -> PositivityVerdict:
 
 
 class _TupleEngine:
-    """Memo of the objects behind the certificates of subtuples of one family.
+    """Memo of the objects behind the chain factors of subtuples of one family.
 
-    Everything is keyed by 0-based flag index: pair transversality per
-    (i, j) with i < j, the adapted basis per anchor pair (a, e), the
-    transporter transporter(F_a, F_e, F_x) per (a, e, x), and the sign
-    normalization and staged verdict of the last chain factor per
-    (a, e, c); that factor is the transporter of (a, e, c) itself.  Inner
-    factors are unique per subtuple and are not kept.  For n flags this
-    is at most C(n, 2) bases and C(n, 3) transporters.  An engine lives
-    for one call of a public entry point, so nothing is kept between
-    calls.
-    `bases` seeds anchor pairs already built by the caller.
+    Keyed by 0-based flag index: pair transversality per (i, j), i < j;
+    the coordinates c_{a,x} of F_x over F_a per (a, x), a < x; and per
+    (a, y, x) the factor c_{a,y}^-1 c_{a,x}, with its sign normalization
+    and staged verdict when it ends a chain.  The transporter of
+    (F_a, F_e, F_x) is c_{a,e}^-1 c_{a,x}, so factors do not depend on the
+    last flag e and are shared across subtuples.  Only a returned
+    certificate builds an adapted basis.  An engine lives for one call of
+    a public entry point.  `coords` seeds coordinates of transverse pairs.
     """
 
-    def __init__(self, flags: list[Flag], bases: dict[tuple[int, int], AdaptedBasis] | None = None):
+    def __init__(self, flags: list[Flag], coords: dict[tuple[int, int], Matrix] | None = None):
         self.flags = flags
-        self._bases = dict(bases or {})
-        self._transverse = {pair: True for pair in self._bases}
-        self._transporters: dict[tuple[int, int, int], Matrix] = {}
+        self._coords = dict(coords or {})
+        self._transverse = {pair: True for pair in self._coords}
+        self._factors: dict[tuple[int, int, int], Matrix] = {}
         self._last: dict[tuple[int, int, int], tuple[Matrix, PositivityVerdict] | Exception] = {}
 
     def require_transverse(self, idx: tuple[int, ...]):
         """Check every pair of the subtuple, reporting the first failure by
         1-based positions within it.
 
-        Order: the anchor pair (1, n) first since the adapted basis needs
-        it, then (1, j) for the transporter targets, then the remaining
-        pairs.
+        Order: the anchor pair (1, n) first, then (1, j) for the other
+        coordinates over flag 1, then the remaining pairs.
         """
         n = len(idx)
         pairs = [(1, n)] + [(1, j) for j in range(2, n)]
@@ -148,81 +156,59 @@ class _TupleEngine:
             if not ok:
                 raise NotTransverse(f"flags {a} and {b} are not transverse", pair=(a, b))
 
-    def basis(self, a: int, e: int) -> AdaptedBasis:
-        ab = self._bases.get((a, e))
-        if ab is None:
-            ab = self._bases[(a, e)] = adapted_basis(self.flags[a], self.flags[e])
-        return ab
-
-    def transporter(self, a: int, e: int, x: int) -> Matrix:
-        u = self._transporters.get((a, e, x))
-        if u is None:
+    def coords(self, a: int, x: int) -> Matrix:
+        c = self._coords.get((a, x))
+        if c is None:
             f = self.flags
-            u = self._transporters[(a, e, x)] = transporter(f[a], f[e], f[x], self.basis(a, e))
+            c = self._coords[(a, x)] = _coordinates(f[a], f[x], "flags are not transverse")
+        return c
+
+    def factor(self, a: int, y: int, x: int) -> Matrix:
+        """c_{a,y}^-1 c_{a,x}, by back substitution since both are upper unipotent."""
+        u = self._factors.get((a, y, x))
+        if u is None:
+            u = _back_substitute(self.coords(a, y).rows_tuple(), self.coords(a, x).rows_tuple())
+            if not _is_unipotent(u):
+                raise InvariantViolated("chain factors are quotients of unipotents")
+            u = self._factors[(a, y, x)] = Matrix._of(u)
         return u
 
-    def quotient(self, a: int, e: int, y: int, x: int) -> Matrix:
-        """c_y^-1 c_x for the transporters c of (a, e, y) and (a, e, x).
-
-        Transporters are upper unipotent, so this is a back substitution.
-        """
-        c_y, c_x = self.transporter(a, e, y), self.transporter(a, e, x)
-        return Matrix._of(_back_substitute(c_y.rows_tuple(), c_x.rows_tuple()))
-
-    def last(self, a: int, e: int, c: int) -> tuple[Matrix, PositivityVerdict]:
-        """Sign normalization and staged verdict of the factor transporter(a, e, c)."""
-        hit = self._last.get((a, e, c))
+    def last(self, a: int, y: int, x: int) -> tuple[Matrix, PositivityVerdict]:
+        """Sign normalization and staged verdict of the factor of (a, y, x)."""
+        hit = self._last.get((a, y, x))
         if hit is None:
             try:
-                dmat, normalized = sign_normalize(self.transporter(a, e, c))
+                dmat, normalized = sign_normalize(self.factor(a, y, x))
                 hit = (dmat, tp_staged(normalized))
             except ZeroSuperdiagonal as exc:
                 hit = exc.with_traceback(None)
-            self._last[(a, e, c)] = hit
+            self._last[(a, y, x)] = hit
         if isinstance(hit, ZeroSuperdiagonal):
             raise ZeroSuperdiagonal(str(hit), hit.position)
         return hit
 
-    def chain(self, idx: tuple[int, ...]) -> tuple[PositivityVerdict, TupleCertificate]:
-        """Chain certificate of the subtuple of flags at `idx` (at least 3).
-
-        With c_j the transporter of (idx_1, idx_n, idx_j) and c_n the
-        identity, u_{n-1} = c_{n-1} and u_j = c_{j+1}^{-1} c_j below it.
-        """
+    def chain(self, idx: tuple[int, ...]) -> tuple[PositivityVerdict, Matrix, tuple, tuple]:
+        """Verdict, sign, factors and factor verdicts for the flags at `idx`;
+        u_j is the factor of (idx_1, idx_{j+1}, idx_j)."""
         self.require_transverse(idx)
-        a, e = idx[0], idx[-1]
-        inner = idx[1:-1]
-        factors = tuple(
-            self.quotient(a, e, y, x) for x, y in zip(inner, inner[1:])
-        ) + (self.transporter(a, e, inner[-1]),)
-        if not all(is_upper_unipotent(u) for u in factors[:-1]):
-            raise InvariantViolated("chain factors are quotients of unipotents")
-        dmat, last_verdict = self.last(a, e, inner[-1])
-        verdicts = tuple(tp_staged(dmat @ u @ dmat) for u in factors[:-1]) + (last_verdict,)
-        cert = TupleCertificate(self.basis(a, e), dmat, factors, verdicts)
-        return _aggregate(verdicts), cert
+        a = idx[0]
+        factors = tuple(self.factor(a, y, x) for x, y in zip(idx[1:-1], idx[2:]))
+        dmat, last_verdict = self.last(a, idx[-1], idx[-2])
+        verdicts = tuple(tp_staged(_sign_conjugate(u, dmat)) for u in factors[:-1])
+        verdicts += (last_verdict,)
+        return _aggregate(verdicts), dmat, factors, verdicts
 
     def positive(self, idx: tuple[int, ...]) -> bool:
         """Chain verdict collapsed to a boolean; a zero superdiagonal means no."""
         try:
-            verdict, _ = self.chain(idx)
+            verdict = self.chain(idx)[0]
         except ZeroSuperdiagonal:
             return False
         return verdict.is_positive
 
 
-def is_positive_tuple_chain(
-    flags: list[Flag],
-) -> tuple[PositivityVerdict, TupleCertificate]:
-    """Certify a tuple by its full chain factorization.
-
-    Computes the cumulative transporters c_j = transporter(F_1, F_n, F_j),
-    peels the factors u_j = c_{j+1}^{-1} c_j, conjugates all of them by
-    the sign normalization derived from u_{n-1}, and runs the staged scan
-    on each.  The verdict is Positive iff every factor passes; otherwise
-    it carries the status and witness of the first failing factor (the
-    witness indexes into that factor, see the certificate's verdict list).
-    """
+def _engine(flags: list[Flag]) -> _TupleEngine:
+    """An engine over a tuple of at least 3 flags of one dimension."""
     n = len(flags)
     if n < 3:
         raise BadParameters(f"tuple positivity needs at least 3 flags, got {n}")
@@ -230,7 +216,26 @@ def is_positive_tuple_chain(
     for f in flags[1:]:
         if f.dim != d:
             raise DimensionMismatch("flags in a tuple must share one dimension")
-    return _TupleEngine(list(flags)).chain(tuple(range(n)))
+    return _TupleEngine(list(flags))
+
+
+def is_positive_tuple_chain(
+    flags: list[Flag],
+) -> tuple[PositivityVerdict, TupleCertificate]:
+    """Certify a tuple by its full chain factorization.
+
+    Peels the factors u_j = c_{j+1}^{-1} c_j of the cumulative transporters
+    c_j = transporter(F_1, F_n, F_j), conjugates all of them by the sign
+    normalization derived from u_{n-1}, and runs the staged scan on each.
+    The verdict is Positive iff every factor passes; otherwise it carries
+    the status and witness of the first failing factor (the witness
+    indexes into that factor, see the certificate's verdict list).
+    """
+    n = len(flags)
+    engine = _engine(flags)
+    verdict, dmat, factors, verdicts = engine.chain(tuple(range(n)))
+    adapted = AdaptedBasis(flags[0].frame @ engine.coords(0, n - 1), (flags[0], flags[-1]))
+    return verdict, TupleCertificate(adapted, dmat, factors, verdicts)
 
 
 def is_positive_triple(
@@ -254,15 +259,12 @@ def is_positive_tuple_quad(flags: list[Flag]) -> PositivityVerdict:
     Positive.
     """
     n = len(flags)
-    if n < 3:
-        raise BadParameters(f"tuple positivity needs at least 3 flags, got {n}")
-    if n == 3:
-        verdict, _ = is_positive_triple(*flags)
-        return verdict
+    if n <= 3:
+        return _engine(flags).chain(tuple(range(n)))[0]
     engine = _TupleEngine(list(flags))
     engine.require_transverse(tuple(range(n)))
     for sub in combinations(range(n), 4):
-        verdict, _ = engine.chain(sub)
+        verdict = engine.chain(sub)[0]
         if not verdict.is_positive:
             return verdict
     return PositivityVerdict(Status.POSITIVE, None, "staged")

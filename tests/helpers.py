@@ -134,6 +134,30 @@ def tuple_from_factors(d: int, factors: list[Matrix]) -> list[Flag]:
     return [asc] + [desc.apply(cumulative[j]) for j in range(2, n)] + [desc]
 
 
+def reverse_column_echelon(c: Matrix) -> Matrix | None:
+    """The upper unipotent u with c = (u . reversal) t for an upper triangular t.
+
+    Plain Fraction column reduction: column m of c, less its multiples of
+    the columns reduced before it, gets pivot 1 at coordinate d-m+1 and
+    zeros below it, and is column d-m+1 of u.  None when a pivot is zero,
+    which happens exactly when c's flag is not transverse to the ascending
+    one.  With c = P^-1 G for P adapted to (F, H), u is the transporter
+    of (F, H, G) by its definition.
+    """
+    d = c.dim
+    reduced: list[list[Fraction]] = []
+    for m in range(d):
+        v = list(c.column(m + 1))
+        for j, w in enumerate(reduced):
+            coef = v[d - 1 - j]
+            v = [x - coef * y for x, y in zip(v, w)]
+        pivot = v[d - 1 - m]
+        if pivot == 0:
+            return None
+        reduced.append([x / pivot for x in v])
+    return Matrix([[reduced[d - 1 - j][i] for j in range(d)] for i in range(d)])
+
+
 def all_pairs_transverse(flags: list[Flag]) -> bool:
     return all(
         transverse(flags[i], flags[j])

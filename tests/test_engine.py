@@ -1,8 +1,11 @@
 """Differential tests of the memoizing tuple engine.
 
-Every engine result is compared with a recomputation from scratch through
-the public `adapted_basis` and `transporter`, one subtuple at a time, on
-Veronese, Barbot and deliberately degenerate families of 4 to 7 flags.
+Every engine result is compared with a recomputation from scratch, one
+subtuple at a time, on Veronese, Barbot and deliberately degenerate
+families of 4 to 7 flags.  The reference takes the public `adapted_basis`
+P of the anchor pair and computes each transporter by its definition,
+the reverse column-echelon form of P^-1 G reduced in plain Fractions, so
+it shares no code with the engine's per-pair coordinates.
 """
 
 import random
@@ -18,6 +21,7 @@ from posiflag import (
     PositivityVerdict,
     SampleReport,
     Status,
+    TupleCertificate,
     ZeroSuperdiagonal,
     adapted_basis,
     barbot_flag,
@@ -32,13 +36,12 @@ from posiflag import (
     sign_normalize,
     standard_flags,
     tp_staged,
-    transporter,
     transverse,
     unipotent_fixed_flag,
     veronese_flag,
 )
 from posiflag.tuples import _TupleEngine
-from helpers import distinct_points, poison_factor, tuple_from_factors
+from helpers import distinct_points, poison_factor, reverse_column_echelon, tuple_from_factors
 
 # superdiagonal entry (1, 2) vanishes: sign normalization must refuse it
 ZERO_SUPER = Matrix(((1, 0, 1), (0, 1, 1), (0, 0, 1)))
@@ -61,9 +64,10 @@ def ref_chain(flags):
     n, d = len(flags), flags[0].dim
     ref_transverse(flags)
     p = adapted_basis(flags[0], flags[-1]).matrix
+    p_inv = p.inverse()
     cumulative = {n: Matrix.identity(d)}
     for j in range(2, n):
-        cumulative[j] = transporter(flags[0], flags[-1], flags[j - 1])
+        cumulative[j] = reverse_column_echelon(p_inv @ flags[j - 1].frame)
     factors = tuple(cumulative[j + 1].inverse() @ cumulative[j] for j in range(2, n))
     dmat, _ = sign_normalize(factors[-1])
     verdicts = tuple(tp_staged(dmat @ u @ dmat) for u in factors)
@@ -167,8 +171,10 @@ def test_engine_chain_matches_uncached(name, pts, flags):
             if isinstance(want, tuple) and isinstance(want[0], str):
                 assert got == want, (name, idx)
                 continue
-            verdict, cert = got
-            assert (verdict, cert.adapted.matrix, cert.sign, cert.factors, cert.verdicts) == want
+            verdict, sign, factors, verdicts = got
+            adapted = flags[idx[0]].frame @ engine.coords(idx[0], idx[-1])
+            assert (verdict, adapted, sign, factors, verdicts) == want
+            cert = TupleCertificate(adapted_basis(sub[0], sub[-1]), sign, factors, verdicts)
             assert cert.replays(sub)
 
 
@@ -181,6 +187,7 @@ def test_public_routes_match_uncached(name, pts, flags):
         assert chain == want
     else:
         assert chain[0] == want[0] and chain[1].factors == want[3]
+        assert chain[1].replays(flags)
     assert outcome(is_positive_tuple_quad, flags) == outcome(ref_quad, flags)
     sample = FlagMapSample(tuple(pts), tuple(flags))
     assert outcome(check_sampled_positivity, sample) == outcome(ref_sampled, flags)

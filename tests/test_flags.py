@@ -8,7 +8,6 @@ import pytest
 import posiflag.flags as flags_module
 from posiflag import (
     AdaptedBasis,
-    BadParameters,
     DimensionMismatch,
     Flag,
     InvariantViolated,
@@ -285,17 +284,3 @@ class TestInvariants:
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "raised"
-
-    def test_basis_argument_matches_fresh_build(self):
-        rng = random.Random(17)
-        asc, desc = standard_flags(4)
-        basis = adapted_basis(asc, desc)
-        for _ in range(5):
-            g = desc.apply(random_tp(4, rng.randint(0, 10**9)))
-            assert transporter(asc, desc, g, basis) == transporter(asc, desc, g)
-
-    def test_basis_for_another_pair_rejected(self):
-        asc, desc = standard_flags(3)
-        other = adapted_basis(desc, asc)
-        with pytest.raises(BadParameters):
-            transporter(asc, desc, desc.apply(pascal(3)), other)

@@ -1,8 +1,9 @@
 """Differential tests of the fraction-free kernels against independent routes.
 
 Each kernel is compared with a definition computed another way: the
-adapted basis with one sympy nullspace per column, solves, inverses,
-ranks and kernels with sympy, the integer-dot product with a plain
+adapted basis with one sympy nullspace per column, the transporter with
+a plain Fraction reverse column-echelon form in that basis, solves,
+inverses, ranks and kernels with sympy, the integer-dot product with a plain
 Fraction product, and the unit triangular solve with `inverse() @`.
 """
 
@@ -13,8 +14,11 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from posiflag import Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, transverse
+from posiflag import (
+    Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, transporter, transverse,
+)
 from posiflag.linalg import _back_substitute, _grid_det, _grid_kernel, _grid_rank, _solve
+from helpers import reverse_column_echelon
 
 SETTINGS = settings(
     max_examples=60, deadline=None, derandomize=True,
@@ -95,6 +99,34 @@ class TestAdaptedBasis:
                 adapted_basis(f, h)
             return
         assert adapted_basis(f, h).matrix == kernel_definition(f, h)
+
+
+@st.composite
+def flag_triples(draw, entries):
+    """(shared, [f, h, g]): g's first `shared` frame columns are h's, so g is
+    not transverse to h whenever shared > 0 (both contain h's first line)."""
+    d = draw(st.integers(2, 4))
+    f, h, g = (draw(grids(entries, rows=d)) for _ in range(3))
+    shared = draw(st.integers(0, d - 1))
+    g = tuple(hr[:shared] + gr[shared:] for hr, gr in zip(h, g))
+    assume(all(_grid_det(rows) != 0 for rows in (f, h, g)))
+    return shared, [Flag(Matrix(rows)) for rows in (f, h, g)]
+
+
+class TestTransporter:
+    @SETTINGS
+    @given(st.one_of(flag_triples(integers), flag_triples(rationals)))
+    def test_matches_reverse_echelon_definition(self, triple):
+        shared, (f, h, g) = triple
+        if not (transverse(f, h) and transverse(f, g)):
+            with pytest.raises(NotTransverse):
+                transporter(f, h, g)
+            return
+        if shared:
+            assert not transverse(g, h)
+        p_inv = to_sympy(kernel_definition(f, h).rows_tuple()).inv()
+        c = Matrix(from_sympy(p_inv * to_sympy(g.frame.rows_tuple())))
+        assert transporter(f, h, g) == reverse_column_echelon(c)
 
 
 # -- solve and inverse against sympy -------------------------------------------
