@@ -85,12 +85,6 @@ def _bareiss(a: list[list[int]], swaps: bool = True) -> int:
     return sign
 
 
-def _det_bareiss_int(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of an integer grid."""
-    a = [list(r) for r in rows]
-    return _bareiss(a) * a[-1][-1]
-
-
 def _cleared(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[list[int], int]]:
     """Each vector as (v * s, s), s the lcm of its denominators, so v * s is integral."""
     out = []
@@ -111,8 +105,8 @@ def _ratio(n: int, d: int) -> Fraction:
 def _grid_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a square grid: rows scaled to integers, then Bareiss."""
     scaled = _cleared(rows)
-    det = _det_bareiss_int([r for r, _ in scaled])
-    return _ratio(det, prod(s for _, s in scaled))
+    a = [r for r, _ in scaled]
+    return _ratio(_bareiss(a) * a[-1][-1], prod(s for _, s in scaled))
 
 
 def _gauss_jordan(
@@ -350,10 +344,6 @@ class Matrix:
     def rows_tuple(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self._rows for x in r)
-
     # -- algebra ------------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -367,6 +357,7 @@ class Matrix:
         ))
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        """Entrywise sum; public API, unused inside the package."""
         if self.dim != other.dim:
             raise DimensionMismatch("dimension mismatch in addition")
         return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self._rows, other._rows)])
@@ -381,6 +372,7 @@ class Matrix:
         return Matrix([[f * x for x in r] for r in self._rows])
 
     def transpose(self) -> "Matrix":
+        """The transposed matrix; public API, unused inside the package."""
         return Matrix(list(zip(*self._rows)))
 
     def __eq__(self, other) -> bool:

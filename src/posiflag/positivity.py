@@ -9,18 +9,22 @@ Two independent decision routes are provided and kept deliberately
 distinct:
 
 * `tp_oracle` scans every nontrivial minor of every size, evaluating the
-  values by shared-subminor cofactor expansion;
+  values by shared-subminor cofactor expansion along the last row;
 * `tp_staged` scans, level by level, only the minors whose row and column
-  tuples are both consecutive runs, evaluating each one by fraction-free
-  elimination.  If every level passes, the matrix is fully totally
-  positive: whenever all smaller nontrivial minors are positive, a
-  non-positive k x k nontrivial minor forces a non-positive k x k minor
-  with consecutive row and column runs, so the consecutive scan loses
-  nothing.  On a failure the nonnegativity scan is completed so that the
-  reported status and witness match the oracle exactly.
+  tuples are both consecutive runs, computing each level from the two
+  below it by Desnanot-Jacobi condensation (Dodgson, 1866).  If every
+  level passes, the matrix is fully totally positive: whenever all
+  smaller nontrivial minors are positive, a non-positive k x k nontrivial
+  minor forces a non-positive k x k minor with consecutive row and column
+  runs (the consecutive-minor criterion, cf. Gasca-Pena 1992), so the
+  consecutive scan loses nothing.  On a failure the nonnegativity scan is
+  completed so that the reported status and witness match the oracle
+  exactly.
 
-Both routes report the same three-state verdict, and the witness for a
-non-positive verdict is always the first non-positive nontrivial minor in
+Both routes work on the integer grid with each row's denominators
+cleared; the row scales are positive, so signs are unaffected.  Both
+report the same three-state verdict, and the witness for a non-positive
+verdict is always the first non-positive nontrivial minor in
 lexicographic (size, rows, cols) order.
 """
 
@@ -34,7 +38,7 @@ from itertools import combinations
 from math import prod
 
 from .errors import InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated
-from .linalg import Matrix, MinorIndex, _cleared, _det_bareiss_int, _is_unipotent, _ratio
+from .linalg import Matrix, MinorIndex, _cleared, _is_unipotent, _ratio
 
 
 class Status(Enum):
@@ -105,65 +109,98 @@ def _require_upper_unipotent(m: Matrix):
         )
 
 
-class MinorEvaluator:
-    """Evaluates individual minors of one fixed matrix.
+def _contiguous_minors(grid: list[list[int]]):
+    """Yield (k, a, b, value) for the nontrivial consecutive minors of a grid.
 
-    Denominators are cleared once up front, row by row; each minor is then
-    a single fraction-free integer elimination, divided by the product of
-    its rows' scales.  Every call increments the attached counter.
+    `grid` is an upper triangular integer grid; the minor with rows
+    a..a+k-1 and columns b..b+k-1 (1-based, b >= a) comes in order of k,
+    then a, then b.  Level 1 is the grid itself, and each later level
+    follows from the two below it by the Desnanot-Jacobi identity
+        M_k(a,b) = (M_{k-1}(a,b) M_{k-1}(a+1,b+1)
+                    - M_{k-1}(a,b+1) M_{k-1}(a+1,b)) / M_{k-2}(a+1,b+1),
+    with M_0 = 1.  For b = a the minor M_{k-1}(a+1,a) has a strictly upper
+    triangular block and vanishes, so its product is dropped.  The division
+    is exact.  Its divisor is a nontrivial minor two levels down, positive
+    because callers stop within one level of the first non-positive minor;
+    a non-positive divisor or a remainder raises InvariantViolated.  A scan
+    is O(d^3) integer operations.
     """
-
-    def __init__(self, m: Matrix, counter: DetCounter | None = None):
-        self.matrix = m
-        self.grid, self.scales = zip(*_cleared(m.rows_tuple()))
-        self.counter = counter if counter is not None else DetCounter()
-
-    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Fraction:
-        self.counter.evaluations += 1
-        sub = [[self.grid[i - 1][j - 1] for j in cols] for i in rows]
-        return _ratio(_det_bareiss_int(sub), prod(self.scales[i - 1] for i in rows))
+    d = len(grid)
+    prev = [row[a:] for a, row in enumerate(grid)]
+    for a, row in enumerate(prev, 1):
+        for b, value in enumerate(row, a):
+            yield 1, a, b, value
+    below = [[1] * (d + 1 - a) for a in range(d + 1)]
+    for k in range(2, d + 1):
+        level = []
+        for a in range(d - k + 1):
+            # 0-based: prev[a][j] is M_{k-1}(a+1, a+1+j), below[a][j] is M_{k-2}(a+1, a+1+j)
+            p, q, div_row = prev[a], prev[a + 1], below[a + 1]
+            row = []
+            for j in range(d - k + 1 - a):
+                num = p[j] * q[j] - p[j + 1] * q[j - 1] if j else p[0] * q[0]
+                div = div_row[j]
+                if div <= 0:
+                    raise InvariantViolated("a condensation divisor must be a positive minor")
+                value, rem = divmod(num, div)
+                if rem:
+                    raise InvariantViolated("a condensation step must divide exactly")
+                row.append(value)
+                yield k, a + 1, a + 1 + j, value
+            level.append(row)
+        below, prev = prev, level
 
 
 def _full_scan(
-    m: Matrix, counter: DetCounter
+    cleared: list[tuple[list[int], int]], counter: DetCounter
 ) -> tuple[Status, Witness | None]:
     """Scan all nontrivial minors by shared-subminor cofactor expansion.
 
-    Minors of size k are expanded along their last row into size k-1
-    values, all of which are kept from the previous level, so each minor
-    costs O(k) multiplications.  The scan works on the integer grid with
-    each row's denominators cleared; the scales are positive, so signs are
-    unaffected, and the witness value is divided by its rows' scales.
+    `cleared` holds the matrix's rows with denominators cleared, as
+    `_cleared` returns them.  Minors of size k are expanded along their
+    last row into size k-1 values, all of which are kept from the previous
+    level, so each minor costs O(k) multiplications.  The table holds only
+    nontrivial minors (rows componentwise at most cols): removing a column
+    from a nontrivial minor's columns and its last row from its rows leaves
+    a nontrivial minor, so the expansion reads nothing else, and the
+    nontrivial columns of rows R are those of R without its last row,
+    extended by one column.  At d = 10 that is 58,785 entries of the
+    184,755 minors.  The witness value is divided by its rows' scales.
     Stops early once the status is forced to Outside.
     """
-    d = m.dim
-    grid, scales = zip(*_cleared(m.rows_tuple()))
+    grid = [r for r, _ in cleared]
+    d = len(grid)
     indices = range(1, d + 1)
-    prev: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
+    # rows -> {cols -> minor} for the nontrivial minors of the previous size,
+    # both keys in lexicographic order
+    prev: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
     first_offender: tuple[MinorIndex, Fraction] | None = None
     saw_zero = False
     for k in range(1, d + 1):
-        cur: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        cur: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for rows in combinations(indices, k):
             head = rows[:-1]
             last = rows[-1]
             row_vals = grid[last - 1]
-            for cols in combinations(indices, k):
-                acc = 0
-                sign = 1 if k % 2 == 1 else -1
-                for p in range(k):
-                    e = row_vals[cols[p] - 1]
-                    if e:
-                        acc += sign * e * prev[(head, cols[:p] + cols[p + 1:])]
-                    sign = -sign
-                cur[(rows, cols)] = acc
-                if all(i <= j for i, j in zip(rows, cols)):
+            sub = prev[head]
+            table = cur[rows] = {}
+            for base in sub:
+                for c in range(max(base[-1] + 1 if base else 1, last), d + 1):
+                    cols = base + (c,)
+                    acc = 0
+                    sign = 1 if k % 2 == 1 else -1
+                    for p in range(k):
+                        e = row_vals[cols[p] - 1]
+                        if e:
+                            acc += sign * e * sub[cols[:p] + cols[p + 1:]]
+                        sign = -sign
+                    table[cols] = acc
                     counter.evaluations += 1
                     if acc <= 0:
                         if first_offender is None:
                             first_offender = (
                                 MinorIndex(rows, cols),
-                                _ratio(acc, prod(scales[i - 1] for i in rows)),
+                                _ratio(acc, prod(cleared[i - 1][1] for i in rows)),
                             )
                         if acc < 0:
                             idx, val = first_offender
@@ -179,7 +216,9 @@ def _full_scan(
 def tp_oracle(u: Matrix, *, counter: DetCounter | None = None) -> PositivityVerdict:
     """Brute-force verdict: every nontrivial minor of every size."""
     _require_upper_unipotent(u)
-    status, witness = _full_scan(u, counter if counter is not None else DetCounter())
+    status, witness = _full_scan(
+        _cleared(u.rows_tuple()), counter if counter is not None else DetCounter()
+    )
     return PositivityVerdict(status, witness, "oracle")
 
 
@@ -187,24 +226,21 @@ def tp_staged(u: Matrix, *, counter: DetCounter | None = None) -> PositivityVerd
     """Consecutive-minor staged verdict.
 
     For k = 1..d only the nontrivial k x k minors with consecutive row and
-    column runs are tested; all levels passing certifies full total
-    positivity.  On the first non-positive consecutive minor the full
-    nonnegativity scan is completed, so status and witness agree with
-    `tp_oracle` on every input.
+    column runs are tested, each level condensed from the two below it
+    (`_contiguous_minors`, O(d^3) in all); all levels passing certifies
+    full total positivity.  Each minor counts as one evaluation.  On the
+    first non-positive consecutive minor the full nonnegativity scan is
+    completed, so status and witness agree with `tp_oracle` on every
+    input.
     """
     _require_upper_unipotent(u)
-    d = u.dim
     cnt = counter if counter is not None else DetCounter()
-    ev = MinorEvaluator(u, cnt)
-    for k in range(1, d + 1):
-        span = d - k + 1
-        for a in range(1, span + 1):
-            rows = tuple(range(a, a + k))
-            for b in range(a, span + 1):
-                cols = tuple(range(b, b + k))
-                if ev.minor(rows, cols) <= 0:
-                    status, witness = _full_scan(u, cnt)
-                    return PositivityVerdict(status, witness, "staged")
+    cleared = _cleared(u.rows_tuple())
+    for _, _, _, value in _contiguous_minors([r for r, _ in cleared]):
+        cnt.evaluations += 1
+        if value <= 0:
+            status, witness = _full_scan(cleared, cnt)
+            return PositivityVerdict(status, witness, "staged")
     return PositivityVerdict(Status.POSITIVE, None, "staged")
 
 
@@ -231,21 +267,16 @@ def boundary_corner_check(u: Matrix) -> BoundaryReport:
     if verdict.witness is None:
         raise InvariantViolated("a boundary verdict must carry a witness")
     k = verdict.witness.index.size
-    d = u.dim
-    ev = MinorEvaluator(u)
     failing = None
-    span = d - k + 1
-    for a in range(1, span + 1):
-        rows = tuple(range(a, a + k))
-        for b in range(a, span + 1):
-            cols = tuple(range(b, b + k))
-            if ev.minor(rows, cols) == 0:
-                failing = MinorIndex(rows, cols)
-                break
-        if failing is not None:
+    for size, a, b, value in _contiguous_minors([r for r, _ in _cleared(u.rows_tuple())]):
+        if size > k:
+            break
+        if size == k and value == 0:
+            failing = MinorIndex(tuple(range(a, a + k)), tuple(range(b, b + k)))
             break
     if failing is None:
         raise InvariantViolated("a boundary level must contain a consecutive vanishing minor")
+    d = u.dim
     corner = MinorIndex(tuple(range(1, k + 1)), tuple(range(d - k + 1, d + 1)))
     return BoundaryReport(k, failing, corner, u.minor(corner))
 

@@ -207,15 +207,17 @@ class _TupleEngine:
         return verdict.is_positive
 
 
+def _require_one_dim(flags) -> None:
+    if any(f.dim != flags[0].dim for f in flags):
+        raise DimensionMismatch("flags in a tuple must share one dimension")
+
+
 def _engine(flags: list[Flag]) -> _TupleEngine:
     """An engine over a tuple of at least 3 flags of one dimension."""
     n = len(flags)
     if n < 3:
         raise BadParameters(f"tuple positivity needs at least 3 flags, got {n}")
-    d = flags[0].dim
-    for f in flags[1:]:
-        if f.dim != d:
-            raise DimensionMismatch("flags in a tuple must share one dimension")
+    _require_one_dim(flags)
     return _TupleEngine(list(flags))
 
 
@@ -259,9 +261,9 @@ def is_positive_tuple_quad(flags: list[Flag]) -> PositivityVerdict:
     Positive.
     """
     n = len(flags)
-    if n <= 3:
-        return _engine(flags).chain(tuple(range(n)))[0]
-    engine = _TupleEngine(list(flags))
+    engine = _engine(flags)
+    if n == 3:
+        return engine.chain((0, 1, 2))[0]
     engine.require_transverse(tuple(range(n)))
     for sub in combinations(range(n), 4):
         verdict = engine.chain(sub)[0]
@@ -276,7 +278,8 @@ class FlagMapSample:
 
     Points must be pairwise distinct and listed in strict cyclic order
     (some rotation of the list has strictly increasing angles in the
-    fixed counterclockwise orientation); each point carries one flag.
+    fixed counterclockwise orientation); each point carries one flag, and
+    all flags share one dimension.
     """
 
     points: tuple[ProjectivePoint, ...]
@@ -289,6 +292,7 @@ class FlagMapSample:
             )
         if len(self.points) < 3:
             raise PreconditionViolated("a sample needs at least 3 points")
+        _require_one_dim(self.flags)
         if len(set(self.points)) != len(self.points):
             raise PreconditionViolated("sample points must be pairwise distinct")
         if not cyclically_ordered(list(self.points)):

@@ -12,12 +12,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from posiflag import (
+    DetCounter,
     Flag,
     Matrix,
+    MinorIndex,
     ProjectivePoint,
     Status,
     random_tp,
     standard_flags,
+    tp_oracle,
     tp_staged,
     transverse,
 )
@@ -67,6 +70,28 @@ def naive_scan(m: Matrix):
     if first is not None:
         return "NonnegativeBoundary", first
     return "Positive", None
+
+
+def staged_bareiss_scan(m: Matrix):
+    """The staged scan with each consecutive minor its own determinant.
+
+    Visits the nontrivial minors with consecutive row and column runs in
+    (size, rows, cols) order, each evaluated by `Matrix.minor` (one
+    fraction-free elimination per minor), and on the first non-positive
+    one completes the scan with `tp_oracle`.  Returns (status, witness,
+    evaluations), counting each minor once as `tp_staged` does.
+    """
+    d = m.dim
+    count = 0
+    for k in range(1, d + 1):
+        for a in range(1, d - k + 2):
+            for b in range(a, d - k + 2):
+                count += 1
+                if m.minor(MinorIndex(range(a, a + k), range(b, b + k))) <= 0:
+                    counter = DetCounter()
+                    verdict = tp_oracle(m, counter=counter)
+                    return verdict.status, verdict.witness, count + counter.evaluations
+    return Status.POSITIVE, None, count
 
 
 def count_nontrivial(d: int) -> int:

@@ -251,6 +251,15 @@ class TestMapCheck:
         result = runner.invoke(main, ["map-check", "--sample", path])
         assert result.exit_code == 3
 
+    def test_mixed_dimensions_exit_three(self, runner, files):
+        asc, desc = standard_flags(3)
+        frames = [asc.frame, desc.frame, asc.apply(pascal(3)).frame, standard_flags(4)[0].frame]
+        rec = list(zip([(1, 0), (2, 1), (1, 1), (1, 2)], frames))
+        path = files("mixed.sample", format_sample(rec))
+        result = runner.invoke(main, ["map-check", "--sample", path])
+        assert result.exit_code == 3
+        assert "flags in a tuple must share one dimension" in result.output
+
 
 class TestFlagsTransverse:
     def test_transverse_pair(self, runner, files):

@@ -4,9 +4,12 @@ Each kernel is compared with a definition computed another way: the
 adapted basis with one sympy nullspace per column, the transporter with
 a plain Fraction reverse column-echelon form in that basis, solves,
 inverses, ranks and kernels with sympy, the integer-dot product with a plain
-Fraction product, and the unit triangular solve with `inverse() @`.
+Fraction product, the unit triangular solve with `inverse() @`, the
+condensed consecutive minors with sympy determinants, and the staged scan
+with the cofactor oracle and a scan that eliminates each minor on its own.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,10 +18,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from posiflag import (
-    Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, transporter, transverse,
+    DetCounter, Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, random_tp,
+    staged_minor_count, tp_oracle, tp_staged, transporter, transverse,
 )
-from posiflag.linalg import _back_substitute, _grid_det, _grid_kernel, _grid_rank, _solve
-from helpers import reverse_column_echelon
+from posiflag.linalg import (
+    _back_substitute, _cleared, _grid_det, _grid_kernel, _grid_rank, _solve,
+)
+from posiflag.positivity import _contiguous_minors
+from helpers import (
+    count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, reverse_column_echelon, staged_bareiss_scan,
+)
 
 SETTINGS = settings(
     max_examples=60, deadline=None, derandomize=True,
@@ -264,3 +273,56 @@ class TestBackSubstitution:
     def test_matches_inverse_product(self, ub):
         u, b = ub
         assert _back_substitute(u.rows_tuple(), b.rows_tuple()) == (u.inverse() @ b).rows_tuple()
+
+
+# -- minor scans: condensation against sympy, staged against oracle ------------
+
+
+GENERATORS = {
+    "positive": lambda d, rng: random_tp(d, rng.randint(0, 10**9)),
+    "boundary": gen_boundary,
+    "perturbed": gen_perturbed,
+    "uniform": gen_uniform,
+}
+
+
+@st.composite
+def unipotents(draw, max_d):
+    """Upper unipotent inputs that are positive, on the boundary or (mostly) outside."""
+    d = draw(st.integers(2, max_d))
+    kind = draw(st.sampled_from(sorted(GENERATORS)))
+    return GENERATORS[kind](d, random.Random(draw(st.integers(0, 2**32))))
+
+
+class TestMinorScans:
+    @settings(SETTINGS, max_examples=25)
+    @given(unipotents(12))
+    def test_condensed_levels_match_sympy(self, m):
+        grid = [r for r, _ in _cleared(m.rows_tuple())]
+        d, sm = m.dim, sympy.Matrix(grid)
+        order = [(k, a, b) for k in range(1, d + 1)
+                 for a in range(1, d - k + 2) for b in range(a, d - k + 2)]
+        seen, stop = [], d
+        for k, a, b, value in _contiguous_minors(grid):
+            if k > stop:  # callers stop within one level of the first non-positive minor
+                break
+            assert value == sm[a - 1:a - 1 + k, b - 1:b - 1 + k].det()
+            seen.append((k, a, b))
+            if value <= 0:
+                stop = min(stop, k + 1)
+        assert seen == order[:len(seen)]
+        assert len(seen) == len(order) or seen[-1][0] == stop
+
+    @settings(SETTINGS, max_examples=40)
+    @given(unipotents(10))
+    def test_staged_agrees_with_oracle_and_reference(self, m):
+        staged_counter, oracle_counter = DetCounter(), DetCounter()
+        staged = tp_staged(m, counter=staged_counter)
+        oracle = tp_oracle(m, counter=oracle_counter)
+        assert (staged.status, staged.witness) == (oracle.status, oracle.witness)
+        assert (staged.status, staged.witness, staged_counter.evaluations) == staged_bareiss_scan(m)
+        if staged.is_positive:
+            assert staged_counter.evaluations == staged_minor_count(m.dim)
+            assert oracle_counter.evaluations == count_nontrivial(m.dim)
+        else:
+            assert staged_counter.evaluations > oracle_counter.evaluations

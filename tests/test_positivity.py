@@ -5,6 +5,7 @@ import pytest
 
 from posiflag import (
     DetCounter,
+    InvariantViolated,
     Matrix,
     MinorIndex,
     NotUnipotentUpperTriangular,
@@ -18,6 +19,7 @@ from posiflag import (
     tp_oracle,
     tp_staged,
 )
+from posiflag.positivity import _contiguous_minors
 from helpers import count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, naive_scan
 
 F = Fraction
@@ -122,6 +124,15 @@ class TestCounts:
         counter = DetCounter()
         tp_oracle(m, counter=counter)
         assert counter.evaluations < count_nontrivial(3)
+
+
+class TestCondensation:
+    def test_zero_divisor_is_an_explicit_error(self):
+        # grid[1][1] = 0 is the divisor of the level-3 minor; a scan stops
+        # before reaching it, a consumer that runs on is refused
+        minors = _contiguous_minors([[1, 1, 1], [0, 0, 1], [0, 0, 1]])
+        with pytest.raises(InvariantViolated, match="divisor"):
+            list(minors)
 
 
 class TestMethodAgreement:

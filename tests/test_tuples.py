@@ -313,6 +313,29 @@ class TestFlagMapSample:
             FlagMapSample(tuple(base[r:] + base[:r]), flags)
 
 
+def mixed_dims():
+    """[asc3, desc3, asc3 . pascal(3), asc4]: three flags of dimension 3, one of 4."""
+    asc, desc = standard_flags(3)
+    return [asc, desc, asc.apply(pascal(3)), standard_flags(4)[0]]
+
+
+class TestMixedDimensions:
+    MESSAGE = "flags in a tuple must share one dimension"
+
+    def test_chain(self):
+        with pytest.raises(DimensionMismatch, match=self.MESSAGE):
+            is_positive_tuple_chain(mixed_dims())
+
+    def test_quad(self):
+        with pytest.raises(DimensionMismatch, match=self.MESSAGE):
+            is_positive_tuple_quad(mixed_dims())
+
+    def test_flag_map_sample(self):
+        pts = tuple(ProjectivePoint(*t) for t in ((1, 0), (2, 1), (1, 1), (1, 2)))
+        with pytest.raises(DimensionMismatch, match=self.MESSAGE):
+            FlagMapSample(pts, tuple(mixed_dims()))
+
+
 class TestSampledPositivity:
     def test_veronese_consistent(self):
         rng = random.Random(3)
