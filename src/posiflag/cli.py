@@ -22,10 +22,7 @@ else the POSIFLAG_SEED environment variable, else 0.
 from __future__ import annotations
 
 import os
-import platform
 import sys
-import time
-from dataclasses import dataclass
 from functools import wraps
 from pathlib import Path
 
@@ -38,7 +35,6 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
-    InvariantViolated,
     NotHyperbolic,
     NotSingleJordanBlock,
     NotTransverse,
@@ -51,14 +47,7 @@ from .errors import (
     ZeroSuperdiagonal,
 )
 from .flags import Flag, transverse
-from .positivity import (
-    DetCounter,
-    Witness,
-    random_tp,
-    staged_minor_count,
-    tp_oracle,
-    tp_staged,
-)
+from .positivity import Witness, bench, tp_oracle, tp_staged
 from .reps import (
     MoebiusElement,
     ProjectivePoint,
@@ -356,55 +345,6 @@ def limit_demo(d, j, g_path, iters, emit):
     for entry in series:
         dist = "skipped" if entry.skipped else f"{entry.distance:.6e}"
         click.echo(f"{entry.n},{dist},{entry.min_gap:.6e}")
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    d: int
-    method: str
-    dets: int
-    time_ms: float
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-    env: str
-
-
-def bench(d_values, samples: int, seed: int) -> BenchReport:
-    """Instrumented comparison of the staged scan against the oracle.
-
-    Runs both on identical random fully positive inputs.  Counts are
-    per input and verified identical across samples; on these Positive
-    inputs the staged count must equal its closed form.
-    """
-    rows = []
-    for d in d_values:
-        per_method: dict[str, tuple[int, float]] = {}
-        for name, run in (("staged", tp_staged), ("oracle", tp_oracle)):
-            counts = set()
-            total = 0.0
-            for s in range(samples):
-                m = random_tp(d, seed * 1_000_003 + d * 1009 + s)
-                counter = DetCounter()
-                start = time.perf_counter()
-                verdict = run(m, counter=counter)
-                total += (time.perf_counter() - start) * 1000.0
-                if not verdict.is_positive:
-                    raise InvariantViolated("generator must produce fully positive inputs")
-                counts.add(counter.evaluations)
-            if len(counts) != 1:
-                raise InvariantViolated("per-input counts must not vary across samples")
-            per_method[name] = (counts.pop(), total)
-        staged_dets = per_method["staged"][0]
-        if staged_dets != staged_minor_count(d):
-            raise InvariantViolated("staged count must match closed form")
-        for name in ("staged", "oracle"):
-            dets, total = per_method[name]
-            rows.append(BenchRow(d, name, dets, total))
-    env = f"python={platform.python_version()} platform={sys.platform}"
-    return BenchReport(tuple(rows), env)
 
 
 @main.command("bench")

@@ -1,9 +1,12 @@
 """Dynamics at desk scale: power thresholds, SVD flags, singular profiles.
 
 The exact side: for a unipotent u with a single Jordan block and a flag G
-transverse to u's fixed flag, the triple (F, u^t G, G) becomes positive
-for every large enough integer t; the threshold search finds the first
-such t exactly.
+transverse to u's fixed flag F, the triple (F, u^t G, G) becomes
+positive for every large enough integer t; the threshold search finds
+the first such t exactly.  F is framed by a Jordan chain of u, so the
+triple's one chain factor is the t-th power of one fixed unipotent, and
+after one coordinate solve every t is an integer binomial sum of fixed
+grids, scanned by consecutive minors (see power_positivity_threshold).
 
 The float side: powers of a hyperbolic 2x2 element pushed through the
 reducible block family develop widening singular-value gaps, the flag of
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -34,17 +38,16 @@ from .errors import (
     BadParameters,
     CapExceeded,
     DimensionMismatch,
+    InvariantViolated,
     NotHyperbolic,
     NotSingleJordanBlock,
-    NotTransverse,
     RationalEigenlineRequired,
     SingularGapTooSmall,
-    ZeroSuperdiagonal,
 )
-from .flags import Flag, _coordinates, transverse, unipotent_fixed_flag
-from .linalg import Matrix
+from .flags import Flag, _coordinates, unipotent_fixed_flag
+from .linalg import Matrix, _back_substitute, _scaled_powers
+from .positivity import _contiguous_minors
 from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, barbot_flag, sym_power
-from .tuples import _TupleEngine
 
 
 @dataclass(eq=False)
@@ -131,27 +134,52 @@ def flag_distance(a: FloatFlag, b: FloatFlag) -> float:
 def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     """Smallest t >= 1 with (F, u^t G, G) a positive triple, F = fixed flag of u.
 
-    u must be unipotent with one Jordan block and G transverse to F.
-    Scans t = 1, 2, ... exactly; a non-positive or degenerate triple at
-    some t just moves the scan on.  Reaching the cap raises CapExceeded
-    rather than returning anything.
+    u must be unipotent with one Jordan block (NotUnipotent, then
+    NotSingleJordanBlock), G of u's dimension (DimensionMismatch) and
+    transverse to F (NotTransverse), and cap at least 1 (BadParameters).
+    In F's Jordan-chain frame u acts as I + S, S the superdiagonal shift,
+    so with c the coordinates of G over F (one solve, which also tests
+    transversality) the coordinates of u^t G are (I + S)^t c.  The only
+    chain factor of the triple is therefore V^t, V = I + M, M = c^-1 S c.
+    M is strictly upper with unit superdiagonal, checked, so V^t has
+    superdiagonal t and needs no sign normalization.  With s the lcm of
+    M's denominators, s^(d-1) V^t = sum over k < d of binom(t, k) A_k,
+    A_k = s^(d-1-k) (sM)^k: an integer grid whose consecutive minors have
+    the signs of V^t's.  Each t scans them (`_contiguous_minors`) up to
+    the first non-positive one.  A totally positive factor already makes
+    u^t G transverse to G, so no t needs a transversality test.  Reaching
+    the cap raises CapExceeded rather than returning anything.
     """
+    if cap < 1:
+        raise BadParameters(f"cap must be at least 1, got {cap}")
     try:
         fixed = unipotent_fixed_flag(u)
     except NotSingleJordanBlock:
         raise NotSingleJordanBlock("threshold search needs a single Jordan block") from None
-    if not transverse(fixed, g):
-        raise NotTransverse("flag must be transverse to the fixed flag")
-    # the triple at every t shares its anchor pair (F, G)
-    anchor = {(0, 2): _coordinates(fixed, g, "flag must be transverse to the fixed flag")}
-    acc = Matrix.identity(u.dim)
+    d = u.dim
+    if g.dim != d:
+        raise DimensionMismatch(f"flag dims differ: {d} vs {g.dim}")
+    c = _coordinates(fixed, g, "flag must be transverse to the fixed flag").rows_tuple()
+    zero = Fraction(0)
+    m = _back_substitute(c, c[1:] + ((zero,) * d,))  # S c is c shifted up one row
+    if any(any(row[:i + 1]) for i, row in enumerate(m)) or any(
+        m[i][i + 1] != 1 for i in range(d - 1)
+    ):
+        raise InvariantViolated("c^-1 S c must be strictly upper with unit superdiagonal")
+    powers, s = _scaled_powers(m, d - 1)
+    # terms[i][j][k] = entry (i, j) of A_k; (sM)^k vanishes below its k-th superdiagonal
+    terms: list[list[list[int]]] = [[[] for _ in range(d)] for _ in range(d)]
+    for k, power in enumerate(powers):
+        scale = s ** (d - 1 - k)
+        for i in range(d - k):
+            for j in range(i + k, d):
+                terms[i][j].append(scale * power[i][j])
+    binom = [1] + [0] * (d - 1)
     for t in range(1, cap + 1):
-        acc = acc @ u
-        try:
-            verdict = _TupleEngine([fixed, g.apply(acc), g], anchor).chain((0, 1, 2))[0]
-        except (NotTransverse, ZeroSuperdiagonal):
-            continue
-        if verdict.is_positive:
+        for k in range(d - 1, 0, -1):
+            binom[k] += binom[k - 1]
+        grid = [[sum(map(mul, binom, entry)) for entry in row] for row in terms]
+        if all(value > 0 for *_, value in _contiguous_minors(grid)):
             return t
     raise CapExceeded(f"no positive power found for t in [1, {cap}]", cap=cap)
 

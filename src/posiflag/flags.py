@@ -35,6 +35,8 @@ from .linalg import (
     _grid_rank,
     _is_unipotent,
     _is_upper,
+    _ratio,
+    _scaled_powers,
     _solve,
 )
 
@@ -229,30 +231,28 @@ def transporter(f: Flag, h: Flag, g: Flag) -> Matrix:
 def unipotent_fixed_flag(u: Matrix) -> Flag:
     """The full fixed flag of a unipotent matrix with one Jordan block.
 
-    Subspace k is the kernel of N^k, N = u - I.  With N^d = 0 and each
-    kernel one dimension larger than the last, the kernels form a complete
-    flag (the unique u-invariant one); frame column k is the first kernel
-    vector of N^k not annihilated by N^(k-1), tested in cleared integers.
+    Subspace k is the kernel of N^k, N = u - I, the unique u-invariant
+    complete flag.  It is framed by the Jordan chain N^(d-1)v, ..., Nv, v,
+    v the first standard basis vector with N^(d-1)v != 0: the first k
+    chain vectors span a k-dimensional space that N^k kills.  In this
+    frame F^-1 u F = I + S exactly, S the superdiagonal shift.  Raises
+    NotUnipotent when N^d != 0, else NotSingleJordanBlock when N^(d-1) = 0.
+    The powers of N are taken in integers, as those of s N for s the lcm
+    of N's denominators.
     """
     d = u.dim
-    n = u - Matrix.identity(d)
-    powers = [Matrix.identity(d)]
-    for _ in range(d):
-        powers.append(powers[-1] @ n)
-    if any(x != 0 for row in powers[d].rows_tuple() for x in row):
+    n = [
+        [x - 1 if i == j else x for j, x in enumerate(row)]
+        for i, row in enumerate(u.rows_tuple())
+    ]
+    powers, s = _scaled_powers(n, d)
+    if any(map(any, powers[d])):
         raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
-    cols: list[tuple[Fraction, ...]] = []
-    for k in range(1, d + 1):
-        kern = powers[k].kernel_basis()
-        if len(kern) != k:
-            raise NotSingleJordanBlock(
-                "fixed flag construction needs a single Jordan block"
-            )
-        below = [row for row, _ in _cleared(powers[k - 1].rows_tuple())]
-        for cand, (v, _) in zip(kern, _cleared(kern)):
-            if any(sum(x * y for x, y in zip(row, v)) != 0 for row in below):
-                cols.append(cand)
-                break
-        if len(cols) != k:
-            raise InvariantViolated("each kernel of (u - I)^k must add one dimension")
-    return Flag(Matrix(_column_grid(cols)))
+    j = next((j for j in range(d) if any(row[j] for row in powers[d - 1])), None)
+    if j is None:
+        raise NotSingleJordanBlock("fixed flag construction needs a single Jordan block")
+    # column m is N^(d-m) v = (s N)^(d-m) v / s^(d-m)
+    return Flag(Matrix._of(tuple(
+        tuple(_ratio(powers[d - m][i][j], s ** (d - m)) for m in range(1, d + 1))
+        for i in range(d)
+    )))

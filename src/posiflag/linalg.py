@@ -97,6 +97,20 @@ def _cleared(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[list[int], int
     return out
 
 
+def _scaled_powers(
+    rows: Sequence[Sequence[Fraction]], count: int
+) -> tuple[list[list[list[int]]], int]:
+    """([B^0, ..., B^count], s) for B = s N, N a square grid and s the lcm
+    of all its denominators, so every power is an integer grid."""
+    s = lcm(*[x.denominator for row in rows for x in row])
+    b = [[x.numerator * (s // x.denominator) for x in row] for row in rows]
+    cols = list(zip(*b))
+    powers = [[[int(i == j) for j in range(len(b))] for i in range(len(b))]]
+    for _ in range(count):
+        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
+    return powers, s
+
+
 def _ratio(n: int, d: int) -> Fraction:
     """n/d as a Fraction; for d = 1 the one-argument form skips the gcd."""
     return Fraction(n) if d == 1 else Fraction(n, d)

@@ -26,11 +26,17 @@ cleared; the row scales are positive, so signs are unaffected.  Both
 report the same three-state verdict, and the witness for a non-positive
 verdict is always the first non-positive nontrivial minor in
 lexicographic (size, rows, cols) order.
+
+`bench` runs both routes on identical random fully positive inputs and
+reports their evaluation counts and times (the CLI's `bench`).
 """
 
 from __future__ import annotations
 
+import platform
 import random
+import sys
+import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -296,3 +302,52 @@ def random_tp(d: int, seed: int) -> Matrix:
             t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             m = m @ Matrix.elementary(d, i, i + 1, t)
     return m
+
+
+@dataclass(frozen=True)
+class BenchRow:
+    d: int
+    method: str
+    dets: int
+    time_ms: float
+
+
+@dataclass(frozen=True)
+class BenchReport:
+    rows: tuple[BenchRow, ...]
+    env: str
+
+
+def bench(d_values, samples: int, seed: int) -> BenchReport:
+    """Instrumented comparison of the staged scan against the oracle.
+
+    Runs both on identical random fully positive inputs.  Counts are
+    per input and verified identical across samples; on these Positive
+    inputs the staged count must equal its closed form.
+    """
+    rows = []
+    for d in d_values:
+        per_method: dict[str, tuple[int, float]] = {}
+        for name, run in (("staged", tp_staged), ("oracle", tp_oracle)):
+            counts = set()
+            total = 0.0
+            for s in range(samples):
+                m = random_tp(d, seed * 1_000_003 + d * 1009 + s)
+                counter = DetCounter()
+                start = time.perf_counter()
+                verdict = run(m, counter=counter)
+                total += (time.perf_counter() - start) * 1000.0
+                if not verdict.is_positive:
+                    raise InvariantViolated("generator must produce fully positive inputs")
+                counts.add(counter.evaluations)
+            if len(counts) != 1:
+                raise InvariantViolated("per-input counts must not vary across samples")
+            per_method[name] = (counts.pop(), total)
+        staged_dets = per_method["staged"][0]
+        if staged_dets != staged_minor_count(d):
+            raise InvariantViolated("staged count must match closed form")
+        for name in ("staged", "oracle"):
+            dets, total = per_method[name]
+            rows.append(BenchRow(d, name, dets, total))
+    env = f"python={platform.python_version()} platform={sys.platform}"
+    return BenchReport(tuple(rows), env)

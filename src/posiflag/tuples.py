@@ -128,13 +128,13 @@ class _TupleEngine:
     (F_a, F_e, F_x) is c_{a,e}^-1 c_{a,x}, so factors do not depend on the
     last flag e and are shared across subtuples.  Only a returned
     certificate builds an adapted basis.  An engine lives for one call of
-    a public entry point.  `coords` seeds coordinates of transverse pairs.
+    a public entry point.
     """
 
-    def __init__(self, flags: list[Flag], coords: dict[tuple[int, int], Matrix] | None = None):
+    def __init__(self, flags: list[Flag]):
         self.flags = flags
-        self._coords = dict(coords or {})
-        self._transverse = {pair: True for pair in self._coords}
+        self._coords: dict[tuple[int, int], Matrix] = {}
+        self._transverse: dict[tuple[int, int], bool] = {}
         self._factors: dict[tuple[int, int, int], Matrix] = {}
         self._last: dict[tuple[int, int, int], tuple[Matrix, PositivityVerdict] | Exception] = {}
 

@@ -12,12 +12,19 @@ from fractions import Fraction
 from itertools import combinations
 
 from posiflag import (
+    CapExceeded,
     DetCounter,
+    DimensionMismatch,
     Flag,
     Matrix,
     MinorIndex,
+    NotSingleJordanBlock,
+    NotTransverse,
     ProjectivePoint,
     Status,
+    ZeroSuperdiagonal,
+    is_positive_triple,
+    jordan_block_sizes,
     random_tp,
     standard_flags,
     tp_oracle,
@@ -243,3 +250,71 @@ def random_mild_hyperbolic(rng: random.Random) -> MoebiusElement:
     h = Matrix(tuple(tuple(Fraction(x) for x in row) for row in h_rows))
     core = Matrix(((s, Fraction(0)), (Fraction(0), 1 / s)))
     return MoebiusElement(h @ core @ h.inverse())
+
+
+def random_single_block(d: int, rng: random.Random) -> Matrix:
+    """Upper unipotent with nonzero superdiagonal, so one Jordan block."""
+    supers = [1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-2, 3)]
+    others = [0, 0, 1, 2, -1, -2, Fraction(1, 3)]
+    return Matrix([
+        [0] * i + [1] + [rng.choice(supers if j == i + 1 else others) for j in range(i + 1, d)]
+        for i in range(d)
+    ])
+
+
+def kernel_fixed_flag(u: Matrix) -> Flag:
+    """The fixed flag of a single-block unipotent u, from kernels.
+
+    Column k is the first vector of the canonical kernel basis of N^k,
+    N = u - I, that N^(k-1) does not annihilate, so the first k columns
+    span ker N^k.  Raises NotSingleJordanBlock when a kernel has the
+    wrong dimension.
+    """
+    d = u.dim
+    n = u - Matrix.identity(d)
+    cols = []
+    for k in range(1, d + 1):
+        kern = n.power(k).kernel_basis()
+        if len(kern) != k:
+            raise NotSingleJordanBlock("kernels of (u - I)^k must grow by one")
+        below = n.power(k - 1).rows_tuple()
+        cols.append(next(
+            v for v in kern if any(sum(x * y for x, y in zip(row, v)) for row in below)
+        ))
+    return Flag(Matrix([[c[i] for c in cols] for i in range(d)]))
+
+
+def power_triple_positive(u: Matrix, t: int, g: Flag, fixed: Flag | None = None) -> bool:
+    """Whether (F, u^t G, G) is a positive triple, F = the fixed flag of u,
+    rebuilt from scratch through the public triple certificate."""
+    fixed = fixed if fixed is not None else kernel_fixed_flag(u)
+    try:
+        verdict, _ = is_positive_triple(fixed, g.apply(u.power(t)), g)
+    except (NotTransverse, ZeroSuperdiagonal):
+        return False
+    return verdict.is_positive
+
+
+def brute_threshold(u: Matrix, g: Flag, cap: int) -> int | None:
+    """First t in 1..cap with a positive triple, one per-t certificate each."""
+    fixed = kernel_fixed_flag(u)
+    return next((t for t in range(1, cap + 1) if power_triple_positive(u, t, g, fixed)), None)
+
+
+def threshold_reference(u: Matrix, g: Flag, cap: int) -> int:
+    """`power_positivity_threshold` by its documented contract.
+
+    Checks in the same order with the same messages: unipotent (through
+    `jordan_block_sizes`), one Jordan block, one dimension, G transverse
+    to the kernel-built fixed flag; then `brute_threshold` up to the cap.
+    """
+    if jordan_block_sizes(u) != (u.dim,):
+        raise NotSingleJordanBlock("threshold search needs a single Jordan block")
+    if g.dim != u.dim:
+        raise DimensionMismatch(f"flag dims differ: {u.dim} vs {g.dim}")
+    if not transverse(kernel_fixed_flag(u), g):
+        raise NotTransverse("flag must be transverse to the fixed flag")
+    t = brute_threshold(u, g, cap)
+    if t is None:
+        raise CapExceeded(f"no positive power found for t in [1, {cap}]", cap=cap)
+    return t

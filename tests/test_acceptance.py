@@ -44,8 +44,7 @@ from posiflag import (
     unipotent_fixed_flag,
     veronese_flag,
 )
-from posiflag.cli import bench
-from posiflag.positivity import staged_minor_count
+from posiflag.positivity import bench, staged_minor_count
 from posiflag.tuples import FlagMapSample
 from helpers import (
     distinct_points,

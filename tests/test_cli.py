@@ -498,11 +498,11 @@ class TestBench:
         assert result.exit_code == 2
 
     def test_closed_form_gate_is_an_explicit_error(self, monkeypatch):
-        import posiflag.cli as cli_module
+        import posiflag.positivity as positivity_module
 
-        monkeypatch.setattr(cli_module, "staged_minor_count", lambda d: -1)
+        monkeypatch.setattr(positivity_module, "staged_minor_count", lambda d: -1)
         with pytest.raises(InvariantViolated, match="closed form"):
-            cli_module.bench(range(3, 4), 1, 0)
+            positivity_module.bench(range(3, 4), 1, 0)
 
     def test_text_format_has_table(self, runner):
         result = runner.invoke(main, ["bench", "--d-min", "3", "--d-max", "3"])

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posiflag import (
     BadParameters,
@@ -16,26 +18,30 @@ from posiflag import (
     NotHyperbolic,
     NotSingleJordanBlock,
     NotTransverse,
+    PosiflagError,
     ProjectivePoint,
     RationalEigenlineRequired,
     SingularGapTooSmall,
     SingularProfile,
-    Status,
     attracting_fixed_point,
     barbot_flag,
     barbot_spec,
     flag_distance,
     float_flag,
-    is_positive_triple,
     limit_convergence,
     pascal,
     power_positivity_threshold,
     singular_ratio_profile,
     standard_flags,
     svd_flag,
-    unipotent_fixed_flag,
 )
-from helpers import random_mild_hyperbolic
+from helpers import (
+    kernel_fixed_flag,
+    power_triple_positive,
+    random_mild_hyperbolic,
+    random_single_block,
+    threshold_reference,
+)
 
 F = Fraction
 
@@ -103,15 +109,61 @@ class TestSingularProfileType:
             SingularProfile((2.0, 0.0))
 
 
-def triple_ok(u: Matrix, t: int, g: Flag) -> bool:
-    from posiflag import ZeroSuperdiagonal
+THRESHOLD_KINDS = ["single", "pascal", "split", "identity", "nonunipotent",
+                   "nontransverse", "mismatch"]
 
-    fixed = unipotent_fixed_flag(u)
+
+def threshold_case(d: int, kind: str, cap: int, rng: random.Random):
+    """(u, G, cap) with u = h U h^-1 for a random invertible integer h.
+
+    U is a random single-block upper unipotent, pascal(d), a split one (a
+    zero superdiagonal entry), the identity, or a non-unipotent one (a
+    diagonal entry 2).  G = h G0 for a random frame G0; for "nontransverse"
+    G0's first column lies in the span of e_1..e_{d-1}, so G meets u's
+    fixed flag h F_asc, and for "mismatch" G has another dimension.
+    """
+    def frame(n, transverse=True):
+        while True:
+            m = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            if not transverse:
+                m = Matrix([row if i < n - 1 else (0,) + row[1:]
+                            for i, row in enumerate(m.rows_tuple())])
+            if m.det() != 0:
+                return m
+
+    if kind == "pascal":
+        big_u = pascal(d)
+    elif kind == "identity":
+        big_u = Matrix.identity(d)
+    else:
+        rows = [list(r) for r in random_single_block(d, rng).rows_tuple()]
+        i = rng.randrange(d - 1)
+        if kind == "split":
+            rows[i][i + 1] = F(0)
+        elif kind == "nonunipotent":
+            rows[i][i] = F(2)
+        big_u = Matrix(rows)
+    h = frame(d)
+    if kind == "mismatch":
+        g = Flag(frame(d + rng.choice((-1, 1)) if d > 2 else d + 1))
+    else:
+        g = Flag(h @ frame(d, kind != "nontransverse"))
+    return h @ big_u @ h.inverse(), g, cap
+
+
+def outcome(fn, *args):
     try:
-        verdict, _ = is_positive_triple(fixed, g.apply(u.power(t)), g)
-    except (NotTransverse, ZeroSuperdiagonal):
-        return False
-    return verdict.status is Status.POSITIVE
+        return "ok", fn(*args)
+    except PosiflagError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def threshold_cases(draw):
+    return threshold_case(
+        draw(st.integers(2, 6)), draw(st.sampled_from(THRESHOLD_KINDS)),
+        draw(st.sampled_from([5, 30, 80])), random.Random(draw(st.integers(0, 2**32))),
+    )
 
 
 class TestThreshold:
@@ -134,9 +186,15 @@ class TestThreshold:
         g = desc.apply(V_SHEAR)
         u = pascal(3)
         t = power_positivity_threshold(u, g)
-        assert not triple_ok(u, t - 1, g)
+        assert not power_triple_positive(u, t - 1, g)
         for extra in range(6):
-            assert triple_ok(u, t + extra, g)
+            assert power_triple_positive(u, t + extra, g)
+
+    def test_cap_below_one_is_bad_parameters(self):
+        _, desc = standard_flags(3)
+        for cap in (0, -4):
+            with pytest.raises(BadParameters, match=f"cap must be at least 1, got {cap}"):
+                power_positivity_threshold(pascal(3), desc, cap=cap)
 
     def test_boundary_at_ten_is_non_transverse(self):
         from posiflag import transverse
@@ -180,6 +238,27 @@ class TestThreshold:
         asc, _ = standard_flags(3)
         with pytest.raises(NotTransverse):
             power_positivity_threshold(pascal(3), asc)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(threshold_cases())
+    def test_matches_per_t_reference(self, case):
+        # same t, or the same exception type and message, as the per-t
+        # reference; a threshold also persists for five more powers
+        u, g, cap = case
+        got = outcome(power_positivity_threshold, u, g, cap)
+        assert got == outcome(threshold_reference, u, g, cap)
+        if got[0] == "ok":
+            fixed = kernel_fixed_flag(u)
+            assert all(power_triple_positive(u, got[1] + e, g, fixed) for e in range(1, 6))
+
+    def test_cases_cover_every_outcome(self):
+        rng = random.Random(5)
+        seen = {
+            outcome(power_positivity_threshold, *threshold_case(d, kind, cap, rng))[0]
+            for d in (2, 4, 6) for kind in THRESHOLD_KINDS for cap in (5, 30, 80)
+        }
+        assert seen == {"ok", "CapExceeded", "NotTransverse", "NotSingleJordanBlock",
+                        "NotUnipotent", "DimensionMismatch"}
 
 
 class TestAttractingFixedPoint:

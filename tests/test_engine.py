@@ -27,7 +27,6 @@ from posiflag import (
     barbot_flag,
     barbot_spec,
     check_sampled_positivity,
-    is_positive_triple,
     is_positive_tuple_chain,
     is_positive_tuple_quad,
     pascal,
@@ -41,7 +40,13 @@ from posiflag import (
     veronese_flag,
 )
 from posiflag.tuples import _TupleEngine
-from helpers import distinct_points, poison_factor, reverse_column_echelon, tuple_from_factors
+from helpers import (
+    brute_threshold,
+    distinct_points,
+    poison_factor,
+    reverse_column_echelon,
+    tuple_from_factors,
+)
 
 # superdiagonal entry (1, 2) vanishes: sign normalization must refuse it
 ZERO_SUPER = Matrix(((1, 0, 1), (0, 1, 1), (0, 0, 1)))
@@ -224,18 +229,6 @@ def test_families_cover_every_outcome():
             seen.add("ZeroSuperdiagonal")
     assert seen >= {"consistent", "inconsistent", "vacuously consistent, no positive triple",
                     "NotTransverse", "ZeroSuperdiagonal"}
-
-
-def brute_threshold(u: Matrix, g: Flag, cap: int) -> int | None:
-    fixed = unipotent_fixed_flag(u)
-    for t in range(1, cap + 1):
-        try:
-            verdict, _ = is_positive_triple(fixed, g.apply(u.power(t)), g)
-        except (NotTransverse, ZeroSuperdiagonal):
-            continue
-        if verdict.is_positive:
-            return t
-    return None
 
 
 @pytest.mark.parametrize("d,a", [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])

@@ -14,6 +14,7 @@ from posiflag import (
     Matrix,
     NotSingleJordanBlock,
     NotTransverse,
+    NotUnipotent,
     SingularMatrix,
     Status,
     adapted_basis,
@@ -26,7 +27,7 @@ from posiflag import (
     transverse,
     unipotent_fixed_flag,
 )
-from helpers import gen_boundary
+from helpers import gen_boundary, kernel_fixed_flag, random_single_block
 
 F = Fraction
 
@@ -223,6 +224,27 @@ class TestUnipotentFixedFlag:
         split = Matrix(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)))
         with pytest.raises(NotSingleJordanBlock):
             unipotent_fixed_flag(split)
+
+    def test_jordan_frame_conjugates_to_shift(self):
+        # F^-1 u F = I + S exactly, S the superdiagonal shift, and the flag
+        # is the one the kernels of (u - I)^k span
+        rng = random.Random(31)
+        for d in (1, 2, 3, 4, 5, 6):
+            shift = Matrix([[int(j == i + 1) for j in range(d)] for i in range(d)])
+            for _ in range(6):
+                h = rand_flag(d, rng).frame
+                u = h @ random_single_block(d, rng) @ h.inverse()
+                fixed = unipotent_fixed_flag(u)
+                assert fixed.frame.inverse() @ u @ fixed.frame == Matrix.identity(d) + shift
+                assert fixed == kernel_fixed_flag(u)
+
+    def test_not_unipotent_reported_before_split(self):
+        for m in (Matrix.diagonal((1, 1, 2)), Matrix.diagonal((1, 1, -1)),
+                  Matrix(((2, 1, 0), (0, 1, 0), (0, 0, 1)))):
+            with pytest.raises(NotUnipotent, match=r"\(u - I\)\^dim != 0"):
+                unipotent_fixed_flag(m)
+        with pytest.raises(NotSingleJordanBlock, match="needs a single Jordan block"):
+            unipotent_fixed_flag(Matrix(((1, 0, 1), (0, 1, 1), (0, 0, 1))))
 
 
 def skew_reduction(monkeypatch):

@@ -1,9 +1,11 @@
 """Fuzz tests of the text parsers and the file-reading CLI subcommands.
 
 Arbitrary text, token soup and mutated well-formed files go through the
-four parsers and through `tp-check`, `threshold` and `map-check`.  A
-parser either returns or raises ParseError; a subcommand always ends in
-one of the documented exit codes 0..4, never in a traceback.
+four parsers and through every subcommand that reads a file: `tp-check`,
+`threshold`, `map-check`, `tuple-check`, `flags-transverse`, `sym-power`,
+`barbot`, `veronese` and `limit-demo`, the last with a few iterations
+only.  A parser either returns or raises ParseError; a subcommand always
+ends in one of the documented exit codes 0..4, never in a traceback.
 """
 
 import random
@@ -138,3 +140,46 @@ def test_file_commands_end_in_documented_exit_codes(runner, tmp_path, inputs):
     invoke(runner, tmp_path, ["threshold", "--u", "u.txt", "--flag", "f.txt", "--cap", "20"],
            {"u.txt": u, "f.txt": flag})
     invoke(runner, tmp_path, ["map-check", "--sample", "s.txt"], {"s.txt": sample})
+
+
+# (d, j) for barbot and limit-demo, mostly valid (d odd >= 3, 1 <= j <= (d-1)/2)
+SHAPES_DJ = [(3, 1), (5, 1), (5, 2), (7, 3), (1, 1), (4, 1), (3, 2), (0, -1)]
+# hyperbolic 2x2 matrices: rational eigenlines (diagonal, conjugated) or not
+HYPERBOLIC = ["dim 2\nentries\n2 0\n0 1/2\n", "dim 2\nentries\n7/2 -3\n3/2 -1\n",
+              "dim 2\nentries\n2 1\n1 1\n"]
+
+
+@st.composite
+def generator_inputs(draw):
+    """Inputs for the other file-reading subcommands: flags files, 2x2
+    matrices (sometimes hyperbolic, sometimes of another size) and point
+    lists, with small and sometimes invalid shape parameters."""
+    d, j = draw(st.sampled_from(SHAPES_DJ))
+    return {
+        "flags": draw(texts("frames", draw(st.integers(1, 4)))),
+        "pair": [str(draw(st.integers(0, 5))) for _ in range(2)],
+        "g": draw(st.one_of(st.sampled_from(HYPERBOLIC),
+                            texts("matrix", draw(st.sampled_from([2, 2, 2, 1, 3]))))),
+        "points": draw(texts("points")),
+        "d": str(d),
+        "j": str(j),
+        "emit": draw(st.sampled_from(["spec", "basis", "matrix", "flags"])),
+        "iters": str(draw(st.integers(0, 3))),
+    }
+
+
+@SETTINGS
+@given(generator_inputs())
+def test_generator_commands_end_in_documented_exit_codes(runner, tmp_path, inputs):
+    files = {"f.txt": inputs["flags"], "g.txt": inputs["g"], "p.txt": inputs["points"]}
+    d, j = inputs["d"], inputs["j"]
+    for args in (
+        ["tuple-check", "--flags", "f.txt", "--method", "both"],
+        ["flags-transverse", "--input", "f.txt", "--pair", *inputs["pair"]],
+        ["sym-power", "--d", d, "--g", "g.txt"],
+        ["barbot", "--d", d, "--j", j, "--emit", inputs["emit"], "--g", "g.txt",
+         "--points", "p.txt"],
+        ["veronese", "--d", d, "--points", "p.txt"],
+        ["limit-demo", "--d", d, "--j", j, "--g", "g.txt", "--iters", inputs["iters"]],
+    ):
+        invoke(runner, tmp_path, args, files)
