@@ -44,8 +44,8 @@ from .errors import (
     RationalEigenlineRequired,
     SingularGapTooSmall,
 )
-from .flags import Flag, _coordinates, unipotent_fixed_flag
-from .linalg import Matrix, _back_substitute, _scaled_powers
+from .flags import Flag, _pair_coordinates, unipotent_fixed_flag
+from .linalg import Matrix, _quotient, _scaled_powers
 from .positivity import _contiguous_minors
 from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, barbot_flag, sym_power
 
@@ -159,9 +159,8 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     d = u.dim
     if g.dim != d:
         raise DimensionMismatch(f"flag dims differ: {d} vs {g.dim}")
-    c = _coordinates(fixed, g, "flag must be transverse to the fixed flag").rows_tuple()
-    zero = Fraction(0)
-    m = _back_substitute(c, c[1:] + ((zero,) * d,))  # S c is c shifted up one row
+    c, delta = _pair_coordinates(fixed, g, "flag must be transverse to the fixed flag")
+    m = _quotient(c, c[1:] + [[0] * d], delta)  # S c = (S ū) diag(1/δ): ū shifted up one row
     if any(any(row[:i + 1]) for i, row in enumerate(m)) or any(
         m[i][i + 1] != 1 for i in range(d - 1)
     ):

@@ -9,14 +9,25 @@ acts by plain matrix multiplication on frames.
 The transporter of two flags H, G relative to a base flag F is the unique
 unipotent upper-triangular matrix (in a basis adapted to the pair (F, H))
 whose ambient conjugate fixes F and carries H to G: c_H^-1 c_G, for the
-coordinates c of H and G over F (see _coordinates).  Its total positivity
-is exactly what the tuple-positivity certificates in this package test.
+coordinates c of H and G over F.  Its total positivity is exactly what
+the tuple-positivity certificates in this package test.
+
+Coordinates are kept in integers, c = ū diag(1/δ) with ū upper
+triangular and δ its diagonal (see _pair_coordinates): one Gauss-Jordan
+elimination and one forward elimination build them, and a zero pivot of
+the latter is exactly a failure of transversality.  Quotients c_H^-1 c_G
+are fraction-free back substitutions (`linalg._quotient`); Fractions
+appear only in the Matrix outputs of `_coordinates`, `adapted_basis`
+and `transporter`.  `transverse` stays the determinant test, for
+callers that want transversality alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -28,17 +39,20 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    _back_substitute,
     _bareiss,
-    _cleared,
     _grid_det,
     _grid_rank,
     _is_unipotent,
     _is_upper,
+    _quotient,
     _ratio,
     _scaled_powers,
-    _solve,
+    _scaled_solve,
 )
+
+
+# integer flag coordinates (ū, δ): c = ū diag(1/δ), see _pair_coordinates
+IntCoordinates = tuple[list[list[int]], list[int]]
 
 
 def _column_grid(cols: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -145,61 +159,82 @@ class AdaptedBasis:
         object.__setattr__(self, "inverse", inverse)
 
 
-def _reverse_echelon(
-    c: Matrix, failure: str
-) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Write c = (u . reversal) t with u upper unipotent and t upper triangular.
+def _reverse_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]] | None:
+    """Integer reverse column-echelon form, from one forward elimination.
 
-    This is reverse column-echelon form: the m-th column of c (m = 1..d),
-    less its multiples of the columns reduced before it, gets pivot 1 at
-    coordinate d-m+1 and zeros below, and is column d-m+1 of u.  The flag
-    of u . reversal is then that of c, and u fixes the ascending
-    coordinate flag.  Read with coordinates reversed, the columns of c
-    are the rows of a matrix A = t^T U with U unit upper triangular, so
-    one fraction-free forward elimination of A (rows scaled to integers)
-    gives U from its final rows and t from its multipliers.  A zero pivot
-    happens exactly when the flag of c is not transverse to the ascending
-    coordinate flag, and raises NotTransverse(failure).  Returns the
-    reduced columns, pivot rows d, d-1, ..., and t.
+    Row m of `a` is column m of an integer grid X with its coordinates
+    reversed, so a is A = t^T U for U unit upper triangular and t upper
+    triangular exactly when X = (u . reversal) t with u upper unipotent
+    (see _pair_coordinates).  One fraction-free elimination of A (in
+    place, no row swaps) leaves the final rows U' = diag(p_1 .. p_d) U,
+    p_k the leading k-minor of A, and below the diagonal the multipliers
+    of the fraction-free LU factorization
+    A = L diag(1/(p_0 p_1), ..., 1/(p_(d-1) p_d)) U', p_0 = 1 and L lower
+    triangular with diagonal p_1 .. p_d.  Read back with coordinates
+    reversed, the rows of U' are the columns of ū = u diag(δ), upper
+    triangular with δ = (p_d, ..., p_1) on its diagonal.  Returns ū and
+    the rows of L without their diagonal, or None at a zero pivot, which
+    happens exactly when the flag of X is not transverse to the
+    ascending coordinate flag.
     """
-    d = c.dim
-    scaled = _cleared(col[::-1] for col in _columns(c))
-    a = [r for r, _ in scaled]
+    d = len(a)
     if not _bareiss(a, swaps=False) or a[-1][-1] == 0:
-        raise NotTransverse(failure)
-    leading = [1] + [a[k][k] for k in range(d - 1)]  # leading minors of A
-    zero, one = Fraction(0), Fraction(1)
-    placed = [
-        [Fraction(row[r], row[m]) if r > m else one if r == m else zero
-         for r in range(d - 1, -1, -1)]
-        for m, row in enumerate(a)
-    ]
-    t = [
-        [Fraction(a[m][i], leading[i] * scaled[m][1]) if i <= m else zero for m in range(d)]
-        for i in range(d)
-    ]
-    return placed, t
+        return None
+    ubar = [[a[d - 1 - k][d - 1 - i] if i <= k else 0 for k in range(d)] for i in range(d)]
+    return ubar, [row[:m] for m, row in enumerate(a)]
 
 
-def _coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
-    """The coordinates of h over f: the u in F^-1 H = (u . reversal) t.
+def _pair_coordinates(f: Flag, h: Flag, failure: str) -> IntCoordinates:
+    """The coordinates c of h over f in integers: c = ū diag(1/δ).
 
-    F u presents f because u is upper unipotent, and F u . reversal
-    presents h because t is upper triangular, so F u is the basis adapted
-    to (f, h).  The form is unique, so g's frame in that basis is
-    (c_h^-1 c_g . reversal) t_g.  Raises NotTransverse(failure) unless f
-    and h are transverse.
+    c is the u in F^-1 H = (u . reversal) t, u upper unipotent and t
+    upper triangular.  F u presents f because u is upper unipotent, and
+    F u . reversal presents h because t is upper triangular, so F u is
+    the basis adapted to (f, h).  The form is unique, so g's frame in that
+    basis is (c_h^-1 c_g . reversal) t_g.  One `_scaled_solve` gives
+    X = D F^-1 H in integers, whose reverse column-echelon form is that of
+    F^-1 H, and `_reverse_echelon` gives ū.  Raises NotTransverse(failure)
+    unless f and h are transverse.  Both postconditions are checked on
+    the integers: ū is upper triangular with no zero on its diagonal,
+    and the fraction-free LU factorization rebuilds X's reversed
+    columns, scaled by q = lcm(p_k p_(k+1)).
     """
-    c = Matrix._of(_solve(f.frame.rows_tuple(), h.frame.rows_tuple()))
-    placed, t = _reverse_echelon(c, failure)
-    u = Matrix(_column_grid(placed[::-1]))
-    if not _is_unipotent(u.rows_tuple()):
+    x, _ = _scaled_solve(f.frame.rows_tuple(), h.frame.rows_tuple())
+    a = [col[::-1] for col in zip(*x)]
+    echelon = _reverse_echelon([list(row) for row in a])
+    if echelon is None:
+        raise NotTransverse(failure)
+    ubar, lower = echelon
+    d = len(ubar)
+    delta = [row[k] for k, row in enumerate(ubar)]
+    if not (_is_upper(ubar) and all(delta)):
         raise InvariantViolated(
             "each F^k intersect H^{d-k+1} must be a one-dimensional line with unit k-th coordinate"
         )
-    if Matrix(_column_grid(placed)) @ Matrix(t) != c:
+    p = [1] + delta[::-1]
+    dens = [p[k] * p[k + 1] for k in range(d)]
+    q = lcm(*dens)
+    weights = [q // den for den in dens]
+    # column j of U' is row d-1-j of ū, reversed; L's diagonal is p_1 .. p_d
+    u_cols = [row[::-1] for row in ubar[::-1]]
+    l_rows = [[lk * wk for lk, wk in zip(low + [p[i + 1]], weights)] for i, low in enumerate(lower)]
+    if any(
+        sum(map(mul, l_row, u_col)) != q * v
+        for l_row, a_row in zip(l_rows, a)
+        for u_col, v in zip(u_cols, a_row)
+    ):
         raise InvariantViolated("adapted coordinates must carry the descending flag to H")
-    return u
+    return ubar, delta
+
+
+def _fraction_coordinates(ubar: list[list[int]], delta: list[int]) -> Matrix:
+    """ū diag(1/δ) as a Matrix of Fractions."""
+    return Matrix._of(tuple(tuple(_ratio(x, dk) for x, dk in zip(row, delta)) for row in ubar))
+
+
+def _coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
+    """The coordinates of h over f (see _pair_coordinates), in Fractions."""
+    return _fraction_coordinates(*_pair_coordinates(f, h, failure))
 
 
 def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:
@@ -213,16 +248,17 @@ def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:
 def transporter(f: Flag, h: Flag, g: Flag) -> Matrix:
     """Unipotent matrix carrying h to g while fixing f, in (f, h)-adapted coordinates.
 
-    This is c_h^-1 c_g for the coordinates c of h and g over f, by back
-    substitution.  Requires transverse(f, h) and transverse(f, g).  g need
-    not be transverse to h, and the degenerate positions of the output
-    encode exactly how transversality of (g, h) fails.
+    This is c_h^-1 c_g for the coordinates c of h and g over f, by one
+    fraction-free back substitution on their integer forms.  Requires
+    transverse(f, h) and transverse(f, g).  g need not be transverse to
+    h, and the degenerate positions of the output encode exactly how
+    transversality of (g, h) fails.
     """
     if f.dim != h.dim or f.dim != g.dim:
         raise DimensionMismatch("flag dims differ")
-    c_h = _coordinates(f, h, "flags are not transverse; no adapted basis exists")
-    c_g = _coordinates(f, g, "base flag and target flag are not transverse")
-    u = _back_substitute(c_h.rows_tuple(), c_g.rows_tuple())
+    c_h, _ = _pair_coordinates(f, h, "flags are not transverse; no adapted basis exists")
+    c_g, delta_g = _pair_coordinates(f, g, "base flag and target flag are not transverse")
+    u = _quotient(c_h, c_g, delta_g)
     if not _is_unipotent(u):
         raise InvariantViolated("a transporter must be upper unipotent, so that it fixes f")
     return Matrix._of(u)

@@ -11,8 +11,10 @@ idea: scale each row (or column) by the lcm of its denominators
 end.  Two fraction-free (Bareiss) eliminations, where every interior
 division is exact, do the elimination work: `_bareiss` runs forward for
 determinants and echelon reductions, and `_gauss_jordan` reaches reduced
-echelon form for solves, inverses, ranks and kernels.  Tests compare them
-against cofactor expansion and against sympy.
+echelon form for solves, inverses, ranks and kernels.  Quotients of
+triangular integer forms (`_quotient`) are fraction-free back
+substitutions.  Tests compare them against cofactor expansion, sympy and
+Fraction reference routes.
 """
 
 from __future__ import annotations
@@ -190,20 +192,30 @@ def _grid_kernel(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...
     return basis
 
 
-def _solve(
+def _scaled_solve(
     a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """A^-1 B for a square invertible grid A and a grid B with as many rows.
+) -> tuple[list[list[int]], int]:
+    """(X, D) with X / D = A^-1 B, X an integer grid, for a square invertible
+    grid A and a grid B with as many rows.
 
     The reduced echelon form of [A | B] (by `_gauss_jordan`) is
-    [I | A^-1 B] exactly when its pivots cover A.  Raises SingularMatrix
-    when they do not, that is when A is singular.
+    [I | A^-1 B] exactly when its pivots cover A; its integer form is
+    [D I | X], D the last pivot.  Raises SingularMatrix when the pivots
+    do not cover A, that is when A is singular.
     """
     n = len(a)
     m, pivots, den = _gauss_jordan([tuple(ra) + tuple(rb) for ra, rb in zip(a, b)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return tuple(tuple(_ratio(x, den) for x in row[n:]) for row in m)
+    return [row[n:] for row in m], den
+
+
+def _solve(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """A^-1 B in Fractions, from `_scaled_solve`."""
+    x, den = _scaled_solve(a, b)
+    return tuple(tuple(_ratio(v, den) for v in row) for row in x)
 
 
 def _is_upper(rows) -> bool:
@@ -220,22 +232,41 @@ def _is_unipotent(rows) -> bool:
     return _is_upper(rows) and all(row[i] == 1 for i, row in enumerate(rows))
 
 
-def _back_substitute(
-    u: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
+def _quotient(
+    uy: Sequence[Sequence[int]], ux: Sequence[Sequence[int]], dx: Sequence[int]
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """U^-1 B for an upper unipotent grid U, by back substitution.
+    """c_y^-1 c_x for c_y = U_y diag(1/δ_y) and c_x = U_x diag(1/δ_x).
 
-    The unit diagonal means no division and no inverse; zero terms are
-    skipped, so a triangular B costs only its nonzero part.
+    U_y is an upper triangular integer grid whose diagonal δ_y has no
+    zero, U_x any integer grid and δ_x nonzero integers: the quotient is
+    diag(δ_y) U_y^-1 U_x diag(1/δ_x).  Each column is a fraction-free back
+    substitution from its lowest nonzero row `top`: with
+    Q_i = δ_y[i] ... δ_y[top], the entries W_i = Q_i (U_y^-1 U_x)[i][j] are
+    integers, W_top = U_x[top][j] and
+    W_i = Q_{i+1} U_x[i][j] - sum over i < k <= top of
+    U_y[i][k] W_k δ_y[i+1] ... δ_y[k-1], summed Horner-fashion.  Entry
+    (i, j) is then W_i / (Q_{i+1} δ_x[j]), the one Fraction it costs.
+    When U_x is upper triangular with diagonal δ_x the quotient is upper
+    unipotent.
     """
-    n = len(u)
-    x: list[tuple[Fraction, ...]] = [()] * n
-    for i in range(n - 1, -1, -1):
-        terms = [(c, x[k]) for k, c in enumerate(u[i][i + 1:], i + 1) if c]
-        x[i] = tuple(
-            bij - sum(c * xk[j] for c, xk in terms if xk[j]) for j, bij in enumerate(b[i])
-        )
-    return tuple(x)
+    n = len(uy)
+    dy = [row[i] for i, row in enumerate(uy)]
+    zero = Fraction(0)
+    out = [[zero] * n for _ in range(n)]
+    for j, den in enumerate(dx):
+        col = [row[j] for row in ux]
+        top = max((i for i, v in enumerate(col) if v), default=-1)
+        w = [0] * n
+        q = 1  # Q_{i+1}
+        for i in range(top, -1, -1):
+            row = uy[i]
+            acc = 0
+            for k in range(top, i, -1):
+                acc = acc * dy[k] + row[k] * w[k]
+            w[i] = q * col[i] - acc
+            out[i][j] = _ratio(w[i], q * den)
+            q *= dy[i]
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------

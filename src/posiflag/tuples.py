@@ -6,7 +6,9 @@ unipotent factors u_2, ..., u_{n-1} with F_j = (u_{n-1} ... u_j) F_n for
 every j.  The factors are pinned down by the cumulative transporters
 c_j carrying F_n to F_j: c_n is the identity and c_j = c_{j+1} u_j, so
 u_j = c_{j+1}^{-1} c_j, which is also the quotient of the coordinates
-of F_{j+1} and F_j over F_1 (see flags): F_n drops out.  The definition
+of F_{j+1} and F_j over F_1 (see flags): F_n drops out.  Those
+coordinates are kept in integers, and the elimination that builds them
+also decides each pair's transversality.  The definition
 allows any adapted basis; the only freedom that affects total positivity
 of the factors is a diagonal sign flip, which is resolved here by
 conjugating every factor by the one +-1 diagonal that makes u_{n-1}'s
@@ -30,8 +32,8 @@ from .errors import (
     PreconditionViolated,
     ZeroSuperdiagonal,
 )
-from .flags import AdaptedBasis, Flag, _coordinates, transverse
-from .linalg import Matrix, _back_substitute, _is_unipotent
+from .flags import AdaptedBasis, Flag, IntCoordinates, _fraction_coordinates, _pair_coordinates
+from .linalg import Matrix, _is_unipotent, _quotient
 from .positivity import PositivityVerdict, Status, is_upper_unipotent, tp_staged
 from .reps import ProjectivePoint, cyclically_ordered
 
@@ -121,22 +123,34 @@ def _aggregate(verdicts: tuple[PositivityVerdict, ...]) -> PositivityVerdict:
 class _TupleEngine:
     """Memo of the objects behind the chain factors of subtuples of one family.
 
-    Keyed by 0-based flag index: pair transversality per (i, j), i < j;
-    the coordinates c_{a,x} of F_x over F_a per (a, x), a < x; and per
-    (a, y, x) the factor c_{a,y}^-1 c_{a,x}, with its sign normalization
-    and staged verdict when it ends a chain.  The transporter of
-    (F_a, F_e, F_x) is c_{a,e}^-1 c_{a,x}, so factors do not depend on the
-    last flag e and are shared across subtuples.  Only a returned
-    certificate builds an adapted basis.  An engine lives for one call of
-    a public entry point.
+    Keyed by 0-based flag index: per pair (a, x), a < x, the integer
+    coordinates c_{a,x} = ū diag(1/δ) of F_x over F_a, or None when the
+    two flags are not transverse (a zero pivot of that same elimination,
+    so transversality costs no separate test); and per (a, y, x) the
+    factor c_{a,y}^-1 c_{a,x}, with its sign normalization and staged
+    verdict when it ends a chain.  The transporter of (F_a, F_e, F_x) is
+    c_{a,e}^-1 c_{a,x}, so factors do not depend on the last flag e and
+    are shared across subtuples.  Only a returned certificate builds
+    Fraction coordinates and an adapted basis.  An engine lives for one
+    call of a public entry point.
     """
 
     def __init__(self, flags: list[Flag]):
         self.flags = flags
-        self._coords: dict[tuple[int, int], Matrix] = {}
-        self._transverse: dict[tuple[int, int], bool] = {}
+        self._pairs: dict[tuple[int, int], IntCoordinates | None] = {}
         self._factors: dict[tuple[int, int, int], Matrix] = {}
         self._last: dict[tuple[int, int, int], tuple[Matrix, PositivityVerdict] | Exception] = {}
+
+    def pair(self, a: int, x: int) -> IntCoordinates | None:
+        """(ū, δ) for F_x over F_a, or None when the two are not transverse."""
+        key = (a, x)
+        if key not in self._pairs:
+            f = self.flags
+            try:
+                self._pairs[key] = _pair_coordinates(f[a], f[x], "flags are not transverse")
+            except NotTransverse:
+                self._pairs[key] = None
+        return self._pairs[key]
 
     def require_transverse(self, idx: tuple[int, ...]):
         """Check every pair of the subtuple, reporting the first failure by
@@ -149,25 +163,19 @@ class _TupleEngine:
         pairs = [(1, n)] + [(1, j) for j in range(2, n)]
         pairs += [(a, b) for a in range(2, n + 1) for b in range(a + 1, n + 1)]
         for a, b in pairs:
-            key = (idx[a - 1], idx[b - 1])
-            ok = self._transverse.get(key)
-            if ok is None:
-                ok = self._transverse[key] = transverse(self.flags[key[0]], self.flags[key[1]])
-            if not ok:
+            if self.pair(idx[a - 1], idx[b - 1]) is None:
                 raise NotTransverse(f"flags {a} and {b} are not transverse", pair=(a, b))
 
     def coords(self, a: int, x: int) -> Matrix:
-        c = self._coords.get((a, x))
-        if c is None:
-            f = self.flags
-            c = self._coords[(a, x)] = _coordinates(f[a], f[x], "flags are not transverse")
-        return c
+        """c_{a,x} in Fractions, for a pair already found transverse."""
+        return _fraction_coordinates(*self.pair(a, x))
 
     def factor(self, a: int, y: int, x: int) -> Matrix:
-        """c_{a,y}^-1 c_{a,x}, by back substitution since both are upper unipotent."""
+        """c_{a,y}^-1 c_{a,x}, by fraction-free back substitution on the integer forms."""
         u = self._factors.get((a, y, x))
         if u is None:
-            u = _back_substitute(self.coords(a, y).rows_tuple(), self.coords(a, x).rows_tuple())
+            (uy, _), (ux, dx) = self.pair(a, y), self.pair(a, x)
+            u = _quotient(uy, ux, dx)
             if not _is_unipotent(u):
                 raise InvariantViolated("chain factors are quotients of unipotents")
             u = self._factors[(a, y, x)] = Matrix._of(u)

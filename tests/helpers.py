@@ -16,6 +16,7 @@ from posiflag import (
     DetCounter,
     DimensionMismatch,
     Flag,
+    InvariantViolated,
     Matrix,
     MinorIndex,
     NotSingleJordanBlock,
@@ -31,6 +32,7 @@ from posiflag import (
     tp_staged,
     transverse,
 )
+from posiflag.linalg import _bareiss, _cleared, _is_unipotent, _solve
 from posiflag.reps import MoebiusElement
 
 
@@ -318,3 +320,62 @@ def threshold_reference(u: Matrix, g: Flag, cap: int) -> int:
     if t is None:
         raise CapExceeded(f"no positive power found for t in [1, {cap}]", cap=cap)
     return t
+
+
+# -- the Fraction coordinate route, kept as a differential reference ----------
+
+
+def fraction_reverse_echelon(c: Matrix, failure: str):
+    """Write c = (u . reversal) t with u upper unipotent and t upper triangular,
+    in Fractions: (reduced columns, pivot rows d, d-1, ..., and t).
+
+    The columns of c, coordinates reversed, are the rows of A = t^T U with
+    U unit upper triangular; one fraction-free elimination of A (rows
+    scaled to integers) gives U from its final rows and t from its
+    multipliers.  Raises NotTransverse(failure) at a zero pivot.
+    """
+    d = c.dim
+    scaled = _cleared(col[::-1] for col in zip(*c.rows_tuple()))
+    a = [r for r, _ in scaled]
+    if not _bareiss(a, swaps=False) or a[-1][-1] == 0:
+        raise NotTransverse(failure)
+    leading = [1] + [a[k][k] for k in range(d - 1)]
+    zero, one = Fraction(0), Fraction(1)
+    placed = [
+        [Fraction(row[r], row[m]) if r > m else one if r == m else zero
+         for r in range(d - 1, -1, -1)]
+        for m, row in enumerate(a)
+    ]
+    t = [
+        [Fraction(a[m][i], leading[i] * scaled[m][1]) if i <= m else zero for m in range(d)]
+        for i in range(d)
+    ]
+    return placed, t
+
+
+def fraction_coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
+    """The coordinates of h over f by the Fraction route: `_solve` of F^-1 H,
+    `fraction_reverse_echelon`, and a Fraction product re-checking the form."""
+    c = Matrix(_solve(f.frame.rows_tuple(), h.frame.rows_tuple()))
+    placed, t = fraction_reverse_echelon(c, failure)
+    u = Matrix([[col[i] for col in placed[::-1]] for i in range(c.dim)])
+    if not _is_unipotent(u.rows_tuple()):
+        raise InvariantViolated(
+            "each F^k intersect H^{d-k+1} must be a one-dimensional line with unit k-th coordinate"
+        )
+    if Matrix([[col[i] for col in placed] for i in range(c.dim)]) @ Matrix(t) != c:
+        raise InvariantViolated("adapted coordinates must carry the descending flag to H")
+    return u
+
+
+def back_substitute(u, b) -> tuple[tuple[Fraction, ...], ...]:
+    """U^-1 B for an upper unipotent grid U, by Fraction back substitution."""
+    n = len(u)
+    x: list[tuple[Fraction, ...]] = [()] * n
+    for i in range(n - 1, -1, -1):
+        terms = [(c, x[k]) for k, c in enumerate(u[i][i + 1:], i + 1) if c]
+        x[i] = tuple(
+            bij - sum(c * xk[j] for c, xk in terms if xk[j]) for j, bij in enumerate(b[i])
+        )
+    return tuple(x)
+

@@ -1,0 +1,155 @@
+"""Differential tests of the integer pair coordinates against the Fraction route.
+
+The reference is the route the integer one replaced, kept in helpers:
+`_solve` of F^-1 H, a reverse column-echelon form built in Fractions and
+re-checked by a Fraction product (`fraction_coordinates`), and chain
+factors by Fraction back substitution (`back_substitute`).  Tuples are
+drawn by a derandomized hypothesis over d = 1..7: random integer and
+rational frames, random frames with a flag that shares leading columns
+with another (so that pair is never transverse), Veronese flags and
+Barbot flags.  The engine's per-pair transversality is compared with
+the determinant test `transverse`, and the chain route with the quad
+route.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from posiflag import (
+    Flag,
+    Matrix,
+    NotTransverse,
+    ProjectivePoint,
+    ZeroSuperdiagonal,
+    barbot_flag,
+    barbot_spec,
+    is_positive_tuple_chain,
+    is_positive_tuple_quad,
+    transporter,
+    transverse,
+    veronese_flag,
+)
+from posiflag.flags import _coordinates, _pair_coordinates
+from posiflag.linalg import _grid_det, _quotient
+from posiflag.tuples import _TupleEngine
+from helpers import back_substitute, fraction_coordinates
+
+SETTINGS = settings(
+    max_examples=6, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def points(draw, n):
+    """n distinct points in cyclic order, so Veronese tuples are positive."""
+    pts = draw(st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(0, 9)).filter(lambda pq: pq != (0, 0)),
+        min_size=n, max_size=n,
+    ).map(lambda pqs: [ProjectivePoint(p, q) for p, q in pqs]))
+    assume(len(set(pts)) == n)
+    return sorted(pts, key=lambda x: x.angle_key)
+
+
+@st.composite
+def frame(draw, d):
+    rows = [[draw(entries) for _ in range(d)] for _ in range(d)]
+    m = Matrix(rows)
+    assume(_grid_det(m.rows_tuple()) != 0)
+    return m
+
+
+@st.composite
+def flag_tuples(draw, kind, shape, n):
+    """n flags of one kind; shape is the dimension, or a Barbot (d, j)."""
+    if kind == "veronese":
+        return [veronese_flag(x, shape) for x in draw(points(n))]
+    if kind == "barbot":
+        return [barbot_flag(barbot_spec(*shape), x) for x in draw(points(n))]
+    frames = [draw(frame(shape)) for _ in range(n)]
+    if kind == "shared":
+        # flag j takes flag i's first k columns, so the two contain one line
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(1, shape - 1))
+        rows = [ri[:k] + rj[k:] for ri, rj in zip(frames[i].rows_tuple(), frames[j].rows_tuple())]
+        assume(_grid_det(rows) != 0)
+        frames[j] = Matrix(rows)
+    return [Flag(m) for m in frames]
+
+
+CASES = ([("random", d) for d in range(1, 8)] + [("shared", d) for d in range(2, 8)]
+         + [("veronese", d) for d in range(2, 8)]
+         + [("barbot", shape) for shape in [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)]])
+cases = pytest.mark.parametrize("kind,shape", CASES, ids=[f"{k} {s}" for k, s in CASES])
+
+
+def outcome(fn, *args):
+    """A result, or the kind and message of the NotTransverse raised instead."""
+    try:
+        return fn(*args)
+    except NotTransverse as exc:
+        return ("NotTransverse", exc.pair, str(exc))
+
+
+def reference_transporter(f, h, g):
+    c_h = fraction_coordinates(f, h, "flags are not transverse; no adapted basis exists")
+    c_g = fraction_coordinates(f, g, "base flag and target flag are not transverse")
+    return Matrix(back_substitute(c_h.rows_tuple(), c_g.rows_tuple()))
+
+
+class TestIntegerCoordinates:
+    @cases
+    @SETTINGS
+    @given(data=st.data())
+    def test_match_fraction_route(self, kind, shape, data):
+        """u, every transporter (the chain factors) and c^-1 S c match the
+        reference, and non-transverse pairs fail with the same message."""
+        flags = data.draw(flag_tuples(kind, shape, 3))
+        msg = "flags are not transverse"
+        for f, h in combinations(flags, 2):
+            got = outcome(_coordinates, f, h, msg)
+            assert got == outcome(fraction_coordinates, f, h, msg)
+            if isinstance(got, Matrix):
+                d, c = f.dim, got.rows_tuple()
+                ubar, delta = _pair_coordinates(f, h, msg)
+                shifted = back_substitute(c, c[1:] + ((0,) * d,))
+                assert _quotient(ubar, ubar[1:] + [[0] * d], delta) == shifted
+        for f, h, g in ((flags[0], flags[2], flags[1]), (flags[0], flags[1], flags[2]),
+                        (flags[1], flags[2], flags[0])):
+            assert outcome(transporter, f, h, g) == outcome(reference_transporter, f, h, g)
+
+    @cases
+    @SETTINGS
+    @given(data=st.data())
+    def test_engine_transversality_is_the_determinant_test(self, kind, shape, data):
+        flags = data.draw(flag_tuples(kind, shape, 4))
+        engine = _TupleEngine(flags)
+        for i, j in combinations(range(len(flags)), 2):
+            assert (engine.pair(i, j) is not None) == transverse(flags[i], flags[j])
+
+    @cases
+    @settings(SETTINGS, max_examples=3)
+    @given(data=st.data())
+    def test_chain_and_quad_agree(self, kind, shape, data):
+        flags = data.draw(flag_tuples(kind, shape, 5))
+        try:
+            chain = is_positive_tuple_chain(flags)[0].is_positive
+        except ZeroSuperdiagonal:
+            chain = False
+        except NotTransverse as exc:
+            assert outcome(is_positive_tuple_quad, flags) == outcome(is_positive_tuple_chain, flags)
+            assert not transverse(*(flags[p - 1] for p in exc.pair))
+            return
+        try:
+            quad = is_positive_tuple_quad(flags).is_positive
+        except ZeroSuperdiagonal:
+            quad = False
+        assert chain == quad

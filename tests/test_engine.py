@@ -10,6 +10,7 @@ it shares no code with the engine's per-pair coordinates.
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -256,3 +257,31 @@ def test_threshold_matches_brute_force_on_random_flags():
             continue
         assert power_positivity_threshold(pascal(d), g, cap=60) == want
         checked += 1
+
+
+def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
+    """Work-count guard: a Veronese d = 4, n = 6 sample is checked without
+    the determinant test `transverse` and with at most one coordinate build
+    per pair."""
+    import posiflag
+    import posiflag.flags as flags_module
+    import posiflag.tuples as tuples_module
+
+    def refuse(*args):
+        raise AssertionError("transverse must not be called")
+
+    for module in (posiflag, flags_module):
+        monkeypatch.setattr(module, "transverse", refuse)
+    builds = []
+    real = tuples_module._pair_coordinates
+
+    def counted(f, h, failure):
+        builds.append((f, h))
+        return real(f, h, failure)
+
+    monkeypatch.setattr(tuples_module, "_pair_coordinates", counted)
+    n = 6
+    pts = distinct_points(n, random.Random(6))
+    report = check_sampled_positivity(FlagMapSample(tuple(pts), tuple(veronese_flag(x, 4) for x in pts)))
+    assert report == SampleReport("consistent", (1, 2, 3), None, 1, comb(n, 4))
+    assert len(builds) <= comb(n, 2)

@@ -248,14 +248,14 @@ class TestUnipotentFixedFlag:
 
 
 def skew_reduction(monkeypatch):
-    """Corrupt adapted_basis: scale the first coordinate of every reduced
-    column except the first basis vector, so the basis stays unipotent
-    over F's frame but no longer spans the lines of H."""
+    """Corrupt adapted_basis: double the first coordinate of every column
+    of the integer coordinates ū except the first, so they stay upper
+    triangular over F's frame but no longer span the lines of H."""
     real = flags_module._reverse_echelon
 
-    def skewed(c, failure):
-        placed, t = real(c, failure)
-        return [[2 * col[0]] + col[1:] for col in placed[:-1]] + placed[-1:], t
+    def skewed(a):
+        ubar, lower = real(a)
+        return [ubar[0][:1] + [2 * x for x in ubar[0][1:]]] + ubar[1:], lower
 
     monkeypatch.setattr(flags_module, "_reverse_echelon", skewed)
 
@@ -269,14 +269,17 @@ class TestInvariants:
             adapted_basis(asc, h)
         with pytest.raises(InvariantViolated):
             is_positive_tuple_chain([asc, desc.apply(pascal(3).power(2)), h])
+        # transporter builds no adapted basis: only the coordinates' own check sees it
+        with pytest.raises(InvariantViolated, match="descending flag"):
+            transporter(asc, h, desc.apply(pascal(3).power(2)))
 
     def test_kernel_dimension_is_checked(self, monkeypatch):
-        # a reduced column with an entry below its pivot leaves F^k
+        # a column of ū with an entry below its pivot leaves F^k
         real = flags_module._reverse_echelon
 
-        def below_pivot(c, failure):
-            placed, t = real(c, failure)
-            return [col[:-1] + [1] for col in placed], t
+        def below_pivot(a):
+            ubar, lower = real(a)
+            return ubar[:-1] + [[1] * (len(a) - 1) + ubar[-1][-1:]], lower
 
         monkeypatch.setattr(flags_module, "_reverse_echelon", below_pivot)
         asc, desc = standard_flags(3)
@@ -294,9 +297,11 @@ class TestInvariants:
         code = (
             "import posiflag.flags as m\n"
             "from posiflag import InvariantViolated, pascal, standard_flags\n"
-            "real = m._solve\n"
-            "m._solve = lambda a, b: tuple(tuple(2 * x for x in r) if i == 0 else r\n"
-            "                              for i, r in enumerate(real(a, b)))\n"
+            "real = m._scaled_solve\n"
+            "def doubled(a, b):\n"
+            "    x, den = real(a, b)\n"
+            "    return [[2 * v for v in r] if i == 0 else r for i, r in enumerate(x)], den\n"
+            "m._scaled_solve = doubled\n"
             "asc, desc = standard_flags(3)\n"
             "try:\n"
             "    m.adapted_basis(asc, desc.apply(pascal(3)))\n"

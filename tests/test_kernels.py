@@ -4,7 +4,8 @@ Each kernel is compared with a definition computed another way: the
 adapted basis with one sympy nullspace per column, the transporter with
 a plain Fraction reverse column-echelon form in that basis, solves,
 inverses, ranks and kernels with sympy, the integer-dot product with a plain
-Fraction product, the unit triangular solve with `inverse() @`, the
+Fraction product, the unit triangular solve (the Fraction reference
+and the integer quotient) with `inverse() @`, the
 condensed consecutive minors with sympy determinants, and the staged scan
 with the cofactor oracle and a scan that eliminates each minor on its own.
 """
@@ -21,12 +22,10 @@ from posiflag import (
     DetCounter, Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, random_tp,
     staged_minor_count, tp_oracle, tp_staged, transporter, transverse,
 )
-from posiflag.linalg import (
-    _back_substitute, _cleared, _grid_det, _grid_kernel, _grid_rank, _solve,
-)
+from posiflag.linalg import _cleared, _grid_det, _grid_kernel, _grid_rank, _quotient, _solve
 from posiflag.positivity import _contiguous_minors
 from helpers import (
-    count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, reverse_column_echelon, staged_bareiss_scan,
+    back_substitute, count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, reverse_column_echelon, staged_bareiss_scan,
 )
 
 SETTINGS = settings(
@@ -267,12 +266,26 @@ def unipotent_systems(draw, entries):
     return Matrix(u), Matrix(draw(grids(entries, rows=d)))
 
 
+def integer_columns(m: Matrix, signs) -> tuple[list[list[int]], list[int]]:
+    """(U, δ) with m = U diag(1/δ): column k cleared by its lcm times signs[k]."""
+    cols = [(r, s * sign) for (r, s), sign in zip(_cleared(zip(*m.rows_tuple())), signs)]
+    return [list(row) for row in zip(*(r if s > 0 else [-x for x in r] for r, s in cols))], [
+        s for _, s in cols
+    ]
+
+
 class TestBackSubstitution:
     @SETTINGS
-    @given(st.one_of(unipotent_systems(integers), unipotent_systems(rationals)))
-    def test_matches_inverse_product(self, ub):
+    @given(st.one_of(unipotent_systems(integers), unipotent_systems(rationals)),
+           st.lists(st.sampled_from((1, -1)), min_size=10, max_size=10))
+    def test_matches_inverse_product(self, ub, signs):
+        """The Fraction reference and the integer `_quotient`, with column
+        denominators of either sign, both give u^-1 b."""
         u, b = ub
-        assert _back_substitute(u.rows_tuple(), b.rows_tuple()) == (u.inverse() @ b).rows_tuple()
+        want = (u.inverse() @ b).rows_tuple()
+        assert back_substitute(u.rows_tuple(), b.rows_tuple()) == want
+        (uy, _), (ux, dx) = integer_columns(u, signs[:5]), integer_columns(b, signs[5:])
+        assert _quotient(uy, ux, dx) == want
 
 
 # -- minor scans: condensation against sympy, staged against oracle ------------
