@@ -15,11 +15,12 @@ the tuple-positivity certificates in this package test.
 Coordinates are kept in integers, c = ū diag(1/δ) with ū upper
 triangular and δ its diagonal (see _pair_coordinates): one Gauss-Jordan
 elimination and one forward elimination build them, and a zero pivot of
-the latter is exactly a failure of transversality.  Quotients c_H^-1 c_G
-are fraction-free back substitutions (`linalg._quotient`); Fractions
-appear only in the Matrix outputs of `_coordinates`, `adapted_basis`
-and `transporter`.  `transverse` stays the determinant test, for
-callers that want transversality alone.
+the latter is exactly a failure of transversality, which is how the
+tuple engine checks every pair of a family.  Quotients c_H^-1 c_G are
+fraction-free back substitutions (`linalg._quotient`); Fractions appear
+only in the Matrix outputs of `_coordinates`, `adapted_basis` and
+`transporter`.  `transverse` stays the determinant test, for callers
+that want transversality alone.
 """
 
 from __future__ import annotations
@@ -227,14 +228,10 @@ def _pair_coordinates(f: Flag, h: Flag, failure: str) -> IntCoordinates:
     return ubar, delta
 
 
-def _fraction_coordinates(ubar: list[list[int]], delta: list[int]) -> Matrix:
-    """ū diag(1/δ) as a Matrix of Fractions."""
-    return Matrix._of(tuple(tuple(_ratio(x, dk) for x, dk in zip(row, delta)) for row in ubar))
-
-
 def _coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
-    """The coordinates of h over f (see _pair_coordinates), in Fractions."""
-    return _fraction_coordinates(*_pair_coordinates(f, h, failure))
+    """The coordinates ū diag(1/δ) of h over f (see _pair_coordinates), in Fractions."""
+    ubar, delta = _pair_coordinates(f, h, failure)
+    return Matrix._of(tuple(tuple(_ratio(x, dk) for x, dk in zip(row, delta)) for row in ubar))
 
 
 def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:

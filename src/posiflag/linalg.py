@@ -485,16 +485,14 @@ def jordan_block_sizes(u: Matrix) -> tuple[int, ...]:
     """Jordan block sizes of a unipotent matrix, sorted descending.
 
     Derived from the rank sequence r_m = rank((u - I)^m): the number of
-    blocks of size at least m is r_{m-1} - r_m.  Raises NotUnipotent when
-    (u - I)^dim is nonzero.
+    blocks of size at least m is r_{m-1} - r_m.  The powers are taken in
+    integers, as those of s (u - I) for s the lcm of its denominators,
+    which have the same ranks.  Raises NotUnipotent when (u - I)^dim is
+    nonzero.
     """
     d = u.dim
-    n = u - Matrix.identity(d)
-    ranks = [d]
-    p = Matrix.identity(d)
-    for _ in range(d):
-        p = p @ n
-        ranks.append(p.rank())
+    powers, _ = _scaled_powers((u - Matrix.identity(d)).rows_tuple(), d)
+    ranks = [_grid_rank(p) for p in powers]
     if ranks[-1] != 0:
         raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
     at_least = [ranks[m - 1] - ranks[m] for m in range(1, d + 1)]

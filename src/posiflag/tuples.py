@@ -8,7 +8,8 @@ c_j carrying F_n to F_j: c_n is the identity and c_j = c_{j+1} u_j, so
 u_j = c_{j+1}^{-1} c_j, which is also the quotient of the coordinates
 of F_{j+1} and F_j over F_1 (see flags): F_n drops out.  Those
 coordinates are kept in integers, and the elimination that builds them
-also decides each pair's transversality.  The definition
+also decides each pair's transversality, so every pair of a family is
+checked once, before any factor is built.  The definition
 allows any adapted basis; the only freedom that affects total positivity
 of the factors is a diagonal sign flip, which is resolved here by
 conjugating every factor by the one +-1 diagonal that makes u_{n-1}'s
@@ -32,45 +33,52 @@ from .errors import (
     PreconditionViolated,
     ZeroSuperdiagonal,
 )
-from .flags import AdaptedBasis, Flag, IntCoordinates, _fraction_coordinates, _pair_coordinates
+from .flags import AdaptedBasis, Flag, IntCoordinates, _pair_coordinates, adapted_basis
 from .linalg import Matrix, _is_unipotent, _quotient
 from .positivity import PositivityVerdict, Status, is_upper_unipotent, tp_staged
 from .reps import ProjectivePoint, cyclically_ordered
 
 
-def _sign_conjugate(u: Matrix, sign: Matrix) -> Matrix:
-    """sign @ u @ sign for a +-1 diagonal sign: entry (i, j) negated when s_i s_j = -1."""
-    s = [row[i] for i, row in enumerate(sign.rows_tuple())]
+def _sign_conjugate(u: Matrix, signs: tuple[int, ...]) -> Matrix:
+    """D u D for D = diag(signs), +-1: entry (i, j) negated when s_i s_j = -1."""
     return Matrix._of(tuple(
-        tuple(x if s_i == s_j else -x for x, s_j in zip(row, s))
-        for row, s_i in zip(u.rows_tuple(), s)
+        tuple(x if s_i == s_j else -x for x, s_j in zip(row, signs))
+        for row, s_i in zip(u.rows_tuple(), signs)
     ))
 
 
-def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
-    """Conjugate a unipotent matrix into positive-superdiagonal form.
+def _signs(u: Matrix) -> tuple[int, ...]:
+    """The +-1 diagonal, first entry +1, whose conjugation makes every
+    superdiagonal entry of the unipotent u positive.
 
-    Returns (D, D u D^-1) with D diagonal +-1, d_1 = +1, chosen so every
-    superdiagonal entry of the conjugate is positive.  A zero
-    superdiagonal entry is a zero nontrivial 1x1 minor, unfixable by any
-    diagonal conjugation, so it is rejected: the input is certainly not
-    conjugate into the fully positive set.
+    A zero superdiagonal entry is a zero nontrivial 1x1 minor, unfixable
+    by any diagonal conjugation, so it raises ZeroSuperdiagonal: u is
+    certainly not conjugate into the fully positive set.
     """
-    if not is_upper_unipotent(u):
-        raise NotUnipotentUpperTriangular("sign normalization needs an upper unipotent input")
-    d = u.dim
+    rows = u.rows_tuple()
     signs = [1]
-    for i in range(1, d):
-        s = u.entry(i, i + 1)
+    for i in range(1, u.dim):
+        s = rows[i - 1][i]
         if s == 0:
             raise ZeroSuperdiagonal(
                 f"superdiagonal entry ({i},{i + 1}) is zero; "
                 "no sign conjugation can make it positive",
                 position=i,
             )
-        signs.append(signs[-1] * (1 if s > 0 else -1))
-    dmat = Matrix.diagonal(signs)
-    return dmat, _sign_conjugate(u, dmat)
+        signs.append(signs[-1] if s > 0 else -signs[-1])
+    return tuple(signs)
+
+
+def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
+    """Conjugate an upper unipotent matrix into positive-superdiagonal form.
+
+    Returns (D, D u D^-1) for D = diag of `_signs(u)`, so D is +-1 with
+    d_1 = +1; a zero superdiagonal entry raises ZeroSuperdiagonal.
+    """
+    if not is_upper_unipotent(u):
+        raise NotUnipotentUpperTriangular("sign normalization needs an upper unipotent input")
+    signs = _signs(u)
+    return Matrix.diagonal(signs), _sign_conjugate(u, signs)
 
 
 @dataclass(frozen=True)
@@ -96,7 +104,8 @@ class TupleCertificate:
 
     @property
     def normalized_factors(self) -> tuple[Matrix, ...]:
-        return tuple(_sign_conjugate(u, self.sign) for u in self.factors)
+        signs = tuple(row[i] for i, row in enumerate(self.sign.rows_tuple()))
+        return tuple(_sign_conjugate(u, signs) for u in self.factors)
 
     def replays(self, flags: list[Flag]) -> bool:
         """Whether multiplying out the factors reproduces every flag of the tuple."""
@@ -121,90 +130,67 @@ def _aggregate(verdicts: tuple[PositivityVerdict, ...]) -> PositivityVerdict:
 
 
 class _TupleEngine:
-    """Memo of the objects behind the chain factors of subtuples of one family.
+    """Memo of the chain factors of subtuples of one pairwise transverse family.
 
-    Keyed by 0-based flag index: per pair (a, x), a < x, the integer
-    coordinates c_{a,x} = ū diag(1/δ) of F_x over F_a, or None when the
-    two flags are not transverse (a zero pivot of that same elimination,
-    so transversality costs no separate test); and per (a, y, x) the
-    factor c_{a,y}^-1 c_{a,x}, with its sign normalization and staged
-    verdict when it ends a chain.  The transporter of (F_a, F_e, F_x) is
+    Construction builds, for every pair a < x of 0-based flag indices,
+    the integer coordinates c_{a,x} = ū diag(1/δ) of F_x over F_a.  A
+    zero pivot of that elimination is exactly a failure of
+    transversality, and raises NotTransverse with the 1-based pair, the
+    pairs taken in order: the anchor pair (1, n) first, then (1, j) for
+    the other coordinates over flag 1, then the rest.  So an engine
+    exists only over a pairwise transverse family, and every subtuple
+    needs no further check.  The factor of (a, y, x) is
+    c_{a,y}^-1 c_{a,x}; the transporter of (F_a, F_e, F_x) is
     c_{a,e}^-1 c_{a,x}, so factors do not depend on the last flag e and
-    are shared across subtuples.  Only a returned certificate builds
-    Fraction coordinates and an adapted basis.  An engine lives for one
-    call of a public entry point.
+    are shared across subtuples, and so is the staged verdict of each
+    factor under each sign vector.  An engine lives for one call of a
+    public entry point.
     """
 
     def __init__(self, flags: list[Flag]):
-        self.flags = flags
-        self._pairs: dict[tuple[int, int], IntCoordinates | None] = {}
-        self._factors: dict[tuple[int, int, int], Matrix] = {}
-        self._last: dict[tuple[int, int, int], tuple[Matrix, PositivityVerdict] | Exception] = {}
-
-    def pair(self, a: int, x: int) -> IntCoordinates | None:
-        """(ū, δ) for F_x over F_a, or None when the two are not transverse."""
-        key = (a, x)
-        if key not in self._pairs:
-            f = self.flags
+        n = len(flags)
+        order = [(1, n)] + [(1, j) for j in range(2, n)]
+        order += [(a, b) for a in range(2, n + 1) for b in range(a + 1, n + 1)]
+        self._pairs: dict[tuple[int, int], IntCoordinates] = {}
+        for a, b in order:
             try:
-                self._pairs[key] = _pair_coordinates(f[a], f[x], "flags are not transverse")
+                self._pairs[(a - 1, b - 1)] = _pair_coordinates(
+                    flags[a - 1], flags[b - 1], "flags are not transverse"
+                )
             except NotTransverse:
-                self._pairs[key] = None
-        return self._pairs[key]
-
-    def require_transverse(self, idx: tuple[int, ...]):
-        """Check every pair of the subtuple, reporting the first failure by
-        1-based positions within it.
-
-        Order: the anchor pair (1, n) first, then (1, j) for the other
-        coordinates over flag 1, then the remaining pairs.
-        """
-        n = len(idx)
-        pairs = [(1, n)] + [(1, j) for j in range(2, n)]
-        pairs += [(a, b) for a in range(2, n + 1) for b in range(a + 1, n + 1)]
-        for a, b in pairs:
-            if self.pair(idx[a - 1], idx[b - 1]) is None:
-                raise NotTransverse(f"flags {a} and {b} are not transverse", pair=(a, b))
-
-    def coords(self, a: int, x: int) -> Matrix:
-        """c_{a,x} in Fractions, for a pair already found transverse."""
-        return _fraction_coordinates(*self.pair(a, x))
+                raise NotTransverse(f"flags {a} and {b} are not transverse", pair=(a, b)) from None
+        self._factors: dict[tuple[int, int, int], Matrix] = {}
+        self._verdicts: dict[tuple[int, int, int, tuple[int, ...]], PositivityVerdict] = {}
 
     def factor(self, a: int, y: int, x: int) -> Matrix:
         """c_{a,y}^-1 c_{a,x}, by fraction-free back substitution on the integer forms."""
         u = self._factors.get((a, y, x))
         if u is None:
-            (uy, _), (ux, dx) = self.pair(a, y), self.pair(a, x)
+            (uy, _), (ux, dx) = self._pairs[(a, y)], self._pairs[(a, x)]
             u = _quotient(uy, ux, dx)
             if not _is_unipotent(u):
                 raise InvariantViolated("chain factors are quotients of unipotents")
             u = self._factors[(a, y, x)] = Matrix._of(u)
         return u
 
-    def last(self, a: int, y: int, x: int) -> tuple[Matrix, PositivityVerdict]:
-        """Sign normalization and staged verdict of the factor of (a, y, x)."""
-        hit = self._last.get((a, y, x))
-        if hit is None:
-            try:
-                dmat, normalized = sign_normalize(self.factor(a, y, x))
-                hit = (dmat, tp_staged(normalized))
-            except ZeroSuperdiagonal as exc:
-                hit = exc.with_traceback(None)
-            self._last[(a, y, x)] = hit
-        if isinstance(hit, ZeroSuperdiagonal):
-            raise ZeroSuperdiagonal(str(hit), hit.position)
-        return hit
+    def verdict(self, a: int, y: int, x: int, signs: tuple[int, ...]) -> PositivityVerdict:
+        """Staged verdict of the factor of (a, y, x) conjugated by diag(signs)."""
+        key = (a, y, x, signs)
+        v = self._verdicts.get(key)
+        if v is None:
+            v = self._verdicts[key] = tp_staged(_sign_conjugate(self.factor(a, y, x), signs))
+        return v
 
-    def chain(self, idx: tuple[int, ...]) -> tuple[PositivityVerdict, Matrix, tuple, tuple]:
-        """Verdict, sign, factors and factor verdicts for the flags at `idx`;
-        u_j is the factor of (idx_1, idx_{j+1}, idx_j)."""
-        self.require_transverse(idx)
+    def chain(self, idx: tuple[int, ...]) -> tuple[PositivityVerdict, tuple[int, ...], tuple, tuple]:
+        """Verdict, signs, factors and factor verdicts for the flags at `idx`;
+        u_j is the factor of (idx_1, idx_{j+1}, idx_j), and the signs are
+        those of the last factor."""
         a = idx[0]
-        factors = tuple(self.factor(a, y, x) for x, y in zip(idx[1:-1], idx[2:]))
-        dmat, last_verdict = self.last(a, idx[-1], idx[-2])
-        verdicts = tuple(tp_staged(_sign_conjugate(u, dmat)) for u in factors[:-1])
-        verdicts += (last_verdict,)
-        return _aggregate(verdicts), dmat, factors, verdicts
+        keys = [(a, y, x) for x, y in zip(idx[1:-1], idx[2:])]
+        factors = tuple(self.factor(*key) for key in keys)
+        signs = _signs(factors[-1])
+        verdicts = tuple(self.verdict(*key, signs) for key in keys)
+        return _aggregate(verdicts), signs, factors, verdicts
 
     def positive(self, idx: tuple[int, ...]) -> bool:
         """Chain verdict collapsed to a boolean; a zero superdiagonal means no."""
@@ -221,7 +207,7 @@ def _require_one_dim(flags) -> None:
 
 
 def _engine(flags: list[Flag]) -> _TupleEngine:
-    """An engine over a tuple of at least 3 flags of one dimension."""
+    """An engine over a pairwise transverse tuple of at least 3 flags of one dimension."""
     n = len(flags)
     if n < 3:
         raise BadParameters(f"tuple positivity needs at least 3 flags, got {n}")
@@ -241,11 +227,9 @@ def is_positive_tuple_chain(
     the status and witness of the first failing factor (the witness
     indexes into that factor, see the certificate's verdict list).
     """
-    n = len(flags)
-    engine = _engine(flags)
-    verdict, dmat, factors, verdicts = engine.chain(tuple(range(n)))
-    adapted = AdaptedBasis(flags[0].frame @ engine.coords(0, n - 1), (flags[0], flags[-1]))
-    return verdict, TupleCertificate(adapted, dmat, factors, verdicts)
+    verdict, signs, factors, verdicts = _engine(flags).chain(tuple(range(len(flags))))
+    adapted = adapted_basis(flags[0], flags[-1])
+    return verdict, TupleCertificate(adapted, Matrix.diagonal(signs), factors, verdicts)
 
 
 def is_positive_triple(
@@ -266,14 +250,11 @@ def is_positive_tuple_quad(flags: list[Flag]) -> PositivityVerdict:
     Equivalent to the chain route but quadratic instead of global: a
     tuple is positive iff every ordered quadruple inside it is.  Returns
     the verdict of the first failing quadruple (lexicographic order) or
-    Positive.
+    Positive; a triple is its own only subtuple.
     """
     n = len(flags)
     engine = _engine(flags)
-    if n == 3:
-        return engine.chain((0, 1, 2))[0]
-    engine.require_transverse(tuple(range(n)))
-    for sub in combinations(range(n), 4):
+    for sub in combinations(range(n), min(n, 4)):
         verdict = engine.chain(sub)[0]
         if not verdict.is_positive:
             return verdict
@@ -343,7 +324,6 @@ def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
     """
     n = len(sample.flags)
     engine = _TupleEngine(list(sample.flags))
-    engine.require_transverse(tuple(range(n)))
     positive_triple = None
     triples = 0
     for sub in combinations(range(n), 3):

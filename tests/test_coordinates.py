@@ -7,9 +7,9 @@ factors by Fraction back substitution (`back_substitute`).  Tuples are
 drawn by a derandomized hypothesis over d = 1..7: random integer and
 rational frames, random frames with a flag that shares leading columns
 with another (so that pair is never transverse), Veronese flags and
-Barbot flags.  The engine's per-pair transversality is compared with
-the determinant test `transverse`, and the chain route with the quad
-route.
+Barbot flags.  The zero-pivot transversality of the pair coordinates,
+and so the engine's refusal of a family, are compared with the
+determinant test `transverse`, and the chain route with the quad route.
 """
 
 from itertools import combinations
@@ -130,10 +130,14 @@ class TestIntegerCoordinates:
     @SETTINGS
     @given(data=st.data())
     def test_engine_transversality_is_the_determinant_test(self, kind, shape, data):
+        """A zero pivot of the pair coordinates is exactly a failure of the
+        determinant test, and the engine refuses a family at its first one."""
         flags = data.draw(flag_tuples(kind, shape, 4))
-        engine = _TupleEngine(flags)
-        for i, j in combinations(range(len(flags)), 2):
-            assert (engine.pair(i, j) is not None) == transverse(flags[i], flags[j])
+        msg = "flags are not transverse"
+        for f, h in combinations(flags, 2):
+            assert (outcome(_pair_coordinates, f, h, msg)[0] != "NotTransverse") == transverse(f, h)
+        pairwise = all(transverse(f, h) for f, h in combinations(flags, 2))
+        assert isinstance(outcome(_TupleEngine, flags), _TupleEngine) == pairwise
 
     @cases
     @settings(SETTINGS, max_examples=3)

@@ -168,18 +168,26 @@ IDS = [name for name, _, _ in FAMILIES]
 
 @pytest.mark.parametrize("name,pts,flags", FAMILIES, ids=IDS)
 def test_engine_chain_matches_uncached(name, pts, flags):
-    engine = _TupleEngine(list(flags))
+    """An engine is built only over a pairwise transverse family; then every
+    subtuple's chain matches the reference.  Pair numbers relative to a
+    subtuple are covered by the public routes below."""
+    flags = list(flags)
+    refused = outcome(ref_transverse, flags)
+    if refused is not None:
+        assert outcome(_TupleEngine, flags) == refused, name
+        return
+    engine = _TupleEngine(flags)
     for size in (3, 4, len(flags)):
         for idx in combinations(range(len(flags)), size):
             sub = [flags[i] for i in idx]
             want = outcome(ref_chain, sub)
             got = outcome(engine.chain, idx)
-            if isinstance(want, tuple) and isinstance(want[0], str):
+            if isinstance(want[0], str):
                 assert got == want, (name, idx)
                 continue
-            verdict, sign, factors, verdicts = got
-            adapted = flags[idx[0]].frame @ engine.coords(idx[0], idx[-1])
-            assert (verdict, adapted, sign, factors, verdicts) == want
+            verdict, signs, factors, verdicts = got
+            sign = Matrix.diagonal(signs)
+            assert (verdict, sign, factors, verdicts) == (want[0],) + want[2:]
             cert = TupleCertificate(adapted_basis(sub[0], sub[-1]), sign, factors, verdicts)
             assert cert.replays(sub)
 
@@ -261,8 +269,8 @@ def test_threshold_matches_brute_force_on_random_flags():
 
 def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     """Work-count guard: a Veronese d = 4, n = 6 sample is checked without
-    the determinant test `transverse` and with at most one coordinate build
-    per pair."""
+    the determinant test `transverse`, with one coordinate build per pair
+    and one staged scan per (factor, sign)."""
     import posiflag
     import posiflag.flags as flags_module
     import posiflag.tuples as tuples_module
@@ -272,16 +280,22 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
 
     for module in (posiflag, flags_module):
         monkeypatch.setattr(module, "transverse", refuse)
-    builds = []
-    real = tuples_module._pair_coordinates
+    builds, scans = [], []
+    real_pair, real_scan = tuples_module._pair_coordinates, tuples_module.tp_staged
 
-    def counted(f, h, failure):
+    def counted_pair(f, h, failure):
         builds.append((f, h))
-        return real(f, h, failure)
+        return real_pair(f, h, failure)
 
-    monkeypatch.setattr(tuples_module, "_pair_coordinates", counted)
+    def counted_scan(u):
+        scans.append(u)
+        return real_scan(u)
+
+    monkeypatch.setattr(tuples_module, "_pair_coordinates", counted_pair)
+    monkeypatch.setattr(tuples_module, "tp_staged", counted_scan)
     n = 6
     pts = distinct_points(n, random.Random(6))
     report = check_sampled_positivity(FlagMapSample(tuple(pts), tuple(veronese_flag(x, 4) for x in pts)))
     assert report == SampleReport("consistent", (1, 2, 3), None, 1, comb(n, 4))
-    assert len(builds) <= comb(n, 2)
+    assert len(builds) == comb(n, 2)
+    assert len(scans) == len(set(scans)), f"{len(scans)} scans of {len(set(scans))} inputs"
