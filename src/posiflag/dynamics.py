@@ -93,11 +93,14 @@ def float_flag(f: Flag) -> FloatFlag:
     return FloatFlag(q, f.dim)
 
 
-def svd_flag(g, gap_tol: float = 1e-8) -> FloatFlag:
+_GAP_TOL = 1e-8
+
+
+def svd_flag(g) -> FloatFlag:
     """Flag of left singular vectors, defined when all gaps are clear.
 
     Requires every ratio of consecutive singular values to be at least
-    1 + gap_tol; otherwise the subspaces are not canonical and
+    1 + _GAP_TOL; otherwise the subspaces are not canonical and
     SingularGapTooSmall reports the narrowest gap.
     """
     import numpy as np
@@ -108,9 +111,9 @@ def svd_flag(g, gap_tol: float = 1e-8) -> FloatFlag:
     u, s, _ = np.linalg.svd(arr)
     gaps = [s[i] / s[i + 1] if s[i + 1] > 0 else math.inf for i in range(len(s) - 1)]
     min_gap = min(gaps, default=math.inf)
-    if min_gap < 1 + gap_tol:
+    if min_gap < 1 + _GAP_TOL:
         raise SingularGapTooSmall(
-            f"singular value ratio {min_gap:.3e} below 1 + {gap_tol:.1e}; "
+            f"singular value ratio {min_gap:.3e} below 1 + {_GAP_TOL:.1e}; "
             "flag of singular vectors is not canonical",
             min_gap=min_gap,
         )
@@ -160,12 +163,13 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     if g.dim != d:
         raise DimensionMismatch(f"flag dims differ: {d} vs {g.dim}")
     c, delta = _pair_coordinates(fixed, g, "flag must be transverse to the fixed flag")
-    m = _quotient(c, c[1:] + [[0] * d], delta)  # S c = (S ū) diag(1/δ): ū shifted up one row
+    # S c = (S ū) diag(1/δ): ū shifted up one row; M = m diag(1/ms)
+    m, ms = _quotient(c, c[1:] + [[0] * d], delta)
     if any(any(row[:i + 1]) for i, row in enumerate(m)) or any(
-        m[i][i + 1] != 1 for i in range(d - 1)
+        m[i][i + 1] != ms[i + 1] for i in range(d - 1)
     ):
         raise InvariantViolated("c^-1 S c must be strictly upper with unit superdiagonal")
-    powers, s = _scaled_powers(m, d - 1)
+    powers, s = _scaled_powers(m, ms, d - 1)
     # terms[i][j][k] = entry (i, j) of A_k; (sM)^k vanishes below its k-th superdiagonal
     terms: list[list[list[int]]] = [[[] for _ in range(d)] for _ in range(d)]
     for k, power in enumerate(powers):
@@ -291,9 +295,7 @@ class LimitEntry:
     skipped: bool
 
 
-def limit_convergence(
-    spec: BarbotSpec, g: MoebiusElement, n_max: int, gap_tol: float = 1e-8
-) -> list[LimitEntry]:
+def limit_convergence(spec: BarbotSpec, g: MoebiusElement, n_max: int) -> list[LimitEntry]:
     """Distance series from the SVD flag of the family at g^n to its limit.
 
     The limit is the family's flag at the attracting fixed point of g.
@@ -319,7 +321,7 @@ def limit_convergence(
     for n in range(1, n_max + 1):
         mat = _tau_hat(spec, g, n)
         try:
-            fl = svd_flag(mat, gap_tol)
+            fl = svd_flag(mat)
         except SingularGapTooSmall as exc:
             series.append(LimitEntry(n, None, exc.min_gap, True))
             continue

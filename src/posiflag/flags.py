@@ -3,8 +3,9 @@
 A complete flag in Q^d is stored as an invertible frame: column k of the
 frame spans the new direction of the k-dimensional piece, so the k-th
 subspace is the span of the first k columns.  Frames are not canonical;
-equality compares the subspaces themselves by rank tests, and the group
-acts by plain matrix multiplication on frames.
+two frames F, G present the same flag exactly when F^-1 G is upper
+triangular, which is how equality is decided, and the group acts by
+plain matrix multiplication on frames.
 
 The transporter of two flags H, G relative to a base flag F is the unique
 unipotent upper-triangular matrix (in a basis adapted to the pair (F, H))
@@ -17,10 +18,11 @@ triangular and δ its diagonal (see _pair_coordinates): one Gauss-Jordan
 elimination and one forward elimination build them, and a zero pivot of
 the latter is exactly a failure of transversality, which is how the
 tuple engine checks every pair of a family.  Quotients c_H^-1 c_G are
-fraction-free back substitutions (`linalg._quotient`); Fractions appear
-only in the Matrix outputs of `_coordinates`, `adapted_basis` and
-`transporter`.  `transverse` stays the determinant test, for callers
-that want transversality alone.
+fraction-free back substitutions that stay in integers, G diag(1/s)
+(`_unipotent_quotient`, shared with the tuple engine, which also checks
+that they are upper unipotent); Fractions appear only in the Matrix
+outputs of `adapted_basis` and `transporter`.  `transverse` stays the
+determinant test, for callers that want transversality alone.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from operator import mul
 
 from .errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvariantViolated,
     NotSingleJordanBlock,
     NotTransverse,
@@ -39,21 +42,18 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import (
+    ColumnScaled,
     Matrix,
     _bareiss,
+    _column_scaled,
+    _fractions,
     _grid_det,
     _grid_rank,
-    _is_unipotent,
     _is_upper,
     _quotient,
-    _ratio,
     _scaled_powers,
     _scaled_solve,
 )
-
-
-# integer flag coordinates (ū, δ): c = ū diag(1/δ), see _pair_coordinates
-IntCoordinates = tuple[list[list[int]], list[int]]
 
 
 def _column_grid(cols: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -70,7 +70,8 @@ class Flag:
     """Complete flag presented by an invertible frame.
 
     subspace k = span of the first k frame columns.  Two flags compare
-    equal when all their subspaces coincide, regardless of frames.
+    equal when all their subspaces coincide, regardless of frames: when
+    F^-1 G is upper triangular for their frames F and G.
     """
 
     __slots__ = ("frame", "dim")
@@ -89,11 +90,13 @@ class Flag:
         return Flag(g @ self.frame)
 
     def contains(self, v: tuple[Fraction, ...], k: int) -> bool:
-        """Membership of a vector in the k-th subspace, by a rank test."""
+        """Membership of a vector in the k-th subspace, k = 0..dim, by a rank test."""
         if len(v) != self.dim:
             raise DimensionMismatch(
                 f"vector has {len(v)} coordinates but the flag has dimension {self.dim}"
             )
+        if not 0 <= k <= self.dim:
+            raise IndexOutOfRange(f"subspace {k} out of range for a flag of dimension {self.dim}")
         cols = [self.frame.column(i) for i in range(1, k + 1)] + [tuple(v)]
         return _grid_rank(_column_grid(cols)) == k
 
@@ -102,8 +105,7 @@ class Flag:
             return NotImplemented
         if self.dim != other.dim:
             return False
-        a, b = _columns(self.frame), _columns(other.frame)
-        return all(_grid_rank(_column_grid(a[:k] + b[:k])) == k for k in range(1, self.dim))
+        return _is_upper(_scaled_solve(self.frame.rows_tuple(), other.frame.rows_tuple())[0])
 
     def __repr__(self) -> str:
         return f"Flag({self.frame!r})"
@@ -185,7 +187,7 @@ def _reverse_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[list[int
     return ubar, [row[:m] for m, row in enumerate(a)]
 
 
-def _pair_coordinates(f: Flag, h: Flag, failure: str) -> IntCoordinates:
+def _pair_coordinates(f: Flag, h: Flag, failure: str) -> ColumnScaled:
     """The coordinates c of h over f in integers: c = ū diag(1/δ).
 
     c is the u in F^-1 H = (u . reversal) t, u upper unipotent and t
@@ -228,18 +230,24 @@ def _pair_coordinates(f: Flag, h: Flag, failure: str) -> IntCoordinates:
     return ubar, delta
 
 
-def _coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
-    """The coordinates ū diag(1/δ) of h over f (see _pair_coordinates), in Fractions."""
-    ubar, delta = _pair_coordinates(f, h, failure)
-    return Matrix._of(tuple(tuple(_ratio(x, dk) for x, dk in zip(row, delta)) for row in ubar))
+def _unipotent_quotient(c_y: ColumnScaled, c_x: ColumnScaled) -> ColumnScaled:
+    """(G, s) with G diag(1/s) = c_y^-1 c_x, checked upper unipotent.
+
+    Both coordinates are over one base flag, so the quotient fixes it:
+    G must be upper triangular with s on its diagonal.
+    """
+    g, s = _quotient(c_y[0], *c_x)
+    if not (_is_upper(g) and all(row[i] == si for i, (row, si) in enumerate(zip(g, s)))):
+        raise InvariantViolated("a quotient of flag coordinates must be upper unipotent")
+    return g, s
 
 
 def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:
     """The basis adapted to (f, h): F u, for u the coordinates of h over f."""
     if f.dim != h.dim:
         raise DimensionMismatch(f"flag dims differ: {f.dim} vs {h.dim}")
-    u = _coordinates(f, h, "flags are not transverse; no adapted basis exists")
-    return AdaptedBasis(f.frame @ u, (f, h))
+    u = _fractions(*_pair_coordinates(f, h, "flags are not transverse; no adapted basis exists"))
+    return AdaptedBasis(f.frame @ Matrix._of(u), (f, h))
 
 
 def transporter(f: Flag, h: Flag, g: Flag) -> Matrix:
@@ -253,12 +261,9 @@ def transporter(f: Flag, h: Flag, g: Flag) -> Matrix:
     """
     if f.dim != h.dim or f.dim != g.dim:
         raise DimensionMismatch("flag dims differ")
-    c_h, _ = _pair_coordinates(f, h, "flags are not transverse; no adapted basis exists")
-    c_g, delta_g = _pair_coordinates(f, g, "base flag and target flag are not transverse")
-    u = _quotient(c_h, c_g, delta_g)
-    if not _is_unipotent(u):
-        raise InvariantViolated("a transporter must be upper unipotent, so that it fixes f")
-    return Matrix._of(u)
+    c_h = _pair_coordinates(f, h, "flags are not transverse; no adapted basis exists")
+    c_g = _pair_coordinates(f, g, "base flag and target flag are not transverse")
+    return Matrix._of(_fractions(*_unipotent_quotient(c_h, c_g)))
 
 
 def unipotent_fixed_flag(u: Matrix) -> Flag:
@@ -278,14 +283,12 @@ def unipotent_fixed_flag(u: Matrix) -> Flag:
         [x - 1 if i == j else x for j, x in enumerate(row)]
         for i, row in enumerate(u.rows_tuple())
     ]
-    powers, s = _scaled_powers(n, d)
+    powers, s = _scaled_powers(*_column_scaled(n), d)
     if any(map(any, powers[d])):
         raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
     j = next((j for j in range(d) if any(row[j] for row in powers[d - 1])), None)
     if j is None:
         raise NotSingleJordanBlock("fixed flag construction needs a single Jordan block")
     # column m is N^(d-m) v = (s N)^(d-m) v / s^(d-m)
-    return Flag(Matrix._of(tuple(
-        tuple(_ratio(powers[d - m][i][j], s ** (d - m)) for m in range(1, d + 1))
-        for i in range(d)
-    )))
+    frame = [[powers[d - m][i][j] for m in range(1, d + 1)] for i in range(d)]
+    return Flag(Matrix._of(_fractions(frame, [s ** (d - m) for m in range(1, d + 1)])))

@@ -13,7 +13,10 @@ division is exact, do the elimination work: `_bareiss` runs forward for
 determinants and echelon reductions, and `_gauss_jordan` reaches reduced
 echelon form for solves, inverses, ranks and kernels.  Quotients of
 triangular integer forms (`_quotient`) are fraction-free back
-substitutions.  Tests compare them against cofactor expansion, sympy and
+substitutions that stay in integers: they return the column-scaled form
+G diag(1/s), each column over one positive scale with which it has gcd 1,
+and `_fractions` builds the rational grid only where a Matrix is
+returned.  Tests compare them against cofactor expansion, sympy and
 Fraction reference routes.
 """
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -34,6 +37,9 @@ from .errors import (
 )
 
 Scalar = Fraction
+
+# an integer grid G and nonzero column scales s, standing for G diag(1/s)
+ColumnScaled = tuple[list[list[int]], list[int]]
 
 
 def _to_fraction(x) -> Fraction:
@@ -99,23 +105,37 @@ def _cleared(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[list[int], int
     return out
 
 
+def _column_scaled(rows: Sequence[Sequence[Fraction]]) -> ColumnScaled:
+    """(G, s) with rows = G diag(1/s): each column cleared by the lcm of its denominators."""
+    cols = _cleared(zip(*rows))
+    return [list(row) for row in zip(*(c for c, _ in cols))], [t for _, t in cols]
+
+
 def _scaled_powers(
-    rows: Sequence[Sequence[Fraction]], count: int
+    g: Sequence[Sequence[int]], s: Sequence[int], count: int
 ) -> tuple[list[list[list[int]]], int]:
-    """([B^0, ..., B^count], s) for B = s N, N a square grid and s the lcm
-    of all its denominators, so every power is an integer grid."""
-    s = lcm(*[x.denominator for row in rows for x in row])
-    b = [[x.numerator * (s // x.denominator) for x in row] for row in rows]
+    """([B^0, ..., B^count], t) for B = t N, N = G diag(1/s) a square grid
+    with positive column scales s and t = lcm(s), so every power is an
+    integer grid.  When each column of G has gcd 1 with its scale, t is
+    the lcm of all denominators of N."""
+    t = lcm(*s)
+    weights = [t // sj for sj in s]
+    b = [list(map(mul, row, weights)) for row in g]
     cols = list(zip(*b))
     powers = [[[int(i == j) for j in range(len(b))] for i in range(len(b))]]
     for _ in range(count):
         powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
-    return powers, s
+    return powers, t
 
 
 def _ratio(n: int, d: int) -> Fraction:
     """n/d as a Fraction; for d = 1 the one-argument form skips the gcd."""
     return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+def _fractions(g: Sequence[Sequence[int]], s: Sequence[int]) -> tuple[tuple[Fraction, ...], ...]:
+    """The rational grid G diag(1/s), for an integer grid G and nonzero column scales s."""
+    return tuple(tuple(_ratio(x, t) for x, t in zip(row, s)) for row in g)
 
 
 def _grid_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -234,8 +254,9 @@ def _is_unipotent(rows) -> bool:
 
 def _quotient(
     uy: Sequence[Sequence[int]], ux: Sequence[Sequence[int]], dx: Sequence[int]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """c_y^-1 c_x for c_y = U_y diag(1/δ_y) and c_x = U_x diag(1/δ_x).
+) -> ColumnScaled:
+    """(G, s) with G diag(1/s) = c_y^-1 c_x, for c_y = U_y diag(1/δ_y) and
+    c_x = U_x diag(1/δ_x).
 
     U_y is an upper triangular integer grid whose diagonal δ_y has no
     zero, U_x any integer grid and δ_x nonzero integers: the quotient is
@@ -245,14 +266,17 @@ def _quotient(
     integers, W_top = U_x[top][j] and
     W_i = Q_{i+1} U_x[i][j] - sum over i < k <= top of
     U_y[i][k] W_k δ_y[i+1] ... δ_y[k-1], summed Horner-fashion.  Entry
-    (i, j) is then W_i / (Q_{i+1} δ_x[j]), the one Fraction it costs.
-    When U_x is upper triangular with diagonal δ_x the quotient is upper
-    unipotent.
+    (i, j) is W_i / (Q_{i+1} δ_x[j]) = W_i P_i / (Q_0 δ_x[j]), P_i =
+    δ_y[0] ... δ_y[i], so the column is put over one denominator and
+    divided by the gcd of its numerators and that denominator, signed so
+    that s[j] > 0.  That form is canonical: s[j] is the lcm of the
+    column's reduced denominators.  When U_x is upper triangular with
+    diagonal δ_x the quotient is upper unipotent, and s is G's diagonal.
     """
     n = len(uy)
     dy = [row[i] for i, row in enumerate(uy)]
-    zero = Fraction(0)
-    out = [[zero] * n for _ in range(n)]
+    g = [[0] * n for _ in range(n)]
+    s = []
     for j, den in enumerate(dx):
         col = [row[j] for row in ux]
         top = max((i for i, v in enumerate(col) if v), default=-1)
@@ -264,9 +288,20 @@ def _quotient(
             for k in range(top, i, -1):
                 acc = acc * dy[k] + row[k] * w[k]
             w[i] = q * col[i] - acc
-            out[i][j] = _ratio(w[i], q * den)
             q *= dy[i]
-    return tuple(map(tuple, out))
+        # q is now Q_0; scale W_i by P_i = δ_y[0] ... δ_y[i]
+        p = 1
+        for i in range(top + 1):
+            p *= dy[i]
+            w[i] *= p
+        den *= q
+        div = gcd(*w, den)
+        if den < 0:
+            div = -div
+        for i in range(top + 1):
+            g[i][j] = w[i] // div
+        s.append(den // div)
+    return g, s
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +508,6 @@ class Matrix:
         return _grid_kernel(self._rows)
 
 
-def mat_pow(m: Matrix, t: int) -> Matrix:
-    return m.power(t)
-
-
-def minor(m: Matrix, index: MinorIndex) -> Fraction:
-    return m.minor(index)
-
-
 def jordan_block_sizes(u: Matrix) -> tuple[int, ...]:
     """Jordan block sizes of a unipotent matrix, sorted descending.
 
@@ -491,7 +518,7 @@ def jordan_block_sizes(u: Matrix) -> tuple[int, ...]:
     nonzero.
     """
     d = u.dim
-    powers, _ = _scaled_powers((u - Matrix.identity(d)).rows_tuple(), d)
+    powers, _ = _scaled_powers(*_column_scaled((u - Matrix.identity(d)).rows_tuple()), d)
     ranks = [_grid_rank(p) for p in powers]
     if ranks[-1] != 0:
         raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")

@@ -9,7 +9,10 @@ u_j = c_{j+1}^{-1} c_j, which is also the quotient of the coordinates
 of F_{j+1} and F_j over F_1 (see flags): F_n drops out.  Those
 coordinates are kept in integers, and the elimination that builds them
 also decides each pair's transversality, so every pair of a family is
-checked once, before any factor is built.  The definition
+checked once, before any factor is built.  Each factor stays in
+integers too, as G diag(1/s) with positive column scales s, from the
+back substitution that builds it to the minor scan that judges it; only
+the chain route's certificate turns factors into Matrices.  The definition
 allows any adapted basis; the only freedom that affects total positivity
 of the factors is a diagonal sign flip, which is resolved here by
 conjugating every factor by the one +-1 diagonal that makes u_{n-1}'s
@@ -27,37 +30,37 @@ from itertools import combinations
 from .errors import (
     BadParameters,
     DimensionMismatch,
-    InvariantViolated,
     NotTransverse,
     NotUnipotentUpperTriangular,
     PreconditionViolated,
     ZeroSuperdiagonal,
 )
-from .flags import AdaptedBasis, Flag, IntCoordinates, _pair_coordinates, adapted_basis
-from .linalg import Matrix, _is_unipotent, _quotient
-from .positivity import PositivityVerdict, Status, is_upper_unipotent, tp_staged
+from .flags import AdaptedBasis, Flag, _pair_coordinates, _unipotent_quotient, adapted_basis
+from .linalg import ColumnScaled, Matrix, _fractions
+from .positivity import DetCounter, PositivityVerdict, Status, _staged_scan, is_upper_unipotent
 from .reps import ProjectivePoint, cyclically_ordered
 
 
-def _sign_conjugate(u: Matrix, signs: tuple[int, ...]) -> Matrix:
-    """D u D for D = diag(signs), +-1: entry (i, j) negated when s_i s_j = -1."""
-    return Matrix._of(tuple(
+def _sign_conjugate(rows, signs: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The rows of D u D for D = diag(signs), +-1, and u's rows, integer
+    or Fraction: entry (i, j) negated when s_i s_j = -1."""
+    return tuple(
         tuple(x if s_i == s_j else -x for x, s_j in zip(row, signs))
-        for row, s_i in zip(u.rows_tuple(), signs)
-    ))
+        for row, s_i in zip(rows, signs)
+    )
 
 
-def _signs(u: Matrix) -> tuple[int, ...]:
+def _signs(rows) -> tuple[int, ...]:
     """The +-1 diagonal, first entry +1, whose conjugation makes every
-    superdiagonal entry of the unipotent u positive.
+    superdiagonal entry of a unipotent u positive, read from u's rows or
+    from those of u scaled by positive column scales.
 
     A zero superdiagonal entry is a zero nontrivial 1x1 minor, unfixable
     by any diagonal conjugation, so it raises ZeroSuperdiagonal: u is
     certainly not conjugate into the fully positive set.
     """
-    rows = u.rows_tuple()
     signs = [1]
-    for i in range(1, u.dim):
+    for i in range(1, len(rows)):
         s = rows[i - 1][i]
         if s == 0:
             raise ZeroSuperdiagonal(
@@ -77,8 +80,8 @@ def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
     """
     if not is_upper_unipotent(u):
         raise NotUnipotentUpperTriangular("sign normalization needs an upper unipotent input")
-    signs = _signs(u)
-    return Matrix.diagonal(signs), _sign_conjugate(u, signs)
+    signs = _signs(u.rows_tuple())
+    return Matrix.diagonal(signs), Matrix._of(_sign_conjugate(u.rows_tuple(), signs))
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class TupleCertificate:
     @property
     def normalized_factors(self) -> tuple[Matrix, ...]:
         signs = tuple(row[i] for i, row in enumerate(self.sign.rows_tuple()))
-        return tuple(_sign_conjugate(u, signs) for u in self.factors)
+        return tuple(Matrix._of(_sign_conjugate(u.rows_tuple(), signs)) for u in self.factors)
 
     def replays(self, flags: list[Flag]) -> bool:
         """Whether multiplying out the factors reproduces every flag of the tuple."""
@@ -151,7 +154,7 @@ class _TupleEngine:
         n = len(flags)
         order = [(1, n)] + [(1, j) for j in range(2, n)]
         order += [(a, b) for a in range(2, n + 1) for b in range(a + 1, n + 1)]
-        self._pairs: dict[tuple[int, int], IntCoordinates] = {}
+        self._pairs: dict[tuple[int, int], ColumnScaled] = {}
         for a, b in order:
             try:
                 self._pairs[(a - 1, b - 1)] = _pair_coordinates(
@@ -159,18 +162,15 @@ class _TupleEngine:
                 )
             except NotTransverse:
                 raise NotTransverse(f"flags {a} and {b} are not transverse", pair=(a, b)) from None
-        self._factors: dict[tuple[int, int, int], Matrix] = {}
+        self._factors: dict[tuple[int, int, int], ColumnScaled] = {}
         self._verdicts: dict[tuple[int, int, int, tuple[int, ...]], PositivityVerdict] = {}
 
-    def factor(self, a: int, y: int, x: int) -> Matrix:
-        """c_{a,y}^-1 c_{a,x}, by fraction-free back substitution on the integer forms."""
-        u = self._factors.get((a, y, x))
+    def factor(self, a: int, y: int, x: int) -> ColumnScaled:
+        """(G, s) with G diag(1/s) = c_{a,y}^-1 c_{a,x}, checked upper unipotent."""
+        key = (a, y, x)
+        u = self._factors.get(key)
         if u is None:
-            (uy, _), (ux, dx) = self._pairs[(a, y)], self._pairs[(a, x)]
-            u = _quotient(uy, ux, dx)
-            if not _is_unipotent(u):
-                raise InvariantViolated("chain factors are quotients of unipotents")
-            u = self._factors[(a, y, x)] = Matrix._of(u)
+            u = self._factors[key] = _unipotent_quotient(self._pairs[(a, y)], self._pairs[(a, x)])
         return u
 
     def verdict(self, a: int, y: int, x: int, signs: tuple[int, ...]) -> PositivityVerdict:
@@ -178,17 +178,20 @@ class _TupleEngine:
         key = (a, y, x, signs)
         v = self._verdicts.get(key)
         if v is None:
-            v = self._verdicts[key] = tp_staged(_sign_conjugate(self.factor(a, y, x), signs))
+            g, s = self.factor(a, y, x)
+            v = self._verdicts[key] = _staged_scan(
+                _sign_conjugate(g, signs), [1] * len(g), s, DetCounter()
+            )
         return v
 
     def chain(self, idx: tuple[int, ...]) -> tuple[PositivityVerdict, tuple[int, ...], tuple, tuple]:
-        """Verdict, signs, factors and factor verdicts for the flags at `idx`;
-        u_j is the factor of (idx_1, idx_{j+1}, idx_j), and the signs are
-        those of the last factor."""
+        """Verdict, signs, factors (G, s) and factor verdicts for the flags at
+        `idx`; u_j is the factor of (idx_1, idx_{j+1}, idx_j), and the signs
+        are those of the last factor."""
         a = idx[0]
         keys = [(a, y, x) for x, y in zip(idx[1:-1], idx[2:])]
         factors = tuple(self.factor(*key) for key in keys)
-        signs = _signs(factors[-1])
+        signs = _signs(factors[-1][0])
         verdicts = tuple(self.verdict(*key, signs) for key in keys)
         return _aggregate(verdicts), signs, factors, verdicts
 
@@ -229,6 +232,7 @@ def is_positive_tuple_chain(
     """
     verdict, signs, factors, verdicts = _engine(flags).chain(tuple(range(len(flags))))
     adapted = adapted_basis(flags[0], flags[-1])
+    factors = tuple(Matrix._of(_fractions(g, s)) for g, s in factors)
     return verdict, TupleCertificate(adapted, Matrix.diagonal(signs), factors, verdicts)
 
 

@@ -32,8 +32,8 @@ from posiflag import (
     transverse,
     veronese_flag,
 )
-from posiflag.flags import _coordinates, _pair_coordinates
-from posiflag.linalg import _grid_det, _quotient
+from posiflag.flags import _pair_coordinates
+from posiflag.linalg import _fractions, _grid_det, _quotient
 from posiflag.tuples import _TupleEngine
 from helpers import back_substitute, fraction_coordinates
 
@@ -99,6 +99,11 @@ def outcome(fn, *args):
         return ("NotTransverse", exc.pair, str(exc))
 
 
+def integer_coordinates(f, h, failure):
+    """The integer pair coordinates ū diag(1/δ) as a Fraction matrix."""
+    return Matrix(_fractions(*_pair_coordinates(f, h, failure)))
+
+
 def reference_transporter(f, h, g):
     c_h = fraction_coordinates(f, h, "flags are not transverse; no adapted basis exists")
     c_g = fraction_coordinates(f, g, "base flag and target flag are not transverse")
@@ -115,13 +120,13 @@ class TestIntegerCoordinates:
         flags = data.draw(flag_tuples(kind, shape, 3))
         msg = "flags are not transverse"
         for f, h in combinations(flags, 2):
-            got = outcome(_coordinates, f, h, msg)
+            got = outcome(integer_coordinates, f, h, msg)
             assert got == outcome(fraction_coordinates, f, h, msg)
             if isinstance(got, Matrix):
                 d, c = f.dim, got.rows_tuple()
                 ubar, delta = _pair_coordinates(f, h, msg)
                 shifted = back_substitute(c, c[1:] + ((0,) * d,))
-                assert _quotient(ubar, ubar[1:] + [[0] * d], delta) == shifted
+                assert _fractions(*_quotient(ubar, ubar[1:] + [[0] * d], delta)) == shifted
         for f, h, g in ((flags[0], flags[2], flags[1]), (flags[0], flags[1], flags[2]),
                         (flags[1], flags[2], flags[0])):
             assert outcome(transporter, f, h, g) == outcome(reference_transporter, f, h, g)

@@ -40,6 +40,7 @@ from posiflag import (
     unipotent_fixed_flag,
     veronese_flag,
 )
+from posiflag.linalg import _fractions
 from posiflag.tuples import _TupleEngine
 from helpers import (
     brute_threshold,
@@ -186,6 +187,7 @@ def test_engine_chain_matches_uncached(name, pts, flags):
                 assert got == want, (name, idx)
                 continue
             verdict, signs, factors, verdicts = got
+            factors = tuple(Matrix(_fractions(g, s)) for g, s in factors)
             sign = Matrix.diagonal(signs)
             assert (verdict, sign, factors, verdicts) == (want[0],) + want[2:]
             cert = TupleCertificate(adapted_basis(sub[0], sub[-1]), sign, factors, verdicts)
@@ -269,10 +271,12 @@ def test_threshold_matches_brute_force_on_random_flags():
 
 def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     """Work-count guard: a Veronese d = 4, n = 6 sample is checked without
-    the determinant test `transverse`, with one coordinate build per pair
-    and one staged scan per (factor, sign)."""
+    the determinant test `transverse`, with one coordinate build per pair,
+    one staged scan per (factor, sign) and no Fraction built on the way."""
     import posiflag
     import posiflag.flags as flags_module
+    import posiflag.linalg as linalg_module
+    import posiflag.positivity as positivity_module
     import posiflag.tuples as tuples_module
 
     def refuse(*args):
@@ -280,22 +284,31 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
 
     for module in (posiflag, flags_module):
         monkeypatch.setattr(module, "transverse", refuse)
-    builds, scans = [], []
-    real_pair, real_scan = tuples_module._pair_coordinates, tuples_module.tp_staged
+    builds, scans, ratios = [], [], []
+    real_pair, real_scan = tuples_module._pair_coordinates, tuples_module._staged_scan
+    real_ratio = linalg_module._ratio
 
     def counted_pair(f, h, failure):
         builds.append((f, h))
         return real_pair(f, h, failure)
 
-    def counted_scan(u):
-        scans.append(u)
-        return real_scan(u)
+    def counted_scan(grid, row_scales, col_scales, counter):
+        scans.append((tuple(map(tuple, grid)), tuple(row_scales), tuple(col_scales)))
+        return real_scan(grid, row_scales, col_scales, counter)
+
+    def counted_ratio(n, d):
+        ratios.append((n, d))
+        return real_ratio(n, d)
 
     monkeypatch.setattr(tuples_module, "_pair_coordinates", counted_pair)
-    monkeypatch.setattr(tuples_module, "tp_staged", counted_scan)
+    monkeypatch.setattr(tuples_module, "_staged_scan", counted_scan)
     n = 6
     pts = distinct_points(n, random.Random(6))
-    report = check_sampled_positivity(FlagMapSample(tuple(pts), tuple(veronese_flag(x, 4) for x in pts)))
+    sample = FlagMapSample(tuple(pts), tuple(veronese_flag(x, 4) for x in pts))
+    for module in (linalg_module, positivity_module):
+        monkeypatch.setattr(module, "_ratio", counted_ratio)
+    report = check_sampled_positivity(sample)
     assert report == SampleReport("consistent", (1, 2, 3), None, 1, comb(n, 4))
     assert len(builds) == comb(n, 2)
-    assert len(scans) == len(set(scans)), f"{len(scans)} scans of {len(set(scans))} inputs"
+    assert (len(scans), len(set(scans))) == (16, 16)  # one per (factor, sign) reached
+    assert ratios == []

@@ -10,6 +10,7 @@ from posiflag import (
     AdaptedBasis,
     DimensionMismatch,
     Flag,
+    IndexOutOfRange,
     InvariantViolated,
     Matrix,
     NotSingleJordanBlock,
@@ -27,6 +28,7 @@ from posiflag import (
     transverse,
     unipotent_fixed_flag,
 )
+from posiflag.linalg import _grid_rank
 from helpers import gen_boundary, kernel_fixed_flag, random_single_block
 
 F = Fraction
@@ -55,6 +57,31 @@ class TestFlagType:
         c = Flag(Matrix.reversal(3))
         assert a != c
 
+    def test_equality_matches_the_rank_definition(self):
+        """F^-1 G upper triangular against rank [F^k | G^k] = k for every k,
+        on frame pairs sharing their first m columns, so both outcomes occur."""
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(120):
+            d = rng.randint(1, 5)
+            f = rand_flag(d, rng)
+            m = rng.randint(0, d)
+            while True:
+                cols = [f.column(k) for k in range(1, m + 1)]
+                cols += [tuple(F(rng.randint(-2, 2)) for _ in range(d)) for _ in range(d - m)]
+                frame = Matrix([[c[i] for c in cols] for i in range(d)])
+                if frame.det() != 0:
+                    break
+            g = Flag(frame)
+            a, b = [f.column(k) for k in range(1, d + 1)], cols
+            want = all(
+                _grid_rank([[c[i] for c in a[:k] + b[:k]] for i in range(d)]) == k
+                for k in range(1, d)
+            )
+            assert (f == g) == want
+            seen.add(want)
+        assert seen == {True, False}
+
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(Flag(Matrix.identity(2)))
@@ -65,6 +92,17 @@ class TestFlagType:
         assert not asc.contains((F(0), F(1), F(0)), 1)
         assert asc.contains((F(1), F(1), F(0)), 2)
         assert asc.contains((F(1), F(1), F(1)), 3)
+
+    def test_contains_the_zero_subspace(self):
+        asc, _ = standard_flags(3)
+        assert asc.contains((F(0), F(0), F(0)), 0)
+        assert not asc.contains((F(1), F(0), F(0)), 0)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_contains_rejects_a_subspace_out_of_range(self, k):
+        asc, _ = standard_flags(3)
+        with pytest.raises(IndexOutOfRange, match=f"subspace {k} out of range .* dimension 3"):
+            asc.contains((F(1), F(0), F(0)), k)
 
     def test_contains_rejects_a_longer_vector(self):
         asc, _ = standard_flags(2)

@@ -12,6 +12,7 @@ with the cofactor oracle and a scan that eliminates each minor on its own.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -22,7 +23,9 @@ from posiflag import (
     DetCounter, Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, random_tp,
     staged_minor_count, tp_oracle, tp_staged, transporter, transverse,
 )
-from posiflag.linalg import _cleared, _grid_det, _grid_kernel, _grid_rank, _quotient, _solve
+from posiflag.linalg import (
+    _cleared, _fractions, _grid_det, _grid_kernel, _grid_rank, _quotient, _solve,
+)
 from posiflag.positivity import _contiguous_minors
 from helpers import (
     back_substitute, count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, reverse_column_echelon, staged_bareiss_scan,
@@ -280,12 +283,16 @@ class TestBackSubstitution:
            st.lists(st.sampled_from((1, -1)), min_size=10, max_size=10))
     def test_matches_inverse_product(self, ub, signs):
         """The Fraction reference and the integer `_quotient`, with column
-        denominators of either sign, both give u^-1 b."""
+        denominators of either sign, both give u^-1 b; `_quotient` returns
+        each column over a positive scale with which it has gcd 1."""
         u, b = ub
         want = (u.inverse() @ b).rows_tuple()
         assert back_substitute(u.rows_tuple(), b.rows_tuple()) == want
         (uy, _), (ux, dx) = integer_columns(u, signs[:5]), integer_columns(b, signs[5:])
-        assert _quotient(uy, ux, dx) == want
+        g, s = _quotient(uy, ux, dx)
+        assert _fractions(g, s) == want
+        assert all(sj > 0 for sj in s)
+        assert all(gcd(*col, sj) == 1 for col, sj in zip(zip(*g), s))
 
 
 # -- minor scans: condensation against sympy, staged against oracle ------------
