@@ -41,6 +41,7 @@ from .errors import (
     InvariantViolated,
     NotHyperbolic,
     NotSingleJordanBlock,
+    PreconditionViolated,
     RationalEigenlineRequired,
     SingularGapTooSmall,
 )
@@ -236,21 +237,25 @@ def _weights(spec: BarbotSpec) -> np.ndarray:
 
 
 def _tau_hat(spec: BarbotSpec, g: MoebiusElement, n: int) -> np.ndarray:
-    """Float matrix of the block family at g^n: det-normalized, weighted basis."""
+    """Float matrix of the block family at g^n: det-normalized, weighted basis.
+
+    Raises PreconditionViolated when an entry of g^n or |det g|^n leaves
+    the float range on the way, instead of passing on inf or nan.
+    """
     import numpy as np
 
     m1 = spec.d - spec.j
     gn = g.power(n)
-    absdet = abs(float(g.det)) ** n
-    big = np.array(
-        [[float(x) for x in row] for row in sym_power(gn, m1).rows_tuple()]
-    ) / absdet ** ((m1 - 1) / 2)
-    small = np.array(
-        [[float(x) for x in row] for row in sym_power(gn, spec.j).rows_tuple()]
-    ) / absdet ** ((spec.j - 1) / 2)
     block = np.zeros((spec.d, spec.d))
-    block[:m1, :m1] = big
-    block[m1:, m1:] = small
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            absdet = abs(float(g.det)) ** n
+            for lo, m in ((0, m1), (m1, spec.j)):
+                block[lo:lo + m, lo:lo + m] = np.array(
+                    [[float(x) for x in row] for row in sym_power(gn, m).rows_tuple()]
+                ) / absdet ** ((m - 1) / 2)
+    except (OverflowError, FloatingPointError):
+        raise PreconditionViolated(f"g^n is outside the float range at n = {n}") from None
     idx = np.array(spec.perm) - 1
     permuted = block[np.ix_(idx, idx)]
     w = _weights(spec)

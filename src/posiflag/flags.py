@@ -38,32 +38,20 @@ from .errors import (
     InvariantViolated,
     NotSingleJordanBlock,
     NotTransverse,
-    NotUnipotent,
     SingularMatrix,
 )
 from .linalg import (
     ColumnScaled,
     Matrix,
     _bareiss,
-    _column_scaled,
     _fractions,
     _grid_det,
     _grid_rank,
     _is_upper,
+    _nilpotent_powers,
     _quotient,
-    _scaled_powers,
     _scaled_solve,
 )
-
-
-def _column_grid(cols: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Assemble column vectors into a row-major grid."""
-    d = len(cols[0])
-    return tuple(tuple(c[i] for c in cols) for i in range(d))
-
-
-def _columns(m: Matrix) -> list[tuple[Fraction, ...]]:
-    return list(zip(*m.rows_tuple()))
 
 
 class Flag:
@@ -90,15 +78,16 @@ class Flag:
         return Flag(g @ self.frame)
 
     def contains(self, v: tuple[Fraction, ...], k: int) -> bool:
-        """Membership of a vector in the k-th subspace, k = 0..dim, by a rank test."""
+        """Membership of a vector in the k-th subspace, k = 0..dim, by a rank test
+        of the first k frame columns and v, stacked as rows."""
         if len(v) != self.dim:
             raise DimensionMismatch(
                 f"vector has {len(v)} coordinates but the flag has dimension {self.dim}"
             )
         if not 0 <= k <= self.dim:
             raise IndexOutOfRange(f"subspace {k} out of range for a flag of dimension {self.dim}")
-        cols = [self.frame.column(i) for i in range(1, k + 1)] + [tuple(v)]
-        return _grid_rank(_column_grid(cols)) == k
+        rows = [self.frame.column(i) for i in range(1, k + 1)] + [tuple(v)]
+        return _grid_rank(rows) == k
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Flag):
@@ -121,12 +110,14 @@ def standard_flags(d: int) -> tuple[Flag, Flag]:
 
 
 def transverse(f: Flag, g: Flag) -> bool:
-    """Whether every k-th subspace of f is complementary to the (d-k)-th of g."""
+    """Whether every k-th subspace of f is complementary to the (d-k)-th of g:
+    whether the first k columns of f's frame and the first d-k of g's,
+    stacked as rows, have a nonzero determinant."""
     if f.dim != g.dim:
         raise DimensionMismatch(f"flag dims differ: {f.dim} vs {g.dim}")
     d = f.dim
-    f_cols, g_cols = _columns(f.frame), _columns(g.frame)
-    return all(_grid_det(_column_grid(f_cols[:k] + g_cols[:d - k])) != 0 for k in range(1, d))
+    f_cols, g_cols = list(zip(*f.frame.rows_tuple())), list(zip(*g.frame.rows_tuple()))
+    return all(_grid_det(f_cols[:k] + g_cols[:d - k]) != 0 for k in range(1, d))
 
 
 @dataclass(frozen=True)
@@ -275,17 +266,10 @@ def unipotent_fixed_flag(u: Matrix) -> Flag:
     chain vectors span a k-dimensional space that N^k kills.  In this
     frame F^-1 u F = I + S exactly, S the superdiagonal shift.  Raises
     NotUnipotent when N^d != 0, else NotSingleJordanBlock when N^(d-1) = 0.
-    The powers of N are taken in integers, as those of s N for s the lcm
-    of N's denominators.
+    The powers of N are the integer powers of s N from `_nilpotent_powers`.
     """
     d = u.dim
-    n = [
-        [x - 1 if i == j else x for j, x in enumerate(row)]
-        for i, row in enumerate(u.rows_tuple())
-    ]
-    powers, s = _scaled_powers(*_column_scaled(n), d)
-    if any(map(any, powers[d])):
-        raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
+    powers, s = _nilpotent_powers(u)
     j = next((j for j in range(d) if any(row[j] for row in powers[d - 1])), None)
     if j is None:
         raise NotSingleJordanBlock("fixed flag construction needs a single Jordan block")

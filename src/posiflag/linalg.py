@@ -5,13 +5,13 @@ matrices are immutable, entries are stored reduced, and all public indices
 are 1-based: rows and columns are numbered 1..d, and a minor is addressed
 by strictly increasing 1-based row and column tuples.
 
-Determinants, inverses, solves, ranks, kernels and products share one
+Determinants, inverses, solves, ranks and products share one
 idea: scale each row (or column) by the lcm of its denominators
 (`_cleared`), compute in plain integers, and build `Fraction`s only at the
 end.  Two fraction-free (Bareiss) eliminations, where every interior
 division is exact, do the elimination work: `_bareiss` runs forward for
 determinants and echelon reductions, and `_gauss_jordan` reaches reduced
-echelon form for solves, inverses, ranks and kernels.  Quotients of
+echelon form for solves, inverses and ranks.  Quotients of
 triangular integer forms (`_quotient`) are fraction-free back
 substitutions that stay in integers: they return the column-scaled form
 G diag(1/s), each column over one positive scale with which it has gcd 1,
@@ -54,8 +54,8 @@ def _to_fraction(x) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # grid helpers: plain tuples of tuples of Fraction, any shape, 0-based.
-# Used internally for rectangular work (kernels of stacked frames, ranks of
-# concatenated column blocks); the public Matrix type below is square only.
+# Used internally for rectangular work (solves against stacked frames, ranks
+# of stacked vectors); the public Matrix type below is square only.
 # They eliminate in `int` on grids whose rows `_cleared` made integral.
 
 
@@ -193,25 +193,6 @@ def _grid_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_gauss_jordan(rows)[1])
 
 
-def _grid_kernel(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Canonical kernel basis of a rectangular grid (free column = 1)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots, den = _gauss_jordan(rows)
-    zero, one = Fraction(0), Fraction(1)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for row, pc in zip(m, pivots):
-            v[pc] = _ratio(-row[fc], den)
-        basis.append(tuple(v))
-    return basis
-
-
 def _scaled_solve(
     a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
 ) -> tuple[list[list[int]], int]:
@@ -307,11 +288,6 @@ def _quotient(
 # ---------------------------------------------------------------------------
 
 
-def is_consecutive(indices: Sequence[int]) -> bool:
-    """True when the tuple is i, i+1, ..., i+k-1."""
-    return all(b == a + 1 for a, b in zip(indices, indices[1:]))
-
-
 @dataclass(frozen=True)
 class MinorIndex:
     """Address of a minor: strictly increasing 1-based row/column tuples.
@@ -348,7 +324,7 @@ class MinorIndex:
 
     @property
     def consecutive(self) -> bool:
-        return is_consecutive(self.rows) and is_consecutive(self.cols)
+        return all(b == a + 1 for t in (self.rows, self.cols) for a, b in zip(t, t[1:]))
 
 
 class Matrix:
@@ -436,25 +412,6 @@ class Matrix:
             for r, s in _cleared(self._rows)
         ))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        """Entrywise sum; public API, unused inside the package."""
-        if self.dim != other.dim:
-            raise DimensionMismatch("dimension mismatch in addition")
-        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self._rows, other._rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.dim != other.dim:
-            raise DimensionMismatch("dimension mismatch in subtraction")
-        return Matrix([[a - b for a, b in zip(r, s)] for r, s in zip(self._rows, other._rows)])
-
-    def scaled(self, t) -> "Matrix":
-        f = _to_fraction(t)
-        return Matrix([[f * x for x in r] for r in self._rows])
-
-    def transpose(self) -> "Matrix":
-        """The transposed matrix; public API, unused inside the package."""
-        return Matrix(list(zip(*self._rows)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self._rows == other._rows
 
@@ -471,24 +428,15 @@ class Matrix:
         """Exact determinant, by fraction-free (Bareiss) elimination."""
         return _grid_det(self._rows)
 
-    def rank(self) -> int:
-        return _grid_rank(self._rows)
-
     def inverse(self) -> "Matrix":
         return Matrix._of(_solve(self._rows, Matrix.identity(self.dim)._rows))
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
-        """Square submatrix selected by 1-based index tuples."""
-        if len(rows) != len(cols):
-            raise DimensionMismatch("row and column selections must have equal size")
-        for tup in (rows, cols):
-            if any(not 1 <= i <= self.dim for i in tup):
-                raise IndexOutOfRange(f"indices {tup} out of range for dim {self.dim}")
-        return Matrix([[self._rows[i - 1][j - 1] for j in cols] for i in rows])
-
     def minor(self, index: MinorIndex) -> Fraction:
         """Exact value of the minor addressed by `index`."""
-        return self.submatrix(index.rows, index.cols).det()
+        for tup in (index.rows, index.cols):
+            if any(i > self.dim for i in tup):
+                raise IndexOutOfRange(f"indices {tup} out of range for dim {self.dim}")
+        return _grid_det([[self._rows[i - 1][j - 1] for j in index.cols] for i in index.rows])
 
     def power(self, t: int) -> "Matrix":
         """Non-negative integer matrix power by repeated squaring."""
@@ -503,28 +451,29 @@ class Matrix:
             t >>= 1
         return result
 
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Canonical basis of the null space (free variable set to 1)."""
-        return _grid_kernel(self._rows)
+
+def _nilpotent_powers(u: Matrix) -> tuple[list[list[list[int]]], int]:
+    """([B^0, ..., B^d], s) for B = s N, N = u - I and s the lcm of N's
+    denominators, so every power is an integer grid.  Raises NotUnipotent
+    when N^d != 0."""
+    d = u.dim
+    n = [[x - 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(u._rows)]
+    powers, s = _scaled_powers(*_column_scaled(n), d)
+    if any(map(any, powers[d])):
+        raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
+    return powers, s
 
 
 def jordan_block_sizes(u: Matrix) -> tuple[int, ...]:
     """Jordan block sizes of a unipotent matrix, sorted descending.
 
     Derived from the rank sequence r_m = rank((u - I)^m): the number of
-    blocks of size at least m is r_{m-1} - r_m.  The powers are taken in
-    integers, as those of s (u - I) for s the lcm of its denominators,
-    which have the same ranks.  Raises NotUnipotent when (u - I)^dim is
-    nonzero.
+    blocks of size at least m is r_{m-1} - r_m.  The ranks are those of
+    the integer powers from `_nilpotent_powers`.  Raises NotUnipotent when
+    (u - I)^dim is nonzero.
     """
-    d = u.dim
-    powers, _ = _scaled_powers(*_column_scaled((u - Matrix.identity(d)).rows_tuple()), d)
-    ranks = [_grid_rank(p) for p in powers]
-    if ranks[-1] != 0:
-        raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
-    at_least = [ranks[m - 1] - ranks[m] for m in range(1, d + 1)]
-    sizes: list[int] = []
-    for m in range(1, d + 1):
-        exactly = at_least[m - 1] - (at_least[m] if m < d else 0)
-        sizes.extend([m] * exactly)
-    return tuple(sorted(sizes, reverse=True))
+    ranks = [_grid_rank(p) for p in _nilpotent_powers(u)[0]] + [0]
+    # blocks of size exactly m: (r_{m-1} - r_m) - (r_m - r_{m+1})
+    return tuple(
+        m for m in range(u.dim, 0, -1) for _ in range(ranks[m - 1] - 2 * ranks[m] + ranks[m + 1])
+    )

@@ -279,7 +279,6 @@ def boundary_corner_check(u: Matrix) -> BoundaryReport:
     staged scan), and the top-right corner minor with rows (1..k), columns
     (d-k+1..d) vanishes as well; the report records both.
     """
-    _require_upper_unipotent(u)
     verdict = tp_staged(u)
     if verdict.status is not Status.NONNEGATIVE_BOUNDARY:
         raise PreconditionViolated(

@@ -101,11 +101,6 @@ class TupleCertificate:
     verdicts: tuple[PositivityVerdict, ...]
 
     @property
-    def frame(self) -> Matrix:
-        """Frame of the sign-resolved basis in which the normalized factors act."""
-        return self.adapted.matrix @ self.sign
-
-    @property
     def normalized_factors(self) -> tuple[Matrix, ...]:
         signs = tuple(row[i] for i, row in enumerate(self.sign.rows_tuple()))
         return tuple(Matrix._of(_sign_conjugate(u.rows_tuple(), signs)) for u in self.factors)

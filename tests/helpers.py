@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import sympy
+
 from posiflag import (
     CapExceeded,
     DetCounter,
@@ -267,23 +269,21 @@ def random_single_block(d: int, rng: random.Random) -> Matrix:
 def kernel_fixed_flag(u: Matrix) -> Flag:
     """The fixed flag of a single-block unipotent u, from kernels.
 
-    Column k is the first vector of the canonical kernel basis of N^k,
-    N = u - I, that N^(k-1) does not annihilate, so the first k columns
-    span ker N^k.  Raises NotSingleJordanBlock when a kernel has the
-    wrong dimension.
+    Column k is the first vector of sympy's kernel basis of N^k, N = u - I,
+    that N^(k-1) does not annihilate, so the first k columns span ker N^k.
+    Raises NotSingleJordanBlock when a kernel has the wrong dimension.
     """
     d = u.dim
-    n = u - Matrix.identity(d)
+    n = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in u.rows_tuple()]) - sympy.eye(d)
     cols = []
     for k in range(1, d + 1):
-        kern = n.power(k).kernel_basis()
+        kern = (n ** k).nullspace()
         if len(kern) != k:
             raise NotSingleJordanBlock("kernels of (u - I)^k must grow by one")
-        below = n.power(k - 1).rows_tuple()
-        cols.append(next(
-            v for v in kern if any(sum(x * y for x, y in zip(row, v)) for row in below)
-        ))
-    return Flag(Matrix([[c[i] for c in cols] for i in range(d)]))
+        below = n ** (k - 1)
+        cols.append(next(v for v in kern if any(below * v)))
+    return Flag(Matrix([[Fraction(int(c[i].p), int(c[i].q)) for c in cols] for i in range(d)]))
 
 
 def power_triple_positive(u: Matrix, t: int, g: Flag, fixed: Flag | None = None) -> bool:

@@ -462,6 +462,18 @@ class TestLimitDemo:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("entries, iters, n", [((2, F(1, 2)), 1100, 1024), ((4, 1), 600, 512)])
+    def test_float_overflow_exit_three(self, runner, files, entries, iters, n):
+        # 2^1024 and 4^512 exceed the largest float
+        g = files("big.mat", format_matrix(Matrix.diagonal(entries)))
+        result = runner.invoke(
+            main, ["limit-demo", "--d", "3", "--j", "1", "--g", g, "--iters", str(iters)]
+        )
+        assert result.exit_code == 3
+        assert result.stderr == f"error: g^n is outside the float range at n = {n}\n"
+        assert result.stdout == ""
+        assert "Traceback" not in result.output
+
 
 def strip_times(output: str) -> str:
     return re.sub(r"time_ms=\d+\.\d+", "time_ms=X", output)

@@ -3,8 +3,8 @@
 Each kernel is compared with a definition computed another way: the
 adapted basis with one sympy nullspace per column, the transporter with
 a plain Fraction reverse column-echelon form in that basis, solves,
-inverses, ranks and kernels with sympy, the integer-dot product with a plain
-Fraction product, the unit triangular solve (the Fraction reference
+inverses, ranks and reduced echelon forms with sympy, the integer-dot
+product with a plain Fraction product, the unit triangular solve (the Fraction reference
 and the integer quotient) with `inverse() @`, the
 condensed consecutive minors with sympy determinants, and the staged scan
 with the cofactor oracle and a scan that eliminates each minor on its own.
@@ -24,7 +24,7 @@ from posiflag import (
     staged_minor_count, tp_oracle, tp_staged, transporter, transverse,
 )
 from posiflag.linalg import (
-    _cleared, _fractions, _grid_det, _grid_kernel, _grid_rank, _quotient, _solve,
+    _cleared, _fractions, _gauss_jordan, _grid_det, _grid_rank, _quotient, _solve,
 )
 from posiflag.positivity import _contiguous_minors
 from helpers import (
@@ -202,14 +202,7 @@ def rect_grids(draw, entries, square=False):
     return tuple(tuple(row) for row in g)
 
 
-def check_kernel(rows, kern):
-    """kern is sympy's nullspace of rows, and rows . v = 0 for each v in it."""
-    assert kern == [from_sympy(v.T)[0] for v in to_sympy(rows).nullspace()]
-    for v in kern:
-        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
-
-
-class TestRankKernel:
+class TestRankEchelon:
     @SETTINGS
     @given(st.one_of(rect_grids(integers), rect_grids(rationals)))
     def test_grid_rank_matches_sympy(self, rows):
@@ -217,15 +210,17 @@ class TestRankKernel:
 
     @SETTINGS
     @given(st.one_of(rect_grids(integers), rect_grids(rationals)))
-    def test_grid_kernel_matches_sympy(self, rows):
-        check_kernel(rows, _grid_kernel(rows))
-
-    @SETTINGS
-    @given(st.one_of(rect_grids(integers, square=True), rect_grids(rationals, square=True)))
-    def test_matrix_rank_and_kernel_match_sympy(self, rows):
-        m = Matrix(rows)
-        assert m.rank() == to_sympy(rows).rank()
-        check_kernel(rows, m.kernel_basis())
+    def test_gauss_jordan_matches_sympy_rref(self, rows):
+        """Same pivot columns as sympy's rref, and m[r][c] / D is its entry in
+        every column c without a pivot: the columns that span the kernel."""
+        m, pivots, den = _gauss_jordan(rows)
+        rref, sym_pivots = to_sympy(rows).rref()
+        assert tuple(pivots) == sym_pivots
+        free = [c for c in range(len(rows[0])) if c not in pivots]
+        want = from_sympy(rref)
+        assert [[Fraction(row[c], den) for c in free] for row in m] == [
+            [row[c] for c in free] for row in want
+        ]
 
 
 # -- integer-dot product against the plain Fraction product ------------------

@@ -106,14 +106,10 @@ class TestMatrixBasics:
 
 
 class TestMatrixAlgebra:
-    def test_matmul_add_sub_scaled_transpose(self):
+    def test_matmul(self):
         a = Matrix(((1, 2), (3, 4)))
         b = Matrix(((0, 1), (1, 0)))
         assert a @ b == Matrix(((2, 1), (4, 3)))
-        assert a + b == Matrix(((1, 3), (4, 4)))
-        assert a - a == Matrix(((0, 0), (0, 0)))
-        assert a.scaled(2) == Matrix(((2, 4), (6, 8)))
-        assert a.transpose() == Matrix(((1, 3), (2, 4)))
 
     def test_det_matches_cofactor_expansion(self):
         rng = random.Random(11)
@@ -138,15 +134,6 @@ class TestMatrixAlgebra:
         assert m.power(5) == Matrix(((1, 5), (0, 1)))
         with pytest.raises(BadParameters):
             m.power(-1)
-
-    def test_rank_and_kernel(self):
-        m = Matrix(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
-        assert m.rank() == 2
-        kernel = m.kernel_basis()
-        assert len(kernel) == 1
-        v = kernel[0]
-        for i in range(1, 4):
-            assert sum(m.entry(i, j + 1) * v[j] for j in range(3)) == 0
 
     def test_minor_matches_naive(self):
         rng = random.Random(3)
@@ -180,5 +167,7 @@ class TestJordan:
         assert jordan_block_sizes(v) == (3, 1)
 
     def test_not_unipotent(self):
-        with pytest.raises(NotUnipotent):
-            jordan_block_sizes(Matrix.diagonal((2, 1)))
+        for m in (Matrix.diagonal((2, 1)), Matrix.diagonal((1, 1, 2)), Matrix.diagonal((1, 1, -1)),
+                  Matrix(((2, 1, 0), (0, 1, 0), (0, 0, 1)))):
+            with pytest.raises(NotUnipotent, match=r"\(u - I\)\^dim != 0"):
+                jordan_block_sizes(m)
