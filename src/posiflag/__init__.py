@@ -3,154 +3,27 @@
 Everything verdict-shaped runs in exact rational arithmetic; only the
 dynamics module (SVD flags, singular profiles) works in floating point.
 All row, column, and position indices in public interfaces are 1-based.
+
+Each module lists its public names in its own `__all__`; the package
+republishes exactly those.
 """
 
-from .dynamics import (
-    FloatFlag,
-    LimitEntry,
-    SingularProfile,
-    attracting_fixed_point,
-    flag_distance,
-    float_flag,
-    limit_convergence,
-    power_positivity_threshold,
-    singular_ratio_profile,
-    svd_flag,
-)
-from .errors import (
-    BadParameters,
-    CapExceeded,
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvariantViolated,
-    NotHyperbolic,
-    NotSingleJordanBlock,
-    NotTransverse,
-    NotUnipotent,
-    NotUnipotentUpperTriangular,
-    ParseError,
-    PosiflagError,
-    PreconditionViolated,
-    RationalEigenlineRequired,
-    SingularGapTooSmall,
-    SingularMatrix,
-    ZeroSuperdiagonal,
-)
-from .flags import (
-    AdaptedBasis,
-    Flag,
-    adapted_basis,
-    standard_flags,
-    transporter,
-    transverse,
-    unipotent_fixed_flag,
-)
-from .linalg import Matrix, MinorIndex, jordan_block_sizes
-from .positivity import (
-    BoundaryReport,
-    DetCounter,
-    PositivityVerdict,
-    Status,
-    Witness,
-    boundary_corner_check,
-    is_upper_unipotent,
-    random_tp,
-    staged_minor_count,
-    tp_oracle,
-    tp_staged,
-)
-from .reps import (
-    BarbotSpec,
-    MoebiusElement,
-    ProjectivePoint,
-    barbot_flag,
-    barbot_matrix,
-    barbot_spec,
-    cyclically_ordered,
-    g_from_point,
-    pascal,
-    sym_power,
-    veronese_flag,
-)
-from .tuples import (
-    FlagMapSample,
-    SampleReport,
-    TupleCertificate,
-    check_sampled_positivity,
-    is_positive_triple,
-    is_positive_tuple_chain,
-    is_positive_tuple_quad,
-    sign_normalize,
-)
+from . import dynamics, errors, flags, linalg, positivity, reps, tuples
+from .dynamics import *
+from .errors import *
+from .flags import *
+from .linalg import *
+from .positivity import *
+from .reps import *
+from .tuples import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptedBasis",
-    "BadParameters",
-    "BarbotSpec",
-    "BoundaryReport",
-    "CapExceeded",
-    "DetCounter",
-    "DimensionMismatch",
-    "Flag",
-    "FlagMapSample",
-    "FloatFlag",
-    "IndexOutOfRange",
-    "InvariantViolated",
-    "LimitEntry",
-    "Matrix",
-    "MinorIndex",
-    "MoebiusElement",
-    "NotHyperbolic",
-    "NotSingleJordanBlock",
-    "NotTransverse",
-    "NotUnipotent",
-    "NotUnipotentUpperTriangular",
-    "ParseError",
-    "PosiflagError",
-    "PositivityVerdict",
-    "PreconditionViolated",
-    "ProjectivePoint",
-    "RationalEigenlineRequired",
-    "SampleReport",
-    "SingularGapTooSmall",
-    "SingularMatrix",
-    "SingularProfile",
-    "Status",
-    "TupleCertificate",
-    "Witness",
-    "ZeroSuperdiagonal",
-    "adapted_basis",
-    "attracting_fixed_point",
-    "barbot_flag",
-    "barbot_matrix",
-    "barbot_spec",
-    "boundary_corner_check",
-    "check_sampled_positivity",
-    "cyclically_ordered",
-    "flag_distance",
-    "float_flag",
-    "g_from_point",
-    "is_positive_triple",
-    "is_positive_tuple_chain",
-    "is_positive_tuple_quad",
-    "is_upper_unipotent",
-    "jordan_block_sizes",
-    "limit_convergence",
-    "pascal",
-    "power_positivity_threshold",
-    "random_tp",
-    "sign_normalize",
-    "singular_ratio_profile",
-    "staged_minor_count",
-    "standard_flags",
-    "svd_flag",
-    "sym_power",
-    "tp_oracle",
-    "tp_staged",
-    "transporter",
-    "transverse",
-    "unipotent_fixed_flag",
-    "veronese_flag",
-]
+__all__ = []
+__all__ += dynamics.__all__
+__all__ += errors.__all__
+__all__ += flags.__all__
+__all__ += linalg.__all__
+__all__ += positivity.__all__
+__all__ += reps.__all__
+__all__ += tuples.__all__

@@ -10,7 +10,10 @@ Exit codes: 0 affirmative verdict or success, 1 negative verdict,
 2 usage or parse error, 3 precondition violation (non-transverse flags,
 wrong shapes, non-hyperbolic elements, ...), 4 cap exceeded.  A zero
 superdiagonal entry in a tuple factor is a negative verdict (exit 1):
-no sign convention can rescue such a factor.
+no sign convention can rescue such a factor.  Every library error except
+`InvariantViolated`, which reports a defect in the package and keeps its
+traceback, ends in one of these codes; an error class added to the
+package later exits 3 unless it is given a code of its own here.
 
 Machine format (--format machine) is line-oriented: one record per
 verdict, space-separated key=value pairs, first pair record=<subcommand>.
@@ -33,17 +36,10 @@ from .dynamics import limit_convergence, power_positivity_threshold
 from .errors import (
     BadParameters,
     CapExceeded,
-    DimensionMismatch,
     IndexOutOfRange,
-    NotHyperbolic,
-    NotSingleJordanBlock,
-    NotTransverse,
-    NotUnipotent,
-    NotUnipotentUpperTriangular,
+    InvariantViolated,
     ParseError,
-    PreconditionViolated,
-    SingularGapTooSmall,
-    SingularMatrix,
+    PosiflagError,
     ZeroSuperdiagonal,
 )
 from .flags import Flag, transverse
@@ -65,23 +61,10 @@ from .tuples import (
     is_positive_tuple_quad,
 )
 
-_PRECONDITION_ERRORS = (
-    NotTransverse,
-    PreconditionViolated,
-    BadParameters,
-    DimensionMismatch,
-    NotUnipotent,
-    NotUnipotentUpperTriangular,
-    NotSingleJordanBlock,
-    NotHyperbolic,
-    SingularMatrix,
-    SingularGapTooSmall,
-    IndexOutOfRange,
-)
-
 
 def _mapped(fn):
-    """Translate library exceptions into the documented exit codes."""
+    """Translate library exceptions into the documented exit codes;
+    `InvariantViolated` reports a defect and propagates."""
 
     @wraps(fn)
     def inner(*args, **kwargs):
@@ -96,7 +79,9 @@ def _mapped(fn):
         except ZeroSuperdiagonal as exc:
             click.echo(f"not positive: {exc}", err=True)
             sys.exit(1)
-        except _PRECONDITION_ERRORS as exc:
+        except InvariantViolated:
+            raise
+        except PosiflagError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
 

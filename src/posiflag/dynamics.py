@@ -50,6 +50,12 @@ from .linalg import Matrix, _quotient, _scaled_powers
 from .positivity import _contiguous_minors
 from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, barbot_flag, sym_power
 
+__all__ = [
+    "FloatFlag", "LimitEntry", "SingularProfile", "attracting_fixed_point",
+    "flag_distance", "float_flag", "limit_convergence", "power_positivity_threshold",
+    "singular_ratio_profile", "svd_flag",
+]
+
 
 @dataclass(eq=False)
 class FloatFlag:

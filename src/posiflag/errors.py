@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "BadParameters", "CapExceeded", "DimensionMismatch", "IndexOutOfRange",
+    "InvariantViolated", "NotHyperbolic", "NotSingleJordanBlock", "NotTransverse",
+    "NotUnipotent", "NotUnipotentUpperTriangular", "ParseError", "PosiflagError",
+    "PreconditionViolated", "RationalEigenlineRequired", "SingularGapTooSmall",
+    "SingularMatrix", "ZeroSuperdiagonal",
+]
+
 
 class PosiflagError(Exception):
     """Base class for all package errors."""

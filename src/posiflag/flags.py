@@ -53,6 +53,11 @@ from .linalg import (
     _scaled_solve,
 )
 
+__all__ = [
+    "AdaptedBasis", "Flag", "adapted_basis", "standard_flags", "transporter",
+    "transverse", "unipotent_fixed_flag",
+]
+
 
 class Flag:
     """Complete flag presented by an invertible frame.

@@ -36,7 +36,7 @@ from .errors import (
     SingularMatrix,
 )
 
-Scalar = Fraction
+__all__ = ["Matrix", "MinorIndex", "jordan_block_sizes"]
 
 # an integer grid G and nonzero column scales s, standing for G diag(1/s)
 ColumnScaled = tuple[list[list[int]], list[int]]
@@ -209,14 +209,6 @@ def _scaled_solve(
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     return [row[n:] for row in m], den
-
-
-def _solve(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """A^-1 B in Fractions, from `_scaled_solve`."""
-    x, den = _scaled_solve(a, b)
-    return tuple(tuple(_ratio(v, den) for v in row) for row in x)
 
 
 def _is_upper(rows) -> bool:
@@ -429,7 +421,8 @@ class Matrix:
         return _grid_det(self._rows)
 
     def inverse(self) -> "Matrix":
-        return Matrix._of(_solve(self._rows, Matrix.identity(self.dim)._rows))
+        x, den = _scaled_solve(self._rows, Matrix.identity(self.dim)._rows)
+        return Matrix._of(_fractions(x, [den] * self.dim))
 
     def minor(self, index: MinorIndex) -> Fraction:
         """Exact value of the minor addressed by `index`."""

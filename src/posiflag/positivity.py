@@ -50,6 +50,12 @@ from math import prod
 from .errors import InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated
 from .linalg import Matrix, MinorIndex, _cleared, _is_unipotent, _ratio
 
+__all__ = [
+    "BoundaryReport", "DetCounter", "PositivityVerdict", "Status", "Witness",
+    "boundary_corner_check", "is_upper_unipotent", "random_tp", "staged_minor_count",
+    "tp_oracle", "tp_staged",
+]
+
 
 class Status(Enum):
     POSITIVE = "Positive"

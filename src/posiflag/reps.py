@@ -23,6 +23,12 @@ from .errors import BadParameters, DimensionMismatch, SingularMatrix
 from .flags import Flag
 from .linalg import Matrix
 
+__all__ = [
+    "BarbotSpec", "MoebiusElement", "ProjectivePoint", "barbot_flag", "barbot_matrix",
+    "barbot_spec", "cyclically_ordered", "g_from_point", "pascal", "sym_power",
+    "veronese_flag",
+]
+
 
 @dataclass(frozen=True)
 class ProjectivePoint:

@@ -40,6 +40,12 @@ from .linalg import ColumnScaled, Matrix, _fractions
 from .positivity import DetCounter, PositivityVerdict, Status, _staged_scan, is_upper_unipotent
 from .reps import ProjectivePoint, cyclically_ordered
 
+__all__ = [
+    "FlagMapSample", "SampleReport", "TupleCertificate", "check_sampled_positivity",
+    "is_positive_triple", "is_positive_tuple_chain", "is_positive_tuple_quad",
+    "sign_normalize",
+]
+
 
 def _sign_conjugate(rows, signs: tuple[int, ...]) -> tuple[tuple, ...]:
     """The rows of D u D for D = diag(signs), +-1, and u's rows, integer

@@ -34,7 +34,7 @@ from posiflag import (
     tp_staged,
     transverse,
 )
-from posiflag.linalg import _bareiss, _cleared, _is_unipotent, _solve
+from posiflag.linalg import _bareiss, _cleared, _is_unipotent, _scaled_solve
 from posiflag.reps import MoebiusElement
 
 
@@ -354,9 +354,11 @@ def fraction_reverse_echelon(c: Matrix, failure: str):
 
 
 def fraction_coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
-    """The coordinates of h over f by the Fraction route: `_solve` of F^-1 H,
-    `fraction_reverse_echelon`, and a Fraction product re-checking the form."""
-    c = Matrix(_solve(f.frame.rows_tuple(), h.frame.rows_tuple()))
+    """The coordinates of h over f by the Fraction route: F^-1 H from
+    `_scaled_solve` divided out into Fractions, `fraction_reverse_echelon`,
+    and a Fraction product re-checking the form."""
+    x, den = _scaled_solve(f.frame.rows_tuple(), h.frame.rows_tuple())
+    c = Matrix([[Fraction(v, den) for v in row] for row in x])
     placed, t = fraction_reverse_echelon(c, failure)
     u = Matrix([[col[i] for col in placed[::-1]] for i in range(c.dim)])
     if not _is_unipotent(u.rows_tuple()):

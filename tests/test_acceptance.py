@@ -10,15 +10,9 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from posiflag import (
-    CapExceeded,
-    Flag,
     Matrix,
     MoebiusElement,
-    NotTransverse,
-    ProjectivePoint,
     Status,
     ZeroSuperdiagonal,
     barbot_flag,
@@ -26,8 +20,6 @@ from posiflag import (
     barbot_spec,
     boundary_corner_check,
     check_sampled_positivity,
-    flag_distance,
-    float_flag,
     is_positive_triple,
     is_positive_tuple_chain,
     is_positive_tuple_quad,
@@ -44,7 +36,7 @@ from posiflag import (
     unipotent_fixed_flag,
     veronese_flag,
 )
-from posiflag.positivity import bench, staged_minor_count
+from posiflag.positivity import bench
 from posiflag.tuples import FlagMapSample
 from helpers import (
     distinct_points,

@@ -9,7 +9,12 @@ import pytest
 from click.testing import CliRunner
 
 import posiflag
-from posiflag import Flag, InvariantViolated, Matrix, pascal, standard_flags
+import posiflag.cli as cli_module
+import posiflag.errors as errors_module
+from posiflag import (
+    CapExceeded, InvariantViolated, Matrix, NotTransverse, ParseError, PosiflagError,
+    SingularGapTooSmall, ZeroSuperdiagonal, pascal, standard_flags,
+)
 from posiflag.cli import main
 from posiflag.fileio import (
     format_frames,
@@ -521,3 +526,43 @@ class TestBench:
         assert result.exit_code == 0
         assert "method" in result.output
         assert "staged" in result.output and "oracle" in result.output
+
+
+ERROR_CLASSES = [
+    cls for cls in vars(errors_module).values()
+    if isinstance(cls, type) and issubclass(cls, PosiflagError) and cls is not PosiflagError
+]
+EXTRA_ARGS = {NotTransverse: ((1, 2),), ZeroSuperdiagonal: (2,), SingularGapTooSmall: (1e-9,), CapExceeded: (5,)}
+EXIT_CODES = {ParseError: (2, "error:"), CapExceeded: (4, "error:"), ZeroSuperdiagonal: (1, "not positive:")}
+
+
+def raise_from_pascal(monkeypatch, cls):
+    def fail(d):
+        raise cls("boom", *EXTRA_ARGS.get(cls, ()))
+
+    monkeypatch.setattr(cli_module, "pascal", fail)
+
+
+class TestExitCodes:
+    """Each library error raised under a subcommand ends in its documented code."""
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=[c.__name__ for c in ERROR_CLASSES])
+    def test_every_error_class(self, runner, monkeypatch, cls):
+        raise_from_pascal(monkeypatch, cls)
+        result = runner.invoke(main, ["pascal", "--d", "3"])
+        if cls is InvariantViolated:
+            assert isinstance(result.exception, InvariantViolated)
+            return
+        code, prefix = EXIT_CODES.get(cls, (3, "error:"))
+        assert result.exit_code == code
+        assert result.stderr == f"{prefix} boom\n"
+        assert result.stdout == ""
+
+    def test_new_error_class_exits_three(self, runner, monkeypatch):
+        class NewError(PosiflagError):
+            pass
+
+        raise_from_pascal(monkeypatch, NewError)
+        result = runner.invoke(main, ["pascal", "--d", "3"])
+        assert result.exit_code == 3
+        assert result.stderr == "error: boom\n"

@@ -1,15 +1,16 @@
 """Differential tests of the integer pair coordinates against the Fraction route.
 
 The reference is the route the integer one replaced, kept in helpers:
-`_solve` of F^-1 H, a reverse column-echelon form built in Fractions and
-re-checked by a Fraction product (`fraction_coordinates`), and chain
-factors by Fraction back substitution (`back_substitute`).  Tuples are
-drawn by a derandomized hypothesis over d = 1..7: random integer and
-rational frames, random frames with a flag that shares leading columns
-with another (so that pair is never transverse), Veronese flags and
-Barbot flags.  The zero-pivot transversality of the pair coordinates,
-and so the engine's refusal of a family, are compared with the
-determinant test `transverse`, and the chain route with the quad route.
+F^-1 H from `_scaled_solve` divided out into Fractions, a reverse
+column-echelon form built in Fractions and re-checked by a Fraction
+product (`fraction_coordinates`), and chain factors by Fraction back
+substitution (`back_substitute`).  Tuples are drawn by a derandomized
+hypothesis over d = 1..7: random integer and rational frames, random
+frames with a flag that shares leading columns with another (so that
+pair is never transverse), Veronese flags and Barbot flags.  The
+zero-pivot transversality of the pair coordinates, and so the engine's
+refusal of a family, are compared with the determinant test
+`transverse`, and the chain route with the quad route.
 """
 
 from itertools import combinations

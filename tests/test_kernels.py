@@ -24,7 +24,7 @@ from posiflag import (
     staged_minor_count, tp_oracle, tp_staged, transporter, transverse,
 )
 from posiflag.linalg import (
-    _cleared, _fractions, _gauss_jordan, _grid_det, _grid_rank, _quotient, _solve,
+    _cleared, _fractions, _gauss_jordan, _grid_det, _grid_rank, _quotient, _scaled_solve,
 )
 from posiflag.positivity import _contiguous_minors
 from helpers import (
@@ -151,9 +151,10 @@ class TestSolve:
         sa = to_sympy(a)
         if sa.det() == 0:
             with pytest.raises(SingularMatrix):
-                _solve(a, b)
+                _scaled_solve(a, b)
             return
-        assert _solve(a, b) == from_sympy(sa.LUsolve(to_sympy(b)))
+        x, den = _scaled_solve(a, b)
+        assert _fractions(x, [den] * len(x[0])) == from_sympy(sa.LUsolve(to_sympy(b)))
 
     @SETTINGS
     @given(st.one_of(grids(integers), grids(rationals)))

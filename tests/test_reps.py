@@ -7,7 +7,6 @@ import pytest
 from posiflag import (
     BadParameters,
     DimensionMismatch,
-    Flag,
     Matrix,
     MoebiusElement,
     ProjectivePoint,
@@ -28,7 +27,7 @@ from posiflag import (
     transverse,
     veronese_flag,
 )
-from helpers import distinct_points, random_mild_hyperbolic
+from helpers import distinct_points
 
 F = Fraction
 

@@ -1,19 +1,61 @@
 """Source-level guards on the package itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "posiflag").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "posiflag").glob("*.py"))
+MODULES = [p.stem for p in SOURCES if p.stem != "__init__"]
+PYTHON_FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_assert_statements(path):
     """Invariants are explicit checks that raise, so they survive `python -O`."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def _literal_all(tree: ast.Module) -> set[str]:
+    """The names of a module-level `__all__ = [...]` literal, if there is one."""
+    names = set()
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            names |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", PYTHON_FILES, ids=[f"{p.parent.name}/{p.name}" for p in PYTHON_FILES]
+)
+def test_no_unused_imports(path):
+    """Every imported name is read somewhere in its file (no linter is assumed)."""
+    tree = _parse(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(bound, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(
+        (line, name) for name, line in imported.items() if name not in read | _literal_all(tree)
+    )
+    assert not unused, f"{path.name} imports names it never reads: {unused}"
 
 
 def test_public_names_are_exported():
@@ -30,3 +72,16 @@ def test_public_names_are_exported():
     }
     unlisted = sorted(public - set(posiflag.__all__))
     assert not unlisted, f"public names missing from __all__: {unlisted}"
+    duplicated = sorted({name for name in posiflag.__all__ if posiflag.__all__.count(name) > 1})
+    assert not duplicated, f"names listed twice in __all__: {duplicated}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_are_defined_there(name):
+    """A module's `__all__` names only objects that the module itself defines,
+    so each public name is declared once, where it lives."""
+    module = importlib.import_module(f"posiflag.{name}")
+    foreign = sorted(
+        n for n in getattr(module, "__all__", ()) if getattr(module, n).__module__ != module.__name__
+    )
+    assert not foreign, f"{name}.py exports names defined elsewhere: {foreign}"
