@@ -12,8 +12,9 @@ wrong shapes, non-hyperbolic elements, ...), 4 cap exceeded.  A zero
 superdiagonal entry in a tuple factor is a negative verdict (exit 1):
 no sign convention can rescue such a factor.  Every library error except
 `InvariantViolated`, which reports a defect in the package and keeps its
-traceback, ends in one of these codes; an error class added to the
-package later exits 3 unless it is given a code of its own here.
+traceback, ends in one of these codes under every subcommand, since the
+map sits on the command group; a new error class exits 3.  An input
+file that is not UTF-8 is a parse error.
 
 Machine format (--format machine) is line-oriented: one record per
 verdict, space-separated key=value pairs, first pair record=<subcommand>.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import os
 import sys
-from functools import wraps
 from pathlib import Path
 
 import click
@@ -62,14 +62,13 @@ from .tuples import (
 )
 
 
-def _mapped(fn):
-    """Translate library exceptions into the documented exit codes;
-    `InvariantViolated` reports a defect and propagates."""
+class _Posiflag(click.Group):
+    """Command group ending every library error under any subcommand in its
+    documented exit code; `InvariantViolated` reports a defect and propagates."""
 
-    @wraps(fn)
-    def inner(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ParseError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -85,7 +84,26 @@ def _mapped(fn):
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
 
-    return inner
+
+def _read(path: str) -> str:
+    """Text of an input file, decoded as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
+def _record(name: str, /, **fields) -> None:
+    """Echo one machine record: record=<name>, then key=value for each field
+    in call order, leaving out fields that are None."""
+    pairs = [f"{key}={value}" for key, value in fields.items() if value is not None]
+    click.echo(" ".join([f"record={name}", *pairs]))
+
+
+_FILE = click.Path(exists=True, dir_okay=False)
+_format = click.option(
+    "--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True
+)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -100,17 +118,18 @@ def _resolve_seed(seed: int | None) -> int:
     return 0
 
 
-def _witness_str(w: Witness) -> str:
-    rows = "(" + ",".join(str(i) for i in w.index.rows) + ")"
-    cols = "(" + ",".join(str(j) for j in w.index.cols) + ")"
-    return f"{w.index.size};{rows};{cols};{w.value}"
+# the formatters pass None through, so that _record leaves the field out
+def _seq_str(seq) -> str | None:
+    return None if seq is None else "(" + ",".join(str(x) for x in seq) + ")"
 
 
-def _seq_str(seq) -> str:
-    return "(" + ",".join(str(x) for x in seq) + ")"
+def _witness_str(w: Witness | None) -> str | None:
+    if w is None:
+        return None
+    return f"{w.index.size};{_seq_str(w.index.rows)};{_seq_str(w.index.cols)};{w.value}"
 
 
-@click.group()
+@click.group(cls=_Posiflag)
 def main():
     """Exact total positivity of unipotent matrices and flag tuples."""
     # exact results may exceed the interpreter's int/str digit limit; print
@@ -120,40 +139,36 @@ def main():
 
 
 @main.command("tp-check")
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--input", "input_path", type=_FILE, required=True)
 @click.option("--method", type=click.Choice(["staged", "oracle", "both"]), default="staged", show_default=True)
 @click.option("--emit", type=click.Choice(["status", "witness"]), default="status", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
-@_mapped
+@_format
 def tp_check(input_path, method, emit, fmt):
     """Decide total positivity of one matrix."""
-    m = fileio.parse_matrix(Path(input_path).read_text())
+    m = fileio.parse_matrix(_read(input_path))
     names = ["staged", "oracle"] if method == "both" else [method]
     all_positive = True
     for name in names:
         run = tp_staged if name == "staged" else tp_oracle
         verdict = run(m)
         all_positive = all_positive and verdict.is_positive
+        witness = _witness_str(verdict.witness) if emit == "witness" else None
         if fmt == "machine":
-            parts = [f"record=tp-check", f"method={name}", f"status={verdict.status.value}"]
-            if emit == "witness" and verdict.witness is not None:
-                parts.append(f"witness={_witness_str(verdict.witness)}")
-            click.echo(" ".join(parts))
+            _record("tp-check", method=name, status=verdict.status.value, witness=witness)
         else:
             click.echo(f"{name}: {verdict.status.value}")
-            if emit == "witness" and verdict.witness is not None:
-                click.echo(f"witness: {_witness_str(verdict.witness)}")
+            if witness is not None:
+                click.echo(f"witness: {witness}")
     sys.exit(0 if all_positive else 1)
 
 
 @main.command("tuple-check")
-@click.option("--flags", "flags_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--flags", "flags_path", type=_FILE, required=True)
 @click.option("--method", type=click.Choice(["chain", "quad", "both"]), default="chain", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
-@_mapped
+@_format
 def tuple_check(flags_path, method, fmt):
     """Certify positivity of an ordered flag tuple."""
-    frames = fileio.parse_frames(Path(flags_path).read_text())
+    frames = fileio.parse_frames(_read(flags_path))
     flags = [Flag(f) for f in frames]
     names = ["chain", "quad"] if method == "both" else [method]
     all_positive = True
@@ -161,38 +176,33 @@ def tuple_check(flags_path, method, fmt):
         try:
             if name == "chain":
                 verdict, cert = is_positive_tuple_chain(flags)
-                extra = f" factors={len(cert.factors)}"
+                factors = len(cert.factors)
             else:
                 verdict = is_positive_tuple_quad(flags)
-                extra = ""
+                factors = None
         except ZeroSuperdiagonal as exc:
             all_positive = False
             if fmt == "machine":
-                click.echo(
-                    f"record=tuple-check method={name} status=NotPositive "
-                    f"detail=zero-superdiagonal position={exc.position}"
-                )
+                _record("tuple-check", method=name, status="NotPositive",
+                        detail="zero-superdiagonal", position=exc.position)
             else:
                 click.echo(f"{name}: not positive (zero superdiagonal at position {exc.position})")
             continue
         all_positive = all_positive and verdict.is_positive
         if fmt == "machine":
-            line = f"record=tuple-check method={name} status={verdict.status.value}"
-            if verdict.witness is not None:
-                line += f" witness={_witness_str(verdict.witness)}"
-            click.echo(line + extra)
+            _record("tuple-check", method=name, status=verdict.status.value,
+                    witness=_witness_str(verdict.witness), factors=factors)
         else:
             click.echo(f"{name}: {verdict.status.value}")
     sys.exit(0 if all_positive else 1)
 
 
 @main.command("map-check")
-@click.option("--sample", "sample_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
-@_mapped
+@click.option("--sample", "sample_path", type=_FILE, required=True)
+@_format
 def map_check(sample_path, fmt):
     """Run the sampled positivity-propagation check."""
-    records = fileio.parse_sample(Path(sample_path).read_text())
+    records = fileio.parse_sample(_read(sample_path))
     sample = FlagMapSample.from_records(records)
     report = check_sampled_positivity(sample)
     if fmt == "machine":
@@ -201,14 +211,9 @@ def map_check(sample_path, fmt):
             "vacuously consistent, no positive triple": "vacuously-consistent",
             "inconsistent": "inconsistent",
         }[report.status]
-        parts = [f"record=map-check", f"status={token}"]
-        if report.positive_triple is not None:
-            parts.append(f"positive_triple={_seq_str(report.positive_triple)}")
-        if report.failing_quad is not None:
-            parts.append(f"failing_quad={_seq_str(report.failing_quad)}")
-        parts.append(f"triples={report.triples_scanned}")
-        parts.append(f"quads={report.quads_checked}")
-        click.echo(" ".join(parts))
+        _record("map-check", status=token, positive_triple=_seq_str(report.positive_triple),
+                failing_quad=_seq_str(report.failing_quad), triples=report.triples_scanned,
+                quads=report.quads_checked)
     else:
         click.echo(f"status: {report.status}")
         if report.positive_triple is not None:
@@ -220,20 +225,19 @@ def map_check(sample_path, fmt):
 
 
 @main.command("flags-transverse")
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--input", "input_path", type=_FILE, required=True)
 @click.option("--pair", nargs=2, type=int, required=True, metavar="I J")
-@click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
-@_mapped
+@_format
 def flags_transverse(input_path, pair, fmt):
     """Test transversality of two flags from a flags file (1-based positions)."""
-    frames = fileio.parse_frames(Path(input_path).read_text())
+    frames = fileio.parse_frames(_read(input_path))
     i, j = pair
     for pos in (i, j):
         if not 1 <= pos <= len(frames):
             raise IndexOutOfRange(f"flag position {pos} outside 1..{len(frames)}")
     result = transverse(Flag(frames[i - 1]), Flag(frames[j - 1]))
     if fmt == "machine":
-        click.echo(f"record=flags-transverse pair=({i},{j}) transverse={'true' if result else 'false'}")
+        _record("flags-transverse", pair=_seq_str(pair), transverse="true" if result else "false")
     else:
         click.echo(f"flags {i} and {j} are {'transverse' if result else 'not transverse'}")
     sys.exit(0 if result else 1)
@@ -241,7 +245,6 @@ def flags_transverse(input_path, pair, fmt):
 
 @main.command("pascal")
 @click.option("--d", type=click.IntRange(min=1), required=True)
-@_mapped
 def pascal_cmd(d):
     """Print the upper-triangular binomial matrix as a matrix file."""
     click.echo(fileio.format_matrix(pascal(d)), nl=False)
@@ -249,11 +252,10 @@ def pascal_cmd(d):
 
 @main.command("sym-power")
 @click.option("--d", type=click.IntRange(min=1), required=True)
-@click.option("--g", "g_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@_mapped
+@click.option("--g", "g_path", type=_FILE, required=True)
 def sym_power_cmd(d, g_path):
     """Print the d-dimensional symmetric power of a 2x2 matrix."""
-    g = fileio.parse_matrix(Path(g_path).read_text())
+    g = fileio.parse_matrix(_read(g_path))
     click.echo(fileio.format_matrix(sym_power(g, d)), nl=False)
 
 
@@ -261,9 +263,8 @@ def sym_power_cmd(d, g_path):
 @click.option("--d", type=int, required=True)
 @click.option("--j", type=int, required=True)
 @click.option("--emit", type=click.Choice(["spec", "basis", "matrix", "flags"]), default="spec", show_default=True)
-@click.option("--g", "g_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--points", "points_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@_mapped
+@click.option("--g", "g_path", type=_FILE, default=None)
+@click.option("--points", "points_path", type=_FILE, default=None)
 def barbot_cmd(d, j, emit, g_path, points_path):
     """Inspect the reducible block family: shape, basis, matrices, flags."""
     spec = barbot_spec(d, j)
@@ -274,42 +275,40 @@ def barbot_cmd(d, j, emit, g_path, points_path):
     elif emit == "matrix":
         if g_path is None:
             raise click.UsageError("--emit matrix requires --g FILE")
-        g = fileio.parse_matrix(Path(g_path).read_text())
+        g = fileio.parse_matrix(_read(g_path))
         click.echo(fileio.format_matrix(barbot_matrix(spec, g)), nl=False)
     else:
         if points_path is None:
             raise click.UsageError("--emit flags requires --points FILE")
-        pts = fileio.parse_points(Path(points_path).read_text())
+        pts = fileio.parse_points(_read(points_path))
         frames = [barbot_flag(spec, ProjectivePoint(p, q)).frame for p, q in pts]
         click.echo(fileio.format_frames(frames), nl=False)
 
 
 @main.command("veronese")
 @click.option("--d", type=click.IntRange(min=2), required=True)
-@click.option("--points", "points_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@_mapped
+@click.option("--points", "points_path", type=_FILE, required=True)
 def veronese_cmd(d, points_path):
     """Print the symmetric-power flags at the given projective points."""
-    pts = fileio.parse_points(Path(points_path).read_text())
+    pts = fileio.parse_points(_read(points_path))
     frames = [veronese_flag(ProjectivePoint(p, q), d).frame for p, q in pts]
     click.echo(fileio.format_frames(frames), nl=False)
 
 
 @main.command("threshold")
-@click.option("--u", "u_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--flag", "flag_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--u", "u_path", type=_FILE, required=True)
+@click.option("--flag", "flag_path", type=_FILE, required=True)
 @click.option("--cap", type=click.IntRange(min=1), default=100_000, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
-@_mapped
+@_format
 def threshold_cmd(u_path, flag_path, cap, fmt):
     """Find the first power of u making the triple with the given flag positive."""
-    u = fileio.parse_matrix(Path(u_path).read_text())
-    frames = fileio.parse_frames(Path(flag_path).read_text())
+    u = fileio.parse_matrix(_read(u_path))
+    frames = fileio.parse_frames(_read(flag_path))
     if len(frames) != 1:
         raise BadParameters(f"flag file must hold exactly one frame, found {len(frames)}")
     t = power_positivity_threshold(u, Flag(frames[0]), cap)
     if fmt == "machine":
-        click.echo(f"record=threshold t={t} cap={cap}")
+        _record("threshold", t=t, cap=cap)
     else:
         click.echo(f"threshold: {t}")
 
@@ -317,14 +316,13 @@ def threshold_cmd(u_path, flag_path, cap, fmt):
 @main.command("limit-demo")
 @click.option("--d", type=int, required=True)
 @click.option("--j", type=int, required=True)
-@click.option("--g", "g_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--g", "g_path", type=_FILE, required=True)
 @click.option("--iters", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--emit", type=click.Choice(["series"]), default="series", show_default=True)
-@_mapped
 def limit_demo(d, j, g_path, iters, emit):
     """CSV series of flag distances to the attracting limit flag."""
     spec = barbot_spec(d, j)
-    g = MoebiusElement(fileio.parse_matrix(Path(g_path).read_text()))
+    g = MoebiusElement(fileio.parse_matrix(_read(g_path)))
     series = limit_convergence(spec, g, iters)
     click.echo("n,distance,min_gap")
     for entry in series:
@@ -337,20 +335,17 @@ def limit_demo(d, j, g_path, iters, emit):
 @click.option("--d-max", type=click.IntRange(3, 12), default=10, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="defaults to POSIFLAG_SEED, else 0")
-@click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
-@_mapped
+@_format
 def bench_cmd(d_min, d_max, samples, seed, fmt):
     """Count determinant evaluations for both methods on identical inputs."""
     if d_max < d_min:
         raise click.UsageError("--d-max must be at least --d-min")
     report = bench(range(d_min, d_max + 1), samples, _resolve_seed(seed))
     if fmt == "machine":
-        click.echo(f"record=bench-env {report.env}")
+        _record("bench-env", **dict(field.split("=", 1) for field in report.env.split()))
         for row in report.rows:
-            click.echo(
-                f"record=bench d={row.d} method={row.method} "
-                f"dets={row.dets} time_ms={row.time_ms:.3f}"
-            )
+            _record("bench", d=row.d, method=row.method, dets=row.dets,
+                    time_ms=f"{row.time_ms:.3f}")
     else:
         click.echo(report.env)
         click.echo(f"{'d':>3} {'method':>7} {'dets':>8} {'time_ms':>10}")

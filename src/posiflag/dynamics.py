@@ -20,7 +20,9 @@ scaled to unit determinant so representatives of the same projective
 element measure alike.
 
 numpy is imported inside the float functions, so importing this module
-(and the exact subcommands of the CLI) does not load it.
+(and the exact subcommands of the CLI) does not load it.  Exact grids
+become floats only in `_floats`, which rejects an entry outside the
+float range (PreconditionViolated) rather than passing on inf.
 """
 
 from __future__ import annotations
@@ -89,14 +91,22 @@ class SingularProfile:
         return tuple(a / b for a, b in zip(self.values, self.values[1:]))
 
 
-def float_flag(f: Flag) -> FloatFlag:
-    """Orthonormalized float copy of an exact flag."""
+def _floats(m: Matrix, message: str) -> np.ndarray:
+    """Float array of an exact matrix; PreconditionViolated(message) for an
+    entry outside the float range."""
     import numpy as np
 
-    arr = np.array(
-        [[float(f.frame.entry(i, j)) for j in range(1, f.dim + 1)] for i in range(1, f.dim + 1)]
-    )
-    q, _ = np.linalg.qr(arr)
+    try:
+        return np.array([[float(x) for x in row] for row in m.rows_tuple()])
+    except OverflowError:
+        raise PreconditionViolated(message) from None
+
+
+def float_flag(f: Flag) -> FloatFlag:
+    """Orthonormalized float copy of an exact flag; PreconditionViolated past the float range."""
+    import numpy as np
+
+    q, _ = np.linalg.qr(_floats(f.frame, "flag frame is outside the float range"))
     return FloatFlag(q, f.dim)
 
 
@@ -253,15 +263,15 @@ def _tau_hat(spec: BarbotSpec, g: MoebiusElement, n: int) -> np.ndarray:
     m1 = spec.d - spec.j
     gn = g.power(n)
     block = np.zeros((spec.d, spec.d))
+    message = f"g^n is outside the float range at n = {n}"
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             absdet = abs(float(g.det)) ** n
             for lo, m in ((0, m1), (m1, spec.j)):
-                block[lo:lo + m, lo:lo + m] = np.array(
-                    [[float(x) for x in row] for row in sym_power(gn, m).rows_tuple()]
-                ) / absdet ** ((m - 1) / 2)
+                scale = absdet ** ((m - 1) / 2)
+                block[lo:lo + m, lo:lo + m] = _floats(sym_power(gn, m), message) / scale
     except (OverflowError, FloatingPointError):
-        raise PreconditionViolated(f"g^n is outside the float range at n = {n}") from None
+        raise PreconditionViolated(message) from None
     idx = np.array(spec.perm) - 1
     permuted = block[np.ix_(idx, idx)]
     w = _weights(spec)
@@ -283,9 +293,7 @@ def singular_ratio_profile(
         raise NotHyperbolic("singular ratio profile needs a hyperbolic element")
     sig = np.linalg.svd(_tau_hat(spec, g, n), compute_uv=False)
     profile = SingularProfile(tuple(sig))
-    g_arr = np.array(
-        [[float(x) for x in row] for row in g.power(n).matrix.rows_tuple()]
-    )
+    g_arr = _floats(g.power(n).matrix, f"g^n is outside the float range at n = {n}")
     s2 = np.linalg.svd(g_arr, compute_uv=False)
     r = s2[0] / s2[1]
     d, k = spec.d, spec.k
@@ -320,12 +328,7 @@ def limit_convergence(spec: BarbotSpec, g: MoebiusElement, n_max: int) -> list[L
     x_plus = attracting_fixed_point(g)
     target = barbot_flag(spec, x_plus)
     w = _weights(spec)
-    target_arr = np.array(
-        [
-            [float(target.frame.entry(i, j)) for j in range(1, spec.d + 1)]
-            for i in range(1, spec.d + 1)
-        ]
-    )
+    target_arr = _floats(target.frame, "the limit flag is outside the float range")
     q, _ = np.linalg.qr(target_arr / w[:, None])
     target_w = FloatFlag(q, spec.d)
     series = []

@@ -13,7 +13,7 @@ import posiflag.cli as cli_module
 import posiflag.errors as errors_module
 from posiflag import (
     CapExceeded, InvariantViolated, Matrix, NotTransverse, ParseError, PosiflagError,
-    SingularGapTooSmall, ZeroSuperdiagonal, pascal, standard_flags,
+    SingularGapTooSmall, ZeroSuperdiagonal, barbot_matrix, barbot_spec, pascal, standard_flags,
 )
 from posiflag.cli import main
 from posiflag.fileio import (
@@ -350,6 +350,20 @@ class TestGenerators:
         result = runner.invoke(main, ["barbot", "--d", "3", "--j", "1", "--emit", "matrix"])
         assert result.exit_code == 2
 
+    def test_barbot_matrix_output(self, runner, files):
+        g = Matrix(((2, 1), (1, 1)))
+        path = files("g.mat", format_matrix(g))
+        result = runner.invoke(
+            main, ["barbot", "--d", "5", "--j", "2", "--emit", "matrix", "--g", path]
+        )
+        assert result.exit_code == 0
+        assert result.output == format_matrix(barbot_matrix(barbot_spec(5, 2), g))
+
+    def test_barbot_flags_requires_points(self, runner):
+        result = runner.invoke(main, ["barbot", "--d", "3", "--j", "1", "--emit", "flags"])
+        assert result.exit_code == 2
+        assert "--emit flags requires --points FILE" in result.stderr
+
     def test_barbot_invalid_shape(self, runner):
         result = runner.invoke(main, ["barbot", "--d", "4", "--j", "1"])
         assert result.exit_code == 3
@@ -479,6 +493,47 @@ class TestLimitDemo:
         assert result.stdout == ""
         assert "Traceback" not in result.output
 
+    def test_limit_flag_outside_float_range_exit_three(self, runner, files):
+        # the attracting fixed point [2 * 10^400 : 3] gives a limit flag beyond the float range
+        g = files("big.mat", format_matrix(Matrix(((F(1, 2), 10**400), (0, 2)))))
+        result = runner.invoke(
+            main, ["limit-demo", "--d", "3", "--j", "1", "--g", g, "--iters", "3"]
+        )
+        assert result.exit_code == 3
+        assert result.stderr == "error: the limit flag is outside the float range\n"
+        assert result.stdout == ""
+
+
+# every file option of every subcommand; BAD marks the file under test and
+# GOOD a valid 3x3 matrix file for the option read before it
+FILE_OPTIONS = [
+    ["tp-check", "--input", "BAD"],
+    ["tuple-check", "--flags", "BAD"],
+    ["map-check", "--sample", "BAD"],
+    ["flags-transverse", "--input", "BAD", "--pair", "1", "2"],
+    ["sym-power", "--d", "3", "--g", "BAD"],
+    ["barbot", "--d", "3", "--j", "1", "--emit", "matrix", "--g", "BAD"],
+    ["barbot", "--d", "3", "--j", "1", "--emit", "flags", "--points", "BAD"],
+    ["veronese", "--d", "3", "--points", "BAD"],
+    ["threshold", "--u", "BAD", "--flag", "GOOD"],
+    ["threshold", "--u", "GOOD", "--flag", "BAD"],
+    ["limit-demo", "--d", "3", "--j", "1", "--g", "BAD"],
+]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("argv", FILE_OPTIONS,
+                             ids=[f"{a[0]} {a[a.index('BAD') - 1]}" for a in FILE_OPTIONS])
+    def test_non_utf8_file_exit_two(self, runner, tmp_path, argv):
+        bad, good = tmp_path / "bad.txt", tmp_path / "good.mat"
+        bad.write_bytes(b"dim 2\n\xff\n")
+        good.write_text(format_matrix(pascal(3)))
+        args = [{"BAD": str(bad), "GOOD": str(good)}.get(a, a) for a in argv]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {bad} is not UTF-8 text (byte 6)\n"
+        assert result.stdout == ""
+
 
 def strip_times(output: str) -> str:
     return re.sub(r"time_ms=\d+\.\d+", "time_ms=X", output)
@@ -509,6 +564,14 @@ class TestBench:
         by_flag = runner.invoke(main, args + ["--seed", "7"])
         by_env = runner.invoke(main, args, env={"POSIFLAG_SEED": "7"})
         assert strip_times(by_flag.output) == strip_times(by_env.output)
+
+    def test_malformed_seed_environment_exit_two(self, runner):
+        result = runner.invoke(
+            main, ["bench", "--d-min", "3", "--d-max", "3"], env={"POSIFLAG_SEED": "x"}
+        )
+        assert result.exit_code == 2
+        assert "POSIFLAG_SEED must be an integer" in result.stderr
+        assert result.stdout == ""
 
     def test_bad_range_exit_two(self, runner):
         result = runner.invoke(main, ["bench", "--d-min", "5", "--d-max", "4"])
@@ -566,3 +629,19 @@ class TestExitCodes:
         result = runner.invoke(main, ["pascal", "--d", "3"])
         assert result.exit_code == 3
         assert result.stderr == "error: boom\n"
+
+    def test_later_subcommand_gets_the_map(self, runner):
+        class LaterError(PosiflagError):
+            pass
+
+        @main.command("later")
+        def later():
+            raise LaterError("boom")
+
+        try:
+            result = runner.invoke(main, ["later"])
+        finally:
+            del main.commands["later"]
+        assert result.exit_code == 3
+        assert result.stderr == "error: boom\n"
+        assert result.stdout == ""

@@ -19,6 +19,7 @@ from posiflag import (
     NotSingleJordanBlock,
     NotTransverse,
     PosiflagError,
+    PreconditionViolated,
     ProjectivePoint,
     RationalEigenlineRequired,
     SingularGapTooSmall,
@@ -89,6 +90,11 @@ class TestFlagDistance:
     def test_right_angle_between_standard_flags(self):
         asc, desc = standard_flags(3)
         assert flag_distance(float_flag(asc), float_flag(desc)) == pytest.approx(math.pi / 2)
+
+    def test_float_flag_outside_float_range(self):
+        frame = Matrix(((1, 10**400), (0, 1)))
+        with pytest.raises(PreconditionViolated, match="outside the float range"):
+            float_flag(Flag(frame))
 
     def test_dim_mismatch(self):
         a2 = float_flag(standard_flags(2)[0])
@@ -274,6 +280,10 @@ class TestAttractingFixedPoint:
         assert attracting_fixed_point(g) == ProjectivePoint(3, 2)
         assert attracting_fixed_point(g.inverse()) == ProjectivePoint(1, 1)
 
+    def test_lower_triangular(self):
+        # b = 0 and c != 0: the eigenline of 2 is spanned by (2 - 1/2, 1)
+        assert attracting_fixed_point(MoebiusElement.of(2, 0, 1, F(1, 2))) == ProjectivePoint(3, 2)
+
     def test_requires_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
             attracting_fixed_point(MoebiusElement.of(1, 1, 0, 1))
@@ -349,6 +359,21 @@ class TestLimitConvergence:
         window = [live[n] for n in (10, 20, 30, 40) if n in live]
         assert len(window) == 4
         assert all(b < a for a, b in zip(window, window[1:]))
+
+    def test_narrow_gaps_are_skipped(self):
+        # singular value ratios near 1 + 1e-12 are below the 1 + 1e-8 tolerance
+        eps = F(1, 10**12)
+        g = MoebiusElement.of(1 + eps, 0, 0, 1 / (1 + eps))
+        series = limit_convergence(barbot_spec(3, 1), g, 3)
+        assert [(e.n, e.skipped, e.distance) for e in series] == [
+            (1, True, None), (2, True, None), (3, True, None)
+        ]
+        assert all(1 <= e.min_gap < 1 + 1e-8 for e in series)
+
+    def test_limit_flag_outside_float_range(self):
+        g = MoebiusElement.of(F(1, 2), 10**400, 0, 2)
+        with pytest.raises(PreconditionViolated, match="the limit flag is outside the float range"):
+            limit_convergence(barbot_spec(3, 1), g, 3)
 
     def test_requires_hyperbolic(self):
         with pytest.raises(NotHyperbolic):

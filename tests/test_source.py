@@ -85,3 +85,56 @@ def test_module_exports_are_defined_there(name):
         n for n in getattr(module, "__all__", ()) if getattr(module, n).__module__ != module.__name__
     )
     assert not foreign, f"{name}.py exports names defined elsewhere: {foreign}"
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring nodes of the module and of its classes and functions."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, owners) and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _reads_text(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+        node.func.attr == "read_text"
+    )
+
+
+def _spells_record(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and "record=" in str(node.value)
+
+
+def _floats_an_entry(node: ast.AST) -> bool:
+    """A float(...) call on anything but a determinant, the one scalar converted."""
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+        and not (len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
+                 and node.args[0].attr == "det")
+    )
+
+
+BOUNDARY_RULES = [
+    ("cli.py", "_read", _reads_text),
+    ("cli.py", "_record", _spells_record),
+    ("dynamics.py", "_floats", _floats_an_entry),
+]
+
+
+@pytest.mark.parametrize(
+    "module, owner, matches", BOUNDARY_RULES, ids=[f"{m}:{o}" for m, o, _ in BOUNDARY_RULES]
+)
+def test_boundary_rule_is_written_once(module, owner, matches):
+    """Input files are read, machine records spelled and exact grids turned
+    into floats in one function each, so every site shares its checks."""
+    tree = _parse(ROOT / "src" / "posiflag" / module)
+    owners = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == owner]
+    assert len(owners) == 1, f"{module} must define {owner} once at module level"
+    inside = {id(n) for n in ast.walk(owners[0])}
+    skip = _docstrings(tree)
+    hits = [n for n in ast.walk(tree) if id(n) not in skip and matches(n)]
+    outside = sorted(n.lineno for n in hits if id(n) not in inside)
+    assert not outside, f"{module} does outside {owner} what {owner} is for, at lines {outside}"
+    assert any(id(n) in inside for n in hits), f"{owner} in {module} no longer does it"
