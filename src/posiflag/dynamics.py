@@ -12,12 +12,14 @@ The float side: powers of a hyperbolic 2x2 element pushed through the
 reducible block family develop widening singular-value gaps, the flag of
 left singular vectors converges to the family's flag at the attracting
 fixed point, and the gap ratios follow a two-branch prediction.
-Measurements are taken in a weighted version of the interleaved basis
-(each block's monomial vector scaled by the square root of its binomial
-coefficient) in which rotation-like elements act by isometries; in the
-plain basis the clean ratio formula simply does not hold.  Blocks are
-scaled to unit determinant so representatives of the same projective
-element measure alike.
+The family is built exactly by reps.barbot_matrix; this side only
+converts it to floats, scales each block to unit determinant (so
+representatives of the same projective element measure alike) and
+weights it.  Measurements are taken in that weighted version of the
+interleaved basis (each block's monomial vector scaled by the square
+root of its binomial coefficient), in which rotation-like elements act
+by isometries; in the plain basis the clean ratio formula simply does
+not hold.
 
 numpy is imported inside the float functions, so importing this module
 (and the exact subcommands of the CLI) does not load it.  Exact grids
@@ -50,7 +52,7 @@ from .errors import (
 from .flags import Flag, _pair_coordinates, unipotent_fixed_flag
 from .linalg import Matrix, _quotient, _scaled_powers
 from .positivity import _contiguous_minors
-from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, barbot_flag, sym_power
+from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, _blocks, barbot_flag, barbot_matrix
 
 __all__ = [
     "FloatFlag", "LimitEntry", "SingularProfile", "attracting_fixed_point",
@@ -241,41 +243,28 @@ def _weights(spec: BarbotSpec) -> np.ndarray:
     """Per-coordinate weights making rotations act by isometries blockwise."""
     import numpy as np
 
-    m1 = spec.d - spec.j
-    w = np.empty(spec.d)
-    for t, e_idx in enumerate(spec.perm):
-        if e_idx <= m1:
-            m, i = m1, e_idx
-        else:
-            m, i = spec.j, e_idx - m1
-        w[t] = math.sqrt(math.comb(m - 1, i - 1))
-    return w
+    return np.array([math.sqrt(math.comb(m - 1, i - 1)) for m, i in _blocks(spec)])
 
 
 def _tau_hat(spec: BarbotSpec, g: MoebiusElement, n: int) -> np.ndarray:
     """Float matrix of the block family at g^n: det-normalized, weighted basis.
 
+    Each row is divided by |det g|^(n(m-1)/2), m the size of its block.
     Raises PreconditionViolated when an entry of g^n or |det g|^n leaves
     the float range on the way, instead of passing on inf or nan.
     """
     import numpy as np
 
-    m1 = spec.d - spec.j
-    gn = g.power(n)
-    block = np.zeros((spec.d, spec.d))
     message = f"g^n is outside the float range at n = {n}"
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             absdet = abs(float(g.det)) ** n
-            for lo, m in ((0, m1), (m1, spec.j)):
-                scale = absdet ** ((m - 1) / 2)
-                block[lo:lo + m, lo:lo + m] = _floats(sym_power(gn, m), message) / scale
+            scale = np.array([absdet ** ((m - 1) / 2) for m, _ in _blocks(spec)])
+            normalized = _floats(barbot_matrix(spec, g.power(n)), message) / scale[:, None]
     except (OverflowError, FloatingPointError):
         raise PreconditionViolated(message) from None
-    idx = np.array(spec.perm) - 1
-    permuted = block[np.ix_(idx, idx)]
     w = _weights(spec)
-    return permuted * w[None, :] / w[:, None]
+    return normalized * w[None, :] / w[:, None]
 
 
 def singular_ratio_profile(
@@ -339,7 +328,5 @@ def limit_convergence(spec: BarbotSpec, g: MoebiusElement, n_max: int) -> list[L
         except SingularGapTooSmall as exc:
             series.append(LimitEntry(n, None, exc.min_gap, True))
             continue
-        series.append(
-            LimitEntry(n, flag_distance(fl, target_w), fl.min_gap or math.inf, False)
-        )
+        series.append(LimitEntry(n, flag_distance(fl, target_w), fl.min_gap, False))
     return series

@@ -7,6 +7,8 @@ The reducible family tau_{d, j} (d odd) glues the symmetric powers of
 sizes d-j and j block-diagonally and rewrites them in an interleaved
 basis; its flags at projective points land on a limit set with no
 positive triples, the counterpoint to the fully positive Veronese flags.
+barbot_matrix builds tau exactly, and _blocks is the one decoding of
+the interleaved basis, which the float dynamics reads as well.
 
 Scalar convention: matrix-level outputs are computed for the given 2x2
 representative (no determinant normalization); flag-level outputs are
@@ -239,23 +241,22 @@ def barbot_spec(d: int, j: int) -> BarbotSpec:
     return BarbotSpec(d, j, k, tuple(order))
 
 
+def _blocks(spec: BarbotSpec) -> list[tuple[int, int]]:
+    """(m, i) per interleaved basis vector: its block's size m, d-j or j
+    (never equal), and its 1-based monomial index i inside that block."""
+    m1 = spec.d - spec.j
+    return [(m1, e) if e <= m1 else (spec.j, e - m1) for e in spec.perm]
+
+
 def barbot_matrix(spec: BarbotSpec, g) -> Matrix:
     """Block sum of the two symmetric powers, in the interleaved basis."""
-    m1 = spec.d - spec.j
-    big = sym_power(g, m1)
-    small = sym_power(g, spec.j)
-
-    def block_entry(r: int, c: int) -> Fraction:
-        if r <= m1 and c <= m1:
-            return big.entry(r, c)
-        if r > m1 and c > m1:
-            return small.entry(r - m1, c - m1)
-        return Fraction(0)
-
-    return Matrix(
+    blocks = _blocks(spec)
+    power = {m: sym_power(g, m).rows_tuple() for m in (spec.d - spec.j, spec.j)}
+    zero = Fraction(0)
+    return Matrix._of(
         tuple(
-            tuple(block_entry(spec.perm[r], spec.perm[c]) for c in range(spec.d))
-            for r in range(spec.d)
+            tuple(power[m][i - 1][c - 1] if m == mc else zero for mc, c in blocks)
+            for m, i in blocks
         )
     )
 

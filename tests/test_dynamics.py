@@ -29,6 +29,7 @@ from posiflag import (
     barbot_spec,
     flag_distance,
     float_flag,
+    g_from_point,
     limit_convergence,
     pascal,
     power_positivity_threshold,
@@ -36,6 +37,7 @@ from posiflag import (
     standard_flags,
     svd_flag,
 )
+from posiflag.dynamics import _tau_hat
 from helpers import (
     kernel_fixed_flag,
     power_triple_positive,
@@ -326,6 +328,19 @@ class TestSingularRatioProfile:
     def test_requires_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
             singular_ratio_profile(barbot_spec(3, 1), MoebiusElement.of(1, 1, 0, 1), 3)
+
+
+class TestWeightedBasis:
+    def test_rotation_like_elements_act_by_isometries(self):
+        # the weights and the per-block unit-determinant scaling together
+        # make g_from_point(x)^n orthogonal in the measured basis
+        for d, j in ((3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)):
+            spec = barbot_spec(d, j)
+            for p, q in ((1, 2), (-3, 5), (7, 1), (0, 1)):
+                g = g_from_point(ProjectivePoint(p, q))
+                for n in (1, 2, 3):
+                    tau = _tau_hat(spec, g, n)
+                    assert np.abs(tau.T @ tau - np.eye(d)).max() < 1e-12
 
 
 class TestLimitConvergence:

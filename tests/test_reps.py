@@ -235,6 +235,32 @@ class TestBarbotMatrix:
             g, h = rand_moebius(rng), rand_moebius(rng)
             assert barbot_matrix(spec, g @ h) == barbot_matrix(spec, g) @ barbot_matrix(spec, h)
 
+    def test_entries_follow_the_interleaved_basis(self):
+        # identity, Jordan types and multiplicativity all survive conjugation
+        # by a permutation; this pins which entry goes where, straight from
+        # the definition: the two symmetric powers on standard indices perm[r]
+        rng = random.Random(53)
+        for d, j in ((3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3), (9, 4)):
+            spec = barbot_spec(d, j)
+            m1 = d - j
+            for _ in range(5):
+                while True:
+                    a, b, c, e = (F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4))
+                    if a * e != b * c:
+                        break
+                g = MoebiusElement.of(a, b, c, e)
+                big, small = sym_power(g, m1), sym_power(g, j)
+
+                def entry(r, c):
+                    if r <= m1 and c <= m1:
+                        return big.entry(r, c)
+                    if r > m1 and c > m1:
+                        return small.entry(r - m1, c - m1)
+                    return F(0)
+
+                want = Matrix([[entry(r, c) for c in spec.perm] for r in spec.perm])
+                assert barbot_matrix(spec, g) == want
+
 
 class TestBarbotFlag:
     def test_endpoints_in_permuted_coordinates(self):

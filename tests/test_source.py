@@ -138,3 +138,17 @@ def test_boundary_rule_is_written_once(module, owner, matches):
     outside = sorted(n.lineno for n in hits if id(n) not in inside)
     assert not outside, f"{module} does outside {owner} what {owner} is for, at lines {outside}"
     assert any(id(n) in inside for n in hits), f"{owner} in {module} no longer does it"
+
+
+def test_interleaved_basis_is_decoded_in_reps_only():
+    """dynamics takes the block family from reps.barbot_matrix and each basis
+    vector's block from reps._blocks, so it neither names sym_power nor
+    reads a spec's perm: the interleaved layout is decoded in one place."""
+    tree = _parse(ROOT / "src" / "posiflag" / "dynamics.py")
+    hits = sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "sym_power")
+        or (isinstance(node, ast.alias) and node.name == "sym_power")
+        or (isinstance(node, ast.Attribute) and node.attr in ("perm", "sym_power"))
+    )
+    assert not hits, f"dynamics.py decodes the interleaved basis itself, at lines {hits}"
