@@ -250,21 +250,22 @@ def _tau_hat(spec: BarbotSpec, g: MoebiusElement, n: int) -> np.ndarray:
     """Float matrix of the block family at g^n: det-normalized, weighted basis.
 
     Each row is divided by |det g|^(n(m-1)/2), m the size of its block.
-    Raises PreconditionViolated when an entry of g^n or |det g|^n leaves
-    the float range on the way, instead of passing on inf or nan.
+    Raises PreconditionViolated when an entry of g^n, |det g|^n or the
+    weighted result leaves the float range on the way, instead of passing
+    on inf or nan.
     """
     import numpy as np
 
     message = f"g^n is outside the float range at n = {n}"
+    w = _weights(spec)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             absdet = abs(float(g.det)) ** n
             scale = np.array([absdet ** ((m - 1) / 2) for m, _ in _blocks(spec)])
             normalized = _floats(barbot_matrix(spec, g.power(n)), message) / scale[:, None]
+            return normalized * w[None, :] / w[:, None]
     except (OverflowError, FloatingPointError):
         raise PreconditionViolated(message) from None
-    w = _weights(spec)
-    return normalized * w[None, :] / w[:, None]
 
 
 def singular_ratio_profile(

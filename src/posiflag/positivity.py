@@ -17,13 +17,17 @@ distinct:
   smaller nontrivial minors are positive, a non-positive k x k nontrivial
   minor forces a non-positive k x k minor with consecutive row and column
   runs (the consecutive-minor criterion, cf. Gasca-Pena 1992), so the
-  consecutive scan loses nothing.  On a failure the nonnegativity scan is
-  completed so that the reported status and witness match the oracle
-  exactly.
+  consecutive scan loses nothing.  On a failure at level k every smaller
+  nontrivial minor is positive, so the first witness has size k: it is
+  sought among the k x k nontrivial minors alone, and a zero witness is
+  settled by the row-initial minors (Gasca-Pena's initial-minor test for
+  total nonnegativity of an invertible matrix).  Status and witness match
+  the oracle exactly, and no table of all minors is built.
 
 Both routes scan an integer grid G with the matrix equal to
-diag(1/r) G diag(1/c) for positive row and column scales r and c, so
-signs are unaffected and only a witness value is divided by its scales.
+diag(1/r) G diag(1/c) for positive row and column scales r and c (the
+oracle's c is all ones), so signs are unaffected and only a witness
+value is divided by its scales.
 `tp_staged` and `tp_oracle` clear each row's denominators (c = 1); the
 tuple engine hands its chain factors, already column-scaled integers,
 straight to the staged scan (`_staged_scan`).  Both routes report the
@@ -46,9 +50,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import gt
 
 from .errors import InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated
-from .linalg import Matrix, MinorIndex, _cleared, _is_unipotent, _ratio
+from .linalg import Matrix, MinorIndex, _bareiss, _cleared, _is_unipotent, _ratio
 
 __all__ = [
     "BoundaryReport", "DetCounter", "PositivityVerdict", "Status", "Witness",
@@ -168,22 +173,22 @@ def _contiguous_minors(grid: list[list[int]]):
 
 
 def _full_scan(
-    grid: list[list[int]], row_scales: list[int], col_scales: list[int], counter: DetCounter
+    grid: list[list[int]], row_scales: list[int], counter: DetCounter
 ) -> tuple[Status, Witness | None]:
     """Scan all nontrivial minors by shared-subminor cofactor expansion.
 
-    The matrix is diag(1/r) G diag(1/c) for the integer grid G and the
-    positive row and column scales r and c, so each of its minors has the
-    sign of G's.  Minors of size k are expanded along their last row into
-    size k-1 values, all of which are kept from the previous level, so
-    each minor costs O(k) multiplications.  The table holds only
-    nontrivial minors (rows componentwise at most cols): removing a column
-    from a nontrivial minor's columns and its last row from its rows leaves
-    a nontrivial minor, so the expansion reads nothing else, and the
-    nontrivial columns of rows R are those of R without its last row,
-    extended by one column.  At d = 10 that is 58,785 entries of the
-    184,755 minors.  The witness value is divided by its rows' and its
-    columns' scales.  Stops early once the status is forced to Outside.
+    The matrix is diag(1/r) G for the integer grid G and the positive row
+    scales r, so each of its minors has the sign of G's.  Minors of size
+    k are expanded along their last row into size k-1 values, all of
+    which are kept from the previous level, so each minor costs O(k)
+    multiplications.  The table holds only nontrivial minors (rows
+    componentwise at most cols): removing a column from a nontrivial
+    minor's columns and its last row from its rows leaves a nontrivial
+    minor, so the expansion reads nothing else, and the nontrivial
+    columns of rows R are those of R without its last row, extended by
+    one column.  At d = 10 that is 58,785 entries of the 184,755 minors.
+    The witness value is divided by its rows' scales.  Stops early once
+    the status is forced to Outside.
     """
     d = len(grid)
     indices = range(1, d + 1)
@@ -215,7 +220,6 @@ def _full_scan(
                     if acc <= 0:
                         if first_offender is None:
                             scale = prod(row_scales[i - 1] for i in rows)
-                            scale *= prod(col_scales[j - 1] for j in cols)
                             first_offender = (MinorIndex(rows, cols), _ratio(acc, scale))
                         if acc < 0:
                             idx, val = first_offender
@@ -228,22 +232,99 @@ def _full_scan(
     return Status.POSITIVE, None
 
 
+def _level_witness(
+    grid: list[list[int]], k: int, counter: DetCounter
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(rows, cols, value) of G's first non-positive nontrivial k x k minor
+    in lexicographic (rows, cols) order, each minor one `_bareiss`.
+
+    Callers know that one exists: a consecutive k x k minor is non-positive.
+    """
+    d = len(grid)
+    for rows in combinations(range(1, d + 1), k):
+        picked = [grid[i - 1] for i in rows]
+        for cols in combinations(range(rows[0], d + 1), k):
+            if any(map(gt, rows, cols)):
+                continue
+            a = [[row[j - 1] for j in cols] for row in picked]
+            counter.evaluations += 1
+            value = _bareiss(a) * a[-1][-1]
+            if value <= 0:
+                return rows, cols, value
+    raise InvariantViolated("a failing level must hold a non-positive nontrivial minor")
+
+
+def _row_initial_nonnegative(grid: list[list[int]], counter: DetCounter) -> bool:
+    """Whether every row-initial minor of G (rows 1..j, any j columns) is >= 0.
+
+    Level j expands each minor along its last row j into the level j-1
+    values, as `_full_scan` does for rows 1..j only: 2^d - 1 minors in
+    all, 1023 at d = 10.  Stops at the first negative one.
+    """
+    d = len(grid)
+    prev: dict[tuple[int, ...], int] = {(): 1}
+    for j, row_vals in enumerate(grid, 1):
+        cur = {}
+        for cols in combinations(range(1, d + 1), j):
+            acc = 0
+            sign = 1 if j % 2 == 1 else -1
+            for p in range(j):
+                e = row_vals[cols[p] - 1]
+                if e:
+                    acc += sign * e * prev[cols[:p] + cols[p + 1:]]
+                sign = -sign
+            counter.evaluations += 1
+            if acc < 0:
+                return False
+            cur[cols] = acc
+        prev = cur
+    return True
+
+
 def _staged_scan(
     grid: list[list[int]], row_scales: list[int], col_scales: list[int], counter: DetCounter
 ) -> PositivityVerdict:
-    """Staged verdict of diag(1/r) G diag(1/c), for an upper triangular
-    integer grid G and positive row and column scales r and c.
+    """Staged verdict of u = diag(1/r) G diag(1/c), for an integer grid G
+    with u unipotent upper triangular and positive row and column scales r
+    and c.  Every minor of u has the sign of G's, and a witness value is
+    G's divided by its rows' and its columns' scales.
 
     Only the nontrivial consecutive minors of G are tested
     (`_contiguous_minors`, O(d^3) in all), each counted as one evaluation.
-    On the first non-positive one the full nonnegativity scan is completed
-    (`_full_scan`), so status and witness agree with the oracle.
+    If all pass, u is fully totally positive.  Otherwise let k be the
+    level of the first non-positive one.  By the consecutive-minor
+    criterion every nontrivial minor of size below k is positive, so the
+    oracle's first witness has size exactly k and comes no later than
+    that consecutive minor: `_level_witness` finds it among the size-k
+    nontrivial minors.  A negative witness means Outside.  A zero one
+    leaves Outside or NonnegativeBoundary, decided by this theorem (Gasca
+    and Pena, "Total positivity and Neville elimination", Linear Algebra
+    Appl. 165, 1992; Fallat and Johnson, Totally Nonnegative Matrices,
+    2011, ch. 3):
+
+        an invertible d x d matrix A is totally nonnegative if and only
+        if, for each j = 1..d, det A[1..j | 1..j] > 0,
+        det A[alpha | 1..j] >= 0 and det A[1..j | alpha] >= 0 for every
+        increasing j-tuple alpha.
+
+    For unipotent upper triangular u the leading principal minors are 1
+    and a column-initial minor det u[alpha | 1..j] is 1 for alpha = 1..j
+    and 0 otherwise, so u is totally nonnegative exactly when its 2^d - 1
+    row-initial minors are >= 0 (`_row_initial_nonnegative`).  A
+    non-positive verdict thus costs the consecutive scan up to level k,
+    at most one elimination per size-k nontrivial minor and, for a zero
+    witness, 2^d - 1 expansion steps, instead of the oracle's table of
+    every nontrivial minor.  Status and witness agree with the oracle.
     """
-    for _, _, _, value in _contiguous_minors(grid):
+    for k, _, _, value in _contiguous_minors(grid):
         counter.evaluations += 1
         if value <= 0:
-            status, witness = _full_scan(grid, row_scales, col_scales, counter)
-            return PositivityVerdict(status, witness, "staged")
+            rows, cols, minor = _level_witness(grid, k, counter)
+            scale = prod(row_scales[i - 1] for i in rows) * prod(col_scales[j - 1] for j in cols)
+            witness = Witness(MinorIndex(rows, cols), _ratio(minor, scale))
+            if minor < 0 or not _row_initial_nonnegative(grid, counter):
+                return PositivityVerdict(Status.OUTSIDE, witness, "staged")
+            return PositivityVerdict(Status.NONNEGATIVE_BOUNDARY, witness, "staged")
     return PositivityVerdict(Status.POSITIVE, None, "staged")
 
 
@@ -258,7 +339,8 @@ def _row_scaled(u: Matrix) -> tuple[list[list[int]], list[int], list[int]]:
 def tp_oracle(u: Matrix, *, counter: DetCounter | None = None) -> PositivityVerdict:
     """Brute-force verdict: every nontrivial minor of every size."""
     _require_upper_unipotent(u)
-    status, witness = _full_scan(*_row_scaled(u), counter if counter is not None else DetCounter())
+    grid, row_scales, _ = _row_scaled(u)
+    status, witness = _full_scan(grid, row_scales, counter if counter is not None else DetCounter())
     return PositivityVerdict(status, witness, "oracle")
 
 

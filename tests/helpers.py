@@ -15,7 +15,6 @@ import sympy
 
 from posiflag import (
     CapExceeded,
-    DetCounter,
     DimensionMismatch,
     Flag,
     InvariantViolated,
@@ -25,12 +24,12 @@ from posiflag import (
     NotTransverse,
     ProjectivePoint,
     Status,
+    Witness,
     ZeroSuperdiagonal,
     is_positive_triple,
     jordan_block_sizes,
     random_tp,
     standard_flags,
-    tp_oracle,
     tp_staged,
     transverse,
 )
@@ -84,13 +83,17 @@ def naive_scan(m: Matrix):
 
 
 def staged_bareiss_scan(m: Matrix):
-    """The staged scan with each consecutive minor its own determinant.
+    """The staged scan with each minor its own determinant.
 
     Visits the nontrivial minors with consecutive row and column runs in
     (size, rows, cols) order, each evaluated by `Matrix.minor` (one
-    fraction-free elimination per minor), and on the first non-positive
-    one completes the scan with `tp_oracle`.  Returns (status, witness,
-    evaluations), counting each minor once as `tp_staged` does.
+    fraction-free elimination per minor).  At the first non-positive one,
+    of size k, visits the k x k nontrivial minors in (rows, cols) order up
+    to the first non-positive one, the witness.  A zero witness is
+    followed by the row-initial minors (rows 1..j for j = 1..d, columns in
+    lexicographic order) up to the first negative one, which makes the
+    status Outside.  Returns (status, witness, evaluations), counting each
+    minor once as `tp_staged` does.
     """
     d = m.dim
     count = 0
@@ -99,15 +102,36 @@ def staged_bareiss_scan(m: Matrix):
             for b in range(a, d - k + 2):
                 count += 1
                 if m.minor(MinorIndex(range(a, a + k), range(b, b + k))) <= 0:
-                    counter = DetCounter()
-                    verdict = tp_oracle(m, counter=counter)
-                    return verdict.status, verdict.witness, count + counter.evaluations
+                    return _staged_fallback(m, k, count)
     return Status.POSITIVE, None, count
 
 
-def count_nontrivial(d: int) -> int:
+def _staged_fallback(m: Matrix, k: int, count: int):
+    d = m.dim
+    for rows in combinations(range(1, d + 1), k):
+        for cols in combinations(range(1, d + 1), k):
+            if any(i > j for i, j in zip(rows, cols)):
+                continue
+            count += 1
+            index = MinorIndex(rows, cols)
+            value = m.minor(index)
+            if value <= 0:
+                witness = Witness(index, value)
+                if value < 0:
+                    return Status.OUTSIDE, witness, count
+                for j in range(1, d + 1):
+                    for initial in combinations(range(1, d + 1), j):
+                        count += 1
+                        if m.minor(MinorIndex(range(1, j + 1), initial)) < 0:
+                            return Status.OUTSIDE, witness, count
+                return Status.NONNEGATIVE_BOUNDARY, witness, count
+    raise InvariantViolated("a failing consecutive level has a non-positive nontrivial minor")
+
+
+def count_nontrivial(d: int, sizes=None) -> int:
+    """Number of nontrivial minors of a d x d matrix, of the given sizes (all by default)."""
     total = 0
-    for k in range(1, d + 1):
+    for k in sizes or range(1, d + 1):
         for rows in combinations(range(1, d + 1), k):
             for cols in combinations(range(1, d + 1), k):
                 if all(i <= j for i, j in zip(rows, cols)):

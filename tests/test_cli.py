@@ -493,6 +493,18 @@ class TestLimitDemo:
         assert result.stdout == ""
         assert "Traceback" not in result.output
 
+    def test_weighted_entry_overflow_exit_three(self, runner, files):
+        # g^1 and its det fit in floats, but a det-normalized entry times
+        # its weight sqrt(C(4, i)) does not
+        a = 55 * 10**101
+        g = files("big.mat", format_matrix(Matrix(((a, a), (0, F(1, a))))))
+        result = runner.invoke(
+            main, ["limit-demo", "--d", "5", "--j", "1", "--g", g, "--iters", "1"]
+        )
+        assert result.exit_code == 3
+        assert result.stderr == "error: g^n is outside the float range at n = 1\n"
+        assert result.stdout == ""
+
     def test_limit_flag_outside_float_range_exit_three(self, runner, files):
         # the attracting fixed point [2 * 10^400 : 3] gives a limit flag beyond the float range
         g = files("big.mat", format_matrix(Matrix(((F(1, 2), 10**400), (0, 2)))))

@@ -119,6 +119,19 @@ class TestCounts:
             assert v.status is Status.POSITIVE
             assert counter.evaluations == staged_minor_count(d)
 
+    @pytest.mark.parametrize(
+        "gen, status",
+        [(gen_perturbed, Status.OUTSIDE), (gen_boundary, Status.NONNEGATIVE_BOUNDARY)],
+    )
+    def test_non_positive_staged_verdict_builds_no_table(self, gen, status):
+        # the fallback reads one level and the 2^10 - 1 row-initial minors,
+        # never the oracle's table of every nontrivial minor
+        rng = random.Random(10)
+        m = next(m for m in iter(lambda: gen(10, rng), None) if not tp_staged(m).is_positive)
+        counter = DetCounter()
+        assert tp_staged(m, counter=counter).status is status
+        assert counter.evaluations <= 1500 < count_nontrivial(10) // 30
+
     def test_early_exit_spends_less(self):
         m = Matrix(((1, -1, 0), (0, 1, 1), (0, 0, 1)))
         counter = DetCounter()
@@ -163,6 +176,23 @@ class TestMethodAgreement:
                     if s.witness is not None:
                         assert s.witness.index == o.witness.index
                         assert s.witness.value == o.witness.value
+
+    def test_zero_witness_verdicts_match_oracle(self):
+        # a zero first witness leaves Outside or NonnegativeBoundary open; the
+        # staged scan settles it by the row-initial minors, the oracle by its table
+        rng = random.Random(15)
+        seen = {Status.OUTSIDE: 0, Status.NONNEGATIVE_BOUNDARY: 0}
+        for d in range(2, 9):
+            for gen in (gen_boundary, gen_perturbed, gen_uniform):
+                for _ in range(15):
+                    m = gen(d, rng)
+                    o = tp_oracle(m)
+                    if o.witness is None or o.witness.value != 0:
+                        continue
+                    s = tp_staged(m)
+                    assert (s.status, s.witness) == (o.status, o.witness)
+                    seen[o.status] += 1
+        assert seen[Status.OUTSIDE] >= 20 and seen[Status.NONNEGATIVE_BOUNDARY] >= 100, seen
 
     def test_random_tp_is_positive_and_deterministic(self):
         for d in (3, 4, 5):

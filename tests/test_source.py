@@ -152,3 +152,19 @@ def test_interleaved_basis_is_decoded_in_reps_only():
         or (isinstance(node, ast.Attribute) and node.attr in ("perm", "sym_power"))
     )
     assert not hits, f"dynamics.py decodes the interleaved basis itself, at lines {hits}"
+
+
+def test_only_the_oracle_builds_the_full_table():
+    """`_full_scan` tabulates every nontrivial minor.  It is the oracle's
+    independent route, so no other code, the staged scan's fallback
+    included, calls it."""
+    callers = []
+    for path in SOURCES:
+        for fn in ast.walk(_parse(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [
+                    (path.name, fn.name) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_full_scan"
+                ]
+    assert callers == [("positivity.py", "tp_oracle")], f"_full_scan is called from {callers}"
