@@ -9,7 +9,9 @@ Two independent decision routes are provided and kept deliberately
 distinct:
 
 * `tp_oracle` scans every nontrivial minor of every size, evaluating the
-  values by shared-subminor cofactor expansion along the last row;
+  values by shared-subminor cofactor expansion along the last row: one
+  table per row set, keyed by column bitmask, each built from the table
+  of its rows less the last by one Laplace step (`_laplace_step`);
 * `tp_staged` scans, level by level, only the minors whose row and column
   tuples are both consecutive runs, computing each level from the two
   below it by Desnanot-Jacobi condensation (Dodgson, 1866).  If every
@@ -21,7 +23,8 @@ distinct:
   nontrivial minor is positive, so the first witness has size k: it is
   sought among the k x k nontrivial minors alone, and a zero witness is
   settled by the row-initial minors (Gasca-Pena's initial-minor test for
-  total nonnegativity of an invertible matrix).  Status and witness match
+  total nonnegativity of an invertible matrix), tabulated by the oracle's
+  Laplace step along the row chain 1..j.  Status and witness match
   the oracle exactly, and no table of all minors is built.
 
 Both routes scan an integer grid G with the matrix equal to
@@ -172,63 +175,85 @@ def _contiguous_minors(grid: list[list[int]]):
         below, prev = prev, level
 
 
+def _laplace_step(
+    row: list[int], sub: dict[int, int], last: int, terms: dict[int, list[tuple[int, int]]]
+) -> dict[int, int]:
+    """The nontrivial minors of G on the rows R and `last`, from those on R.
+
+    Rows and columns are 0-based and a column set is a bitmask.  `sub` maps
+    R's nontrivial column sets, in lexicographic order of their tuples, to
+    G's minors; R's rows lie below `last`, and `row` is G's row `last`.
+    Each set is extended by a column c above its highest and at least
+    `last`, which keeps that order, and the minor is expanded along its
+    last row: +row[c] times the set's minor, then the set's columns j from
+    the highest down give alternately -row[j] and +row[j] times R's minor
+    on the columns less j.  Columns below `last` meet zeros of the upper
+    triangular G.  `terms` memoizes those columns j for one caller's scan,
+    keyed by a set's part at or above `last`, which many sets share.
+    """
+    d = len(row)
+    table = {}
+    for base, minor in sub.items():
+        high = base >> last << last
+        top_down = terms.get(high)
+        if top_down is None:
+            top_down = terms[high] = [
+                (j, 1 << j) for j in range(high.bit_length() - 1, last - 1, -1) if high >> j & 1
+            ]
+        for c in range(max(base.bit_length(), last), d):
+            bit = 1 << c
+            acc = row[c] * minor
+            negative = True
+            for j, jbit in top_down:
+                if negative:
+                    acc -= row[j] * sub[base ^ jbit | bit]
+                else:
+                    acc += row[j] * sub[base ^ jbit | bit]
+                negative = not negative
+            table[base | bit] = acc
+    return table
+
+
 def _full_scan(
     grid: list[list[int]], row_scales: list[int], counter: DetCounter
 ) -> tuple[Status, Witness | None]:
     """Scan all nontrivial minors by shared-subminor cofactor expansion.
 
     The matrix is diag(1/r) G for the integer grid G and the positive row
-    scales r, so each of its minors has the sign of G's.  Minors of size
-    k are expanded along their last row into size k-1 values, all of
-    which are kept from the previous level, so each minor costs O(k)
-    multiplications.  The table holds only nontrivial minors (rows
-    componentwise at most cols): removing a column from a nontrivial
+    scales r, so each of its minors has the sign of G's.  Each row set R
+    gets a table of its nontrivial minors, keyed by column bitmask: one
+    `_laplace_step` from the table of R less its last row, so each minor
+    costs O(k) multiplications.  The table holds only nontrivial minors
+    (rows componentwise at most cols): removing a column from a nontrivial
     minor's columns and its last row from its rows leaves a nontrivial
-    minor, so the expansion reads nothing else, and the nontrivial
-    columns of rows R are those of R without its last row, extended by
-    one column.  At d = 10 that is 58,785 entries of the 184,755 minors.
-    The witness value is divided by its rows' scales.  Stops early once
-    the status is forced to Outside.
+    minor, so the expansion reads nothing else.  At d = 10 that is 58,785
+    entries of the 184,755 minors.  Tables come in (size, rows) order, each
+    in column order.  The first non-positive entry is the witness, its
+    value divided by its rows' scales.  A negative entry forces Outside and
+    stops the scan after its table; the count runs up to that entry.
     """
     d = len(grid)
-    indices = range(1, d + 1)
-    # rows -> {cols -> minor} for the nontrivial minors of the previous size,
-    # both keys in lexicographic order
-    prev: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
-    first_offender: tuple[MinorIndex, Fraction] | None = None
-    saw_zero = False
+    terms: dict[int, list[tuple[int, int]]] = {}
+    # rows -> {column bitmask -> minor} for the nontrivial minors of the previous size
+    prev: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    witness = None
     for k in range(1, d + 1):
-        cur: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for rows in combinations(indices, k):
-            head = rows[:-1]
-            last = rows[-1]
-            row_vals = grid[last - 1]
-            sub = prev[head]
-            table = cur[rows] = {}
-            for base in sub:
-                for c in range(max(base[-1] + 1 if base else 1, last), d + 1):
-                    cols = base + (c,)
-                    acc = 0
-                    sign = 1 if k % 2 == 1 else -1
-                    for p in range(k):
-                        e = row_vals[cols[p] - 1]
-                        if e:
-                            acc += sign * e * sub[cols[:p] + cols[p + 1:]]
-                        sign = -sign
-                    table[cols] = acc
-                    counter.evaluations += 1
-                    if acc <= 0:
-                        if first_offender is None:
-                            scale = prod(row_scales[i - 1] for i in rows)
-                            first_offender = (MinorIndex(rows, cols), _ratio(acc, scale))
-                        if acc < 0:
-                            idx, val = first_offender
-                            return Status.OUTSIDE, Witness(idx, val)
-                        saw_zero = True
+        cur = {}
+        for rows in combinations(range(d), k):
+            table = cur[rows] = _laplace_step(grid[rows[-1]], prev[rows[:-1]], rows[-1], terms)
+            if min(table.values()) <= 0:
+                for n, (cols, value) in enumerate(table.items(), 1):
+                    if value <= 0 and witness is None:
+                        cols_1 = [c + 1 for c in range(d) if cols >> c & 1]
+                        index = MinorIndex([r + 1 for r in rows], cols_1)
+                        witness = Witness(index, _ratio(value, prod(row_scales[r] for r in rows)))
+                    if value < 0:
+                        counter.evaluations += n
+                        return Status.OUTSIDE, witness
+            counter.evaluations += len(table)
         prev = cur
-    if saw_zero:
-        idx, val = first_offender  # type: ignore[misc]
-        return Status.NONNEGATIVE_BOUNDARY, Witness(idx, val)
+    if witness is not None:
+        return Status.NONNEGATIVE_BOUNDARY, witness
     return Status.POSITIVE, None
 
 
@@ -257,27 +282,19 @@ def _level_witness(
 def _row_initial_nonnegative(grid: list[list[int]], counter: DetCounter) -> bool:
     """Whether every row-initial minor of G (rows 1..j, any j columns) is >= 0.
 
-    Level j expands each minor along its last row j into the level j-1
-    values, as `_full_scan` does for rows 1..j only: 2^d - 1 minors in
-    all, 1023 at d = 10.  Stops at the first negative one.
+    On the row chain 1..j every column set is nontrivial, and level j is
+    one `_laplace_step` from level j-1, the step `_full_scan` takes for its
+    rows (1..j) tables: 2^d - 1 minors in all, 1023 at d = 10.  Counts the
+    minors in (j, cols) order up to the first negative one and stops there.
     """
-    d = len(grid)
-    prev: dict[tuple[int, ...], int] = {(): 1}
-    for j, row_vals in enumerate(grid, 1):
-        cur = {}
-        for cols in combinations(range(1, d + 1), j):
-            acc = 0
-            sign = 1 if j % 2 == 1 else -1
-            for p in range(j):
-                e = row_vals[cols[p] - 1]
-                if e:
-                    acc += sign * e * prev[cols[:p] + cols[p + 1:]]
-                sign = -sign
-            counter.evaluations += 1
-            if acc < 0:
-                return False
-            cur[cols] = acc
-        prev = cur
+    terms: dict[int, list[tuple[int, int]]] = {}
+    table = {0: 1}
+    for j, row in enumerate(grid):
+        table = _laplace_step(row, table, j, terms)
+        negative = next((n for n, value in enumerate(table.values(), 1) if value < 0), 0)
+        counter.evaluations += negative or len(table)
+        if negative:
+            return False
     return True
 
 

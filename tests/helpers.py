@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import sympy
 
@@ -33,7 +34,7 @@ from posiflag import (
     tp_staged,
     transverse,
 )
-from posiflag.linalg import _bareiss, _cleared, _is_unipotent, _scaled_solve
+from posiflag.linalg import _bareiss, _cleared, _is_unipotent, _ratio, _scaled_solve
 from posiflag.reps import MoebiusElement
 
 
@@ -128,6 +129,60 @@ def _staged_fallback(m: Matrix, k: int, count: int):
     raise InvariantViolated("a failing consecutive level has a non-positive nontrivial minor")
 
 
+def tuple_table_scan(m: Matrix):
+    """`tp_oracle`'s table of every nontrivial minor, keyed by index tuples.
+
+    The oracle's earlier form, kept as a differential reference for its
+    bitmask-keyed table: rows cleared to the integer grid G, each size-k
+    minor expanded along its last row into the size k-1 minors of the
+    previous table, every entry counted as it is computed, and a stop at
+    the first negative one.  Returns (status, witness, evaluations).
+    """
+    cleared = _cleared(m.rows_tuple())
+    grid, row_scales = [r for r, _ in cleared], [t for _, t in cleared]
+    d = len(grid)
+    indices = range(1, d + 1)
+    evaluations = 0
+    # rows -> {cols -> minor} for the nontrivial minors of the previous size,
+    # both keys in lexicographic order
+    prev: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
+    first_offender: tuple[MinorIndex, Fraction] | None = None
+    saw_zero = False
+    for k in range(1, d + 1):
+        cur: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for rows in combinations(indices, k):
+            head = rows[:-1]
+            last = rows[-1]
+            row_vals = grid[last - 1]
+            sub = prev[head]
+            table = cur[rows] = {}
+            for base in sub:
+                for c in range(max(base[-1] + 1 if base else 1, last), d + 1):
+                    cols = base + (c,)
+                    acc = 0
+                    sign = 1 if k % 2 == 1 else -1
+                    for p in range(k):
+                        e = row_vals[cols[p] - 1]
+                        if e:
+                            acc += sign * e * sub[cols[:p] + cols[p + 1:]]
+                        sign = -sign
+                    table[cols] = acc
+                    evaluations += 1
+                    if acc <= 0:
+                        if first_offender is None:
+                            scale = prod(row_scales[i - 1] for i in rows)
+                            first_offender = (MinorIndex(rows, cols), _ratio(acc, scale))
+                        if acc < 0:
+                            idx, val = first_offender
+                            return Status.OUTSIDE, Witness(idx, val), evaluations
+                        saw_zero = True
+        prev = cur
+    if saw_zero:
+        idx, val = first_offender  # type: ignore[misc]
+        return Status.NONNEGATIVE_BOUNDARY, Witness(idx, val), evaluations
+    return Status.POSITIVE, None, evaluations
+
+
 def count_nontrivial(d: int, sizes=None) -> int:
     """Number of nontrivial minors of a d x d matrix, of the given sizes (all by default)."""
     total = 0
@@ -156,6 +211,16 @@ def gen_perturbed(d: int, rng: random.Random) -> Matrix:
     i = rng.randrange(d - 1)
     j = rng.randrange(i + 1, d)
     rows[i][j] += Fraction(rng.randint(-2, 2), rng.randint(1, 5))
+    return Matrix(tuple(tuple(r) for r in rows))
+
+
+def gen_nudged_down(d: int, rng: random.Random) -> Matrix:
+    """Fully positive sample with one entry above the superdiagonal scaled
+    down by at most 1%; mostly Outside, with a late witness (d >= 3)."""
+    rows = [list(r) for r in random_tp(d, rng.randint(0, 10**9)).rows_tuple()]
+    i = rng.randrange(d - 2)
+    j = rng.randrange(i + 2, d)
+    rows[i][j] *= 1 - Fraction(rng.randint(1, 100), 10_000)
     return Matrix(tuple(tuple(r) for r in rows))
 
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from operator import le
 
 import pytest
 
@@ -20,7 +22,17 @@ from posiflag import (
     tp_staged,
 )
 from posiflag.positivity import _contiguous_minors
-from helpers import count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, naive_scan
+from helpers import (
+    count_nontrivial,
+    gen_boundary,
+    gen_nudged_down,
+    gen_perturbed,
+    gen_uniform,
+    naive_minor,
+    naive_scan,
+    staged_bareiss_scan,
+    tuple_table_scan,
+)
 
 F = Fraction
 
@@ -139,6 +151,65 @@ class TestCounts:
         assert counter.evaluations < count_nontrivial(3)
 
 
+def first_negative_position(m: Matrix) -> int:
+    """1-based position of m's first negative nontrivial minor in (size,
+    rows, cols) order, each minor by `naive_minor`."""
+    d = m.dim
+    nontrivial = (
+        (rows, cols)
+        for k in range(1, d + 1)
+        for rows in combinations(range(1, d + 1), k)
+        for cols in combinations(range(1, d + 1), k)
+        if all(map(le, rows, cols))
+    )
+    return next(n for n, (rows, cols) in enumerate(nontrivial, 1) if naive_minor(m, rows, cols) < 0)
+
+
+class TestOracleTable:
+    def test_matches_tuple_keyed_table(self):
+        # the bitmask-keyed table against its tuple-keyed form: same status,
+        # witness index and value, and evaluation count
+        rng = random.Random(16)
+        cases = [gen_uniform(1, rng)] + [
+            gen(d, rng)
+            for d in range(2, 10)
+            for gen in (gen_uniform, gen_perturbed, gen_boundary)
+            for _ in range(3 if d < 8 else 2)
+        ]
+        cases += [gen_nudged_down(d, rng) for d in (8, 9) for _ in range(3)]
+        seen = set()
+        for m in cases:
+            counter = DetCounter()
+            v = tp_oracle(m, counter=counter)
+            assert (v.status, v.witness, counter.evaluations) == tuple_table_scan(m)
+            seen.add(v.status)
+        assert seen == set(Status)
+
+    def test_outside_count_is_position_of_first_negative_minor(self):
+        # the oracle stops at its first negative minor, having counted every
+        # nontrivial minor before it in (size, rows, cols) order
+        rng = random.Random(17)
+        pinned = 0
+        for d in range(2, 7):
+            for gen in (gen_uniform, gen_perturbed):
+                for _ in range(6):
+                    m = gen(d, rng)
+                    counter = DetCounter()
+                    if tp_oracle(m, counter=counter).status is Status.OUTSIDE:
+                        assert counter.evaluations == first_negative_position(m)
+                        pinned += 1
+        assert pinned >= 30, pinned
+
+    def test_boundary_count_is_every_nontrivial_minor(self):
+        rng = random.Random(18)
+        for d in range(2, 9):
+            for _ in range(3):
+                counter = DetCounter()
+                v = tp_oracle(gen_boundary(d, rng), counter=counter)
+                assert v.status is Status.NONNEGATIVE_BOUNDARY
+                assert counter.evaluations == count_nontrivial(d)
+
+
 class TestCondensation:
     def test_zero_divisor_is_an_explicit_error(self):
         # grid[1][1] = 0 is the divisor of the level-3 minor; a scan stops
@@ -179,7 +250,8 @@ class TestMethodAgreement:
 
     def test_zero_witness_verdicts_match_oracle(self):
         # a zero first witness leaves Outside or NonnegativeBoundary open; the
-        # staged scan settles it by the row-initial minors, the oracle by its table
+        # staged scan settles it by the row-initial minors, the oracle by its
+        # table, and counts those minors up to the first negative one
         rng = random.Random(15)
         seen = {Status.OUTSIDE: 0, Status.NONNEGATIVE_BOUNDARY: 0}
         for d in range(2, 9):
@@ -189,8 +261,10 @@ class TestMethodAgreement:
                     o = tp_oracle(m)
                     if o.witness is None or o.witness.value != 0:
                         continue
-                    s = tp_staged(m)
+                    counter = DetCounter()
+                    s = tp_staged(m, counter=counter)
                     assert (s.status, s.witness) == (o.status, o.witness)
+                    assert (s.status, s.witness, counter.evaluations) == staged_bareiss_scan(m)
                     seen[o.status] += 1
         assert seen[Status.OUTSIDE] >= 20 and seen[Status.NONNEGATIVE_BOUNDARY] >= 100, seen
 

@@ -154,10 +154,8 @@ def test_interleaved_basis_is_decoded_in_reps_only():
     assert not hits, f"dynamics.py decodes the interleaved basis itself, at lines {hits}"
 
 
-def test_only_the_oracle_builds_the_full_table():
-    """`_full_scan` tabulates every nontrivial minor.  It is the oracle's
-    independent route, so no other code, the staged scan's fallback
-    included, calls it."""
+def _callers(name: str) -> list[tuple[str, str]]:
+    """(file, function) of every call to `name` in the package, in source order."""
     callers = []
     for path in SOURCES:
         for fn in ast.walk(_parse(path)):
@@ -165,6 +163,23 @@ def test_only_the_oracle_builds_the_full_table():
                 callers += [
                     (path.name, fn.name) for node in ast.walk(fn)
                     if isinstance(node, ast.Call)
-                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_full_scan"
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
                 ]
+    return callers
+
+
+def test_only_the_oracle_builds_the_full_table():
+    """`_full_scan` tabulates every nontrivial minor.  It is the oracle's
+    independent route, so no other code, the staged scan's fallback
+    included, calls it."""
+    callers = _callers("_full_scan")
     assert callers == [("positivity.py", "tp_oracle")], f"_full_scan is called from {callers}"
+
+
+def test_laplace_expansion_is_written_once():
+    """The oracle's table and the row-initial test expand minors along their
+    last row by one shared step, and nothing else expands by it."""
+    callers = _callers("_laplace_step")
+    assert callers == [
+        ("positivity.py", "_full_scan"), ("positivity.py", "_row_initial_nonnegative")
+    ], f"_laplace_step is called from {callers}"
