@@ -14,10 +14,11 @@ coordinates c of H and G over F.  Its total positivity is exactly what
 the tuple-positivity certificates in this package test.
 
 Coordinates are kept in integers, c = ū diag(1/δ) with ū upper
-triangular and δ its diagonal (see _pair_coordinates): one Gauss-Jordan
-elimination and one forward elimination build them, and a zero pivot of
-the latter is exactly a failure of transversality, which is how the
-tuple engine checks every pair of a family.  Quotients c_H^-1 c_G are
+triangular and δ its diagonal (see _pair_coordinates): a solve (forward
+elimination and back substitution) and one more forward elimination
+build them, and a zero pivot of the latter is exactly a failure of
+transversality, which is how the tuple engine checks every pair of a
+family.  Quotients c_H^-1 c_G are
 fraction-free back substitutions that stay in integers, G diag(1/s)
 (`_unipotent_quotient`, shared with the tuple engine, which also checks
 that they are upper unipotent); Fractions appear only in the Matrix
@@ -172,12 +173,12 @@ def _reverse_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[list[int
     triangular with diagonal p_1 .. p_d.  Read back with coordinates
     reversed, the rows of U' are the columns of ū = u diag(δ), upper
     triangular with δ = (p_d, ..., p_1) on its diagonal.  Returns ū and
-    the rows of L without their diagonal, or None at a zero pivot, which
-    happens exactly when the flag of X is not transverse to the
-    ascending coordinate flag.
+    the rows of L without their diagonal, or None when a zero pivot
+    leaves fewer than d pivots, which happens exactly when the flag of X
+    is not transverse to the ascending coordinate flag.
     """
     d = len(a)
-    if not _bareiss(a, swaps=False) or a[-1][-1] == 0:
+    if len(_bareiss(a, swaps=False)[0]) < d:
         return None
     ubar = [[a[d - 1 - k][d - 1 - i] if i <= k else 0 for k in range(d)] for i in range(d)]
     return ubar, [row[:m] for m, row in enumerate(a)]

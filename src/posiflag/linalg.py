@@ -8,10 +8,11 @@ by strictly increasing 1-based row and column tuples.
 Determinants, inverses, solves, ranks and products share one
 idea: scale each row (or column) by the lcm of its denominators
 (`_cleared`), compute in plain integers, and build `Fraction`s only at the
-end.  Two fraction-free (Bareiss) eliminations, where every interior
-division is exact, do the elimination work: `_bareiss` runs forward for
-determinants and echelon reductions, and `_gauss_jordan` reaches reduced
-echelon form for solves, inverses and ranks.  Quotients of
+end.  One fraction-free (Bareiss) forward elimination, `_bareiss`, where
+every interior division is exact, does all the elimination work:
+determinants read its last pivot (`_det`), ranks count its pivots, and
+solves and inverses back-substitute its triangular form in integers
+(`_scaled_solve`).  Quotients of
 triangular integer forms (`_quotient`) are fraction-free back
 substitutions that stay in integers: they return the column-scaled form
 G diag(1/s), each column over one positive scale with which it has gcd 1,
@@ -59,38 +60,54 @@ def _to_fraction(x) -> Fraction:
 # They eliminate in `int` on grids whose rows `_cleared` made integral.
 
 
-def _bareiss(a: list[list[int]], swaps: bool = True) -> int:
-    """Fraction-free forward elimination of a square integer grid, in place.
+def _bareiss(a: list[list[int]], swaps: bool = True) -> tuple[list[int], int]:
+    """Fraction-free forward elimination of a rectangular integer grid, in place.
 
-    One-step Bareiss: after step k, a[i][j] for i, j > k is the minor of
-    the (row-swapped) grid on rows 0..k, i and columns 0..k, j, so every
-    division by the previous pivot is exact and the whole computation
-    stays in plain integers.  Row k is final once it is the pivot row, so
-    a[k][k] is the leading (k+1)-minor, and a[i][k] below it keeps the
-    multiplier of step k.  A zero pivot is replaced by a lower row when
-    `swaps` is set.  Returns the sign of the row permutation, or 0 at a
-    zero pivot that cannot be replaced (the last pivot a[n-1][n-1] is
-    left to the caller).
+    One-step Bareiss: after the step on pivot row r, a[i][j] for i > r and
+    j past the pivot column is the minor of the (row-swapped) grid on rows
+    0..r, i and the pivot columns so far plus column j, so every division
+    by the previous pivot is exact and the whole computation stays in plain
+    integers.  Row r is final once it is the pivot row: its pivot is the
+    leading minor on rows 0..r and the pivot columns, and the entries
+    below the pivot keep the multipliers of that step.  A column whose
+    entry in the next pivot row is zero takes as pivot the first nonzero
+    entry below it when `swaps` is set, and is skipped without a pivot
+    otherwise.  Returns (pivot columns, sign of the row permutation).
     """
-    n = len(a)
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None) if swaps else None
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if a[r][c] == 0:
+            swap = next((i for i in range(r + 1, nrows) if a[i][c]), None) if swaps else None
             if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+                continue
+            a[r], a[swap] = a[swap], a[r]
             sign = -sign
-        row_k = a[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
+        row_r = a[r]
+        pivot = row_r[c]
+        for i in range(r + 1, nrows):
             row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            aic = row_i[c]
+            for j in range(c + 1, ncols):
+                row_i[j] = (row_i[j] * pivot - aic * row_r[j]) // prev
+        pivots.append(c)
         prev = pivot
-    return sign
+    return pivots, sign
+
+
+def _det(a: list[list[int]]) -> int:
+    """Determinant of a square integer grid, by `_bareiss` in place.
+
+    The last pivot is the signed determinant only when every column has
+    one: with a column skipped, a[-1][-1] is a leftover entry, not 0.
+    """
+    pivots, sign = _bareiss(a)
+    return sign * a[-1][-1] if len(pivots) == len(a) else 0
 
 
 def _cleared(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[list[int], int]]:
@@ -141,56 +158,12 @@ def _fractions(g: Sequence[Sequence[int]], s: Sequence[int]) -> tuple[tuple[Frac
 def _grid_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a square grid: rows scaled to integers, then Bareiss."""
     scaled = _cleared(rows)
-    a = [r for r, _ in scaled]
-    return _ratio(_bareiss(a) * a[-1][-1], prod(s for _, s in scaled))
-
-
-def _gauss_jordan(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free reduced row echelon form of a rectangular rational grid.
-
-    Each row is scaled by the lcm of its denominators, which leaves the
-    row space unchanged.  Then one fraction-free (Bareiss) Gauss-Jordan
-    elimination runs in plain integers, taking as pivot the first nonzero
-    entry at or below the current row and skipping columns that have
-    none.  After each step every entry still to be updated is a minor of
-    the scaled grid, so each division by the previous pivot is exact.
-    Skipped columns keep being updated, so at the end m[r][c] / D is the
-    reduced echelon entry for every column c without a pivot, D being the
-    last pivot.  A pivot column is zero off its pivot row and is not
-    rewritten after its own step.  Returns (m, pivot columns, D).
-    """
-    m = [r for r, _ in _cleared(rows)]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    live = list(range(ncols))  # columns without a pivot so far
-    pivots: list[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if m[i][c]), None)
-        if p is None:
-            continue
-        live.remove(c)
-        m[r], m[p] = m[p], m[r]
-        row_r = m[r]
-        pivot = row_r[c]
-        for i, row_i in enumerate(m):
-            if i == r:
-                continue
-            f = row_i[c]
-            row_i[c] = 0
-            for j in live:
-                row_i[j] = (pivot * row_i[j] - f * row_r[j]) // prev
-        pivots.append(c)
-        prev = pivot
-    return m, pivots, prev
+    return _ratio(_det([r for r, _ in scaled]), prod(s for _, s in scaled))
 
 
 def _grid_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_gauss_jordan(rows)[1])
+    """Rank of a rectangular grid: the pivots of its row-cleared form."""
+    return len(_bareiss([r for r, _ in _cleared(rows)])[0])
 
 
 def _scaled_solve(
@@ -199,16 +172,31 @@ def _scaled_solve(
     """(X, D) with X / D = A^-1 B, X an integer grid, for a square invertible
     grid A and a grid B with as many rows.
 
-    The reduced echelon form of [A | B] (by `_gauss_jordan`) is
-    [I | A^-1 B] exactly when its pivots cover A; its integer form is
-    [D I | X], D the last pivot.  Raises SingularMatrix when the pivots
-    do not cover A, that is when A is singular.
+    One `_bareiss` of [A | B], rows cleared, leaves [U | Y] with U upper
+    triangular, and A^-1 B solves U Z = Y.  Raises SingularMatrix unless
+    the pivots cover A, that is unless A is invertible.  D is the last
+    pivot U[n-1][n-1], the determinant of the row-swapped cleared A, so
+    X = D A^-1 B is an integer grid (Cramer's rule).  Back substitution
+    from the last row up then solves U X = D Y in integers, each division
+    by U[i][i] exact.
     """
     n = len(a)
-    m, pivots, den = _gauss_jordan([tuple(ra) + tuple(rb) for ra, rb in zip(a, b)])
-    if pivots[:n] != list(range(n)):
+    m = [r for r, _ in _cleared(tuple(ra) + tuple(rb) for ra, rb in zip(a, b))]
+    if _bareiss(m)[0][:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return [row[n:] for row in m], den
+    den = m[-1][n - 1]
+    x: list[list[int]] = [[]] * n
+    x[-1] = m[-1][n:]  # U[n-1][n-1] is D itself
+    for i in range(n - 2, -1, -1):
+        row = m[i]
+        acc = [den * y for y in row[n:]]
+        for k in range(i + 1, n):
+            c = row[k]
+            if c:
+                acc = [v - c * w for v, w in zip(acc, x[k])]
+        pivot = row[i]
+        x[i] = [v // pivot for v in acc]
+    return x, den
 
 
 def _is_upper(rows) -> bool:

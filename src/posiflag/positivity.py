@@ -56,7 +56,7 @@ from math import prod
 from operator import gt
 
 from .errors import InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated
-from .linalg import Matrix, MinorIndex, _bareiss, _cleared, _is_unipotent, _ratio
+from .linalg import Matrix, MinorIndex, _cleared, _det, _is_unipotent, _ratio
 
 __all__ = [
     "BoundaryReport", "DetCounter", "PositivityVerdict", "Status", "Witness",
@@ -261,7 +261,7 @@ def _level_witness(
     grid: list[list[int]], k: int, counter: DetCounter
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(rows, cols, value) of G's first non-positive nontrivial k x k minor
-    in lexicographic (rows, cols) order, each minor one `_bareiss`.
+    in lexicographic (rows, cols) order, each minor one `linalg._det`.
 
     Callers know that one exists: a consecutive k x k minor is non-positive.
     """
@@ -273,7 +273,7 @@ def _level_witness(
                 continue
             a = [[row[j - 1] for j in cols] for row in picked]
             counter.evaluations += 1
-            value = _bareiss(a) * a[-1][-1]
+            value = _det(a)
             if value <= 0:
                 return rows, cols, value
     raise InvariantViolated("a failing level must hold a non-positive nontrivial minor")

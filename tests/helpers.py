@@ -426,7 +426,7 @@ def fraction_reverse_echelon(c: Matrix, failure: str):
     d = c.dim
     scaled = _cleared(col[::-1] for col in zip(*c.rows_tuple()))
     a = [r for r, _ in scaled]
-    if not _bareiss(a, swaps=False) or a[-1][-1] == 0:
+    if len(_bareiss(a, swaps=False)[0]) < d:
         raise NotTransverse(failure)
     leading = [1] + [a[k][k] for k in range(d - 1)]
     zero, one = Fraction(0), Fraction(1)

@@ -3,7 +3,7 @@
 Each kernel is compared with a definition computed another way: the
 adapted basis with one sympy nullspace per column, the transporter with
 a plain Fraction reverse column-echelon form in that basis, solves,
-inverses, ranks and reduced echelon forms with sympy, the integer-dot
+inverses, determinants, ranks and pivot columns with sympy, the integer-dot
 product with a plain Fraction product, the unit triangular solve (the Fraction reference
 and the integer quotient) with `inverse() @`, the
 condensed consecutive minors with sympy determinants, and the staged scan
@@ -24,7 +24,7 @@ from posiflag import (
     staged_minor_count, tp_oracle, tp_staged, transporter, transverse,
 )
 from posiflag.linalg import (
-    _cleared, _fractions, _gauss_jordan, _grid_det, _grid_rank, _quotient, _scaled_solve,
+    _bareiss, _cleared, _fractions, _grid_det, _grid_rank, _quotient, _scaled_solve,
 )
 from posiflag.positivity import _contiguous_minors
 from helpers import (
@@ -48,9 +48,38 @@ def grids(draw, entries, rows=None, cols=None):
 
 
 @st.composite
+def rect_grids(draw, entries, square=False):
+    """Tall, wide or square grids, often with a zero row, a zero column or a
+    column that is a multiple of an earlier one.
+
+    A dependent column has no pivot, so the elimination must skip it and
+    look for the next pivot in the same row.  In a square grid it also
+    makes the determinant 0 while the last entry of the eliminated grid
+    need not be: for [[0, 1], [0, 2]] it keeps the multiplier 2.
+    """
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
+    g = [list(row) for row in draw(grids(entries, rows=r, cols=c))]
+    kind = draw(st.sampled_from(["dependent", "zero row", "zero column", "plain"]))
+    if kind == "dependent" and c > 1:
+        j = draw(st.integers(1, c - 1))
+        i = draw(st.integers(0, j - 1))
+        t = draw(entries)
+        for row in g:
+            row[j] = t * row[i]
+    elif kind == "zero row":
+        g[draw(st.integers(0, r - 1))] = [Fraction(0)] * c
+    elif kind == "zero column":
+        j = draw(st.integers(0, c - 1))
+        for row in g:
+            row[j] = Fraction(0)
+    return tuple(tuple(row) for row in g)
+
+
+@st.composite
 def square_pairs(draw, entries):
     """A square grid and a second grid with as many rows."""
-    a = draw(grids(entries))
+    a = draw(st.one_of(grids(entries), rect_grids(entries, square=True)))
     b = draw(grids(entries, rows=len(a), cols=draw(st.integers(1, 4))))
     return a, b
 
@@ -157,7 +186,10 @@ class TestSolve:
         assert _fractions(x, [den] * len(x[0])) == from_sympy(sa.LUsolve(to_sympy(b)))
 
     @SETTINGS
-    @given(st.one_of(grids(integers), grids(rationals)))
+    @given(st.one_of(
+        grids(integers), grids(rationals),
+        rect_grids(integers, square=True), rect_grids(rationals, square=True),
+    ))
     def test_inverse_matches_sympy(self, rows):
         m, sm = Matrix(rows), to_sympy(rows)
         if sm.det() == 0:
@@ -167,40 +199,16 @@ class TestSolve:
         assert m.inverse().rows_tuple() == from_sympy(sm.inv())
 
     @SETTINGS
-    @given(st.one_of(grids(integers), grids(rationals)))
+    @given(st.one_of(
+        grids(integers), grids(rationals),
+        rect_grids(integers, square=True), rect_grids(rationals, square=True),
+    ))
     def test_det_matches_sympy(self, rows):
         det = to_sympy(rows).det()
         assert _grid_det(rows) == Fraction(int(det.p), int(det.q))
 
 
-# -- rank and kernel against sympy ---------------------------------------------
-
-
-@st.composite
-def rect_grids(draw, entries, square=False):
-    """Tall, wide or square grids, often with a zero row, a zero column or a
-    column that is a multiple of an earlier one.
-
-    A dependent column has no pivot, so the reduced echelon entries in it
-    are right only if the elimination keeps updating it after it is skipped.
-    """
-    r = draw(st.integers(1, 5))
-    c = r if square else draw(st.integers(1, 5))
-    g = [list(row) for row in draw(grids(entries, rows=r, cols=c))]
-    kind = draw(st.sampled_from(["dependent", "zero row", "zero column", "plain"]))
-    if kind == "dependent" and c > 1:
-        j = draw(st.integers(1, c - 1))
-        i = draw(st.integers(0, j - 1))
-        t = draw(entries)
-        for row in g:
-            row[j] = t * row[i]
-    elif kind == "zero row":
-        g[draw(st.integers(0, r - 1))] = [Fraction(0)] * c
-    elif kind == "zero column":
-        j = draw(st.integers(0, c - 1))
-        for row in g:
-            row[j] = Fraction(0)
-    return tuple(tuple(row) for row in g)
+# -- rank and pivot columns against sympy -------------------------------------
 
 
 class TestRankEchelon:
@@ -211,17 +219,8 @@ class TestRankEchelon:
 
     @SETTINGS
     @given(st.one_of(rect_grids(integers), rect_grids(rationals)))
-    def test_gauss_jordan_matches_sympy_rref(self, rows):
-        """Same pivot columns as sympy's rref, and m[r][c] / D is its entry in
-        every column c without a pivot: the columns that span the kernel."""
-        m, pivots, den = _gauss_jordan(rows)
-        rref, sym_pivots = to_sympy(rows).rref()
-        assert tuple(pivots) == sym_pivots
-        free = [c for c in range(len(rows[0])) if c not in pivots]
-        want = from_sympy(rref)
-        assert [[Fraction(row[c], den) for c in free] for row in m] == [
-            [row[c] for c in free] for row in want
-        ]
+    def test_bareiss_pivots_match_sympy_rref(self, rows):
+        assert tuple(_bareiss([r for r, _ in _cleared(rows)])[0]) == to_sympy(rows).rref()[1]
 
 
 # -- integer-dot product against the plain Fraction product ------------------

@@ -183,3 +183,13 @@ def test_laplace_expansion_is_written_once():
     assert callers == [
         ("positivity.py", "_full_scan"), ("positivity.py", "_row_initial_nonnegative")
     ], f"_laplace_step is called from {callers}"
+
+
+def test_elimination_is_written_once():
+    """Every det, rank, solve, inverse and reverse echelon runs on one forward
+    fraction-free elimination, called from these four places only."""
+    callers = _callers("_bareiss")
+    assert callers == [
+        ("flags.py", "_reverse_echelon"), ("linalg.py", "_det"),
+        ("linalg.py", "_grid_rank"), ("linalg.py", "_scaled_solve"),
+    ], f"_bareiss is called from {callers}"
