@@ -49,7 +49,7 @@ from .errors import (
     RationalEigenlineRequired,
     SingularGapTooSmall,
 )
-from .flags import Flag, _pair_coordinates, unipotent_fixed_flag
+from .flags import Flag, _coordinates, unipotent_fixed_flag
 from .linalg import Matrix, _quotient, _scaled_powers
 from .positivity import _contiguous_minors
 from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, _blocks, barbot_flag, barbot_matrix
@@ -181,7 +181,7 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     d = u.dim
     if g.dim != d:
         raise DimensionMismatch(f"flag dims differ: {d} vs {g.dim}")
-    c, delta = _pair_coordinates(fixed, g, "flag must be transverse to the fixed flag")
+    c, delta = next(_coordinates(fixed, (g,), "flag must be transverse to the fixed flag"))
     # S c = (S ū) diag(1/δ): ū shifted up one row; M = m diag(1/ms)
     m, ms = _quotient(c, c[1:] + [[0] * d], delta)
     if any(any(row[:i + 1]) for i, row in enumerate(m)) or any(

@@ -14,20 +14,21 @@ coordinates c of H and G over F.  Its total positivity is exactly what
 the tuple-positivity certificates in this package test.
 
 Coordinates are kept in integers, c = ū diag(1/δ) with ū upper
-triangular and δ its diagonal (see _pair_coordinates): a solve (forward
-elimination and back substitution) and one more forward elimination
-build them, and a zero pivot of the latter is exactly a failure of
-transversality, which is how the tuple engine checks every pair of a
-family.  Quotients c_H^-1 c_G are
-fraction-free back substitutions that stay in integers, G diag(1/s)
-(`_unipotent_quotient`, shared with the tuple engine, which also checks
-that they are upper unipotent); Fractions appear only in the Matrix
-outputs of `adapted_basis` and `transporter`.  `transverse` stays the
-determinant test, for callers that want transversality alone.
+triangular and δ its diagonal (see _coordinates): one solve per anchor
+frame, against all later flags, and one echelon per pair (a forward
+elimination) build them, and a zero pivot of the latter is exactly a
+failure of transversality, which is how the tuple engine checks every
+pair of a family.  Quotients c_H^-1 c_G are fraction-free back
+substitutions that stay in integers, G diag(1/s) (`_unipotent_quotient`,
+shared with the tuple engine, which also checks that they are upper
+unipotent); Fractions appear only in the Matrix outputs of
+`adapted_basis` and `transporter`.  `transverse` stays the determinant
+test, for callers that want transversality alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -165,7 +166,7 @@ def _reverse_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[list[int
     Row m of `a` is column m of an integer grid X with its coordinates
     reversed, so a is A = t^T U for U unit upper triangular and t upper
     triangular exactly when X = (u . reversal) t with u upper unipotent
-    (see _pair_coordinates).  One fraction-free elimination of A (in
+    (see _coordinates).  One fraction-free elimination of A (in
     place, no row swaps) leaves the final rows U' = diag(p_1 .. p_d) U,
     p_k the leading k-minor of A, and below the diagonal the multipliers
     of the fraction-free LU factorization
@@ -184,47 +185,53 @@ def _reverse_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[list[int
     return ubar, [row[:m] for m, row in enumerate(a)]
 
 
-def _pair_coordinates(f: Flag, h: Flag, failure: str) -> ColumnScaled:
-    """The coordinates c of h over f in integers: c = ū diag(1/δ).
+def _coordinates(f: Flag, hs: Sequence[Flag], failure: str) -> Iterator[ColumnScaled]:
+    """The coordinates c of each h in hs over f in integers, c = ū diag(1/δ),
+    in order: one solve per anchor frame, one echelon per pair.
 
     c is the u in F^-1 H = (u . reversal) t, u upper unipotent and t
     upper triangular.  F u presents f because u is upper unipotent, and
     F u . reversal presents h because t is upper triangular, so F u is
     the basis adapted to (f, h).  The form is unique, so g's frame in that
     basis is (c_h^-1 c_g . reversal) t_g.  One `_scaled_solve` gives
-    X = D F^-1 H in integers, whose reverse column-echelon form is that of
-    F^-1 H, and `_reverse_echelon` gives ū.  Raises NotTransverse(failure)
-    unless f and h are transverse.  Both postconditions are checked on
-    the integers: ū is upper triangular with no zero on its diagonal,
-    and the fraction-free LU factorization rebuilds X's reversed
-    columns, scaled by q = lcm(p_k p_(k+1)).
+    X = D F^-1 [H_1 | ... | H_m] in integers; each block of d columns has
+    the reverse column-echelon form of its F^-1 H, and `_reverse_echelon`
+    gives its ū (with denominators, the joint row lcm may scale ū, not c).
+    Raises NotTransverse(failure) at the first h not transverse to f.
+    Both postconditions are checked on the integers: ū is upper
+    triangular with no zero on its diagonal, and the fraction-free LU
+    factorization rebuilds the block's reversed columns, scaled by
+    q = lcm(p_k p_(k+1)).
     """
-    x, _ = _scaled_solve(f.frame.rows_tuple(), h.frame.rows_tuple())
-    a = [col[::-1] for col in zip(*x)]
-    echelon = _reverse_echelon([list(row) for row in a])
-    if echelon is None:
-        raise NotTransverse(failure)
-    ubar, lower = echelon
-    d = len(ubar)
-    delta = [row[k] for k, row in enumerate(ubar)]
-    if not (_is_upper(ubar) and all(delta)):
-        raise InvariantViolated(
-            "each F^k intersect H^{d-k+1} must be a one-dimensional line with unit k-th coordinate"
-        )
-    p = [1] + delta[::-1]
-    dens = [p[k] * p[k + 1] for k in range(d)]
-    q = lcm(*dens)
-    weights = [q // den for den in dens]
-    # column j of U' is row d-1-j of ū, reversed; L's diagonal is p_1 .. p_d
-    u_cols = [row[::-1] for row in ubar[::-1]]
-    l_rows = [[lk * wk for lk, wk in zip(low + [p[i + 1]], weights)] for i, low in enumerate(lower)]
-    if any(
-        sum(map(mul, l_row, u_col)) != q * v
-        for l_row, a_row in zip(l_rows, a)
-        for u_col, v in zip(u_cols, a_row)
-    ):
-        raise InvariantViolated("adapted coordinates must carry the descending flag to H")
-    return ubar, delta
+    d = f.dim
+    frames = [h.frame.rows_tuple() for h in hs]
+    x, _ = _scaled_solve(f.frame.rows_tuple(), [sum(rows, ()) for rows in zip(*frames)])
+    cols = list(zip(*x))
+    for k in range(0, len(cols), d):
+        a = [col[::-1] for col in cols[k:k + d]]
+        echelon = _reverse_echelon([list(row) for row in a])
+        if echelon is None:
+            raise NotTransverse(failure)
+        ubar, lower = echelon
+        delta = [row[i] for i, row in enumerate(ubar)]
+        if not (_is_upper(ubar) and all(delta)):
+            raise InvariantViolated("each F^k intersect H^{d-k+1} must be a one-dimensional "
+                                    "line with unit k-th coordinate")
+        p = [1] + delta[::-1]
+        dens = [p[i] * p[i + 1] for i in range(d)]
+        q = lcm(*dens)
+        weights = [q // den for den in dens]
+        # column j of U' is row d-1-j of ū, reversed; L's diagonal is p_1 .. p_d
+        u_cols = [row[::-1] for row in ubar[::-1]]
+        l_rows = [[lk * wk for lk, wk in zip(low + [p[i + 1]], weights)]
+                  for i, low in enumerate(lower)]
+        if any(
+            sum(map(mul, l_row, u_col)) != q * v
+            for l_row, a_row in zip(l_rows, a)
+            for u_col, v in zip(u_cols, a_row)
+        ):
+            raise InvariantViolated("adapted coordinates must carry the descending flag to H")
+        yield ubar, delta
 
 
 def _unipotent_quotient(c_y: ColumnScaled, c_x: ColumnScaled) -> ColumnScaled:
@@ -239,27 +246,36 @@ def _unipotent_quotient(c_y: ColumnScaled, c_x: ColumnScaled) -> ColumnScaled:
     return g, s
 
 
+def _adapted(f: Flag, h: Flag, c: ColumnScaled) -> AdaptedBasis:
+    """The basis F u adapted to (f, h), from the coordinates c = u of h over f."""
+    return AdaptedBasis(f.frame @ Matrix._of(_fractions(*c)), (f, h))
+
+
 def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:
     """The basis adapted to (f, h): F u, for u the coordinates of h over f."""
     if f.dim != h.dim:
         raise DimensionMismatch(f"flag dims differ: {f.dim} vs {h.dim}")
-    u = _fractions(*_pair_coordinates(f, h, "flags are not transverse; no adapted basis exists"))
-    return AdaptedBasis(f.frame @ Matrix._of(u), (f, h))
+    c = next(_coordinates(f, (h,), "flags are not transverse; no adapted basis exists"))
+    return _adapted(f, h, c)
 
 
 def transporter(f: Flag, h: Flag, g: Flag) -> Matrix:
     """Unipotent matrix carrying h to g while fixing f, in (f, h)-adapted coordinates.
 
-    This is c_h^-1 c_g for the coordinates c of h and g over f, by one
-    fraction-free back substitution on their integer forms.  Requires
-    transverse(f, h) and transverse(f, g).  g need not be transverse to
-    h, and the degenerate positions of the output encode exactly how
-    transversality of (g, h) fails.
+    This is c_h^-1 c_g for the coordinates c of h and g over f (one
+    solve), by one fraction-free back substitution on their integer
+    forms.  Requires transverse(f, h), then transverse(f, g).  g need not
+    be transverse to h, and the degenerate positions of the output
+    encode exactly how transversality of (g, h) fails.
     """
     if f.dim != h.dim or f.dim != g.dim:
         raise DimensionMismatch("flag dims differ")
-    c_h = _pair_coordinates(f, h, "flags are not transverse; no adapted basis exists")
-    c_g = _pair_coordinates(f, g, "base flag and target flag are not transverse")
+    coords = _coordinates(f, (h, g), "flags are not transverse; no adapted basis exists")
+    c_h = next(coords)
+    try:
+        c_g = next(coords)
+    except NotTransverse:
+        raise NotTransverse("base flag and target flag are not transverse") from None
     return Matrix._of(_fractions(*_unipotent_quotient(c_h, c_g)))
 
 

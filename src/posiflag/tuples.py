@@ -35,7 +35,7 @@ from .errors import (
     PreconditionViolated,
     ZeroSuperdiagonal,
 )
-from .flags import AdaptedBasis, Flag, _pair_coordinates, _unipotent_quotient, adapted_basis
+from .flags import AdaptedBasis, Flag, _adapted, _coordinates, _unipotent_quotient
 from .linalg import ColumnScaled, Matrix, _fractions
 from .positivity import DetCounter, PositivityVerdict, Status, _staged_scan, is_upper_unipotent
 from .reps import ProjectivePoint, cyclically_ordered
@@ -137,11 +137,11 @@ class _TupleEngine:
     """Memo of the chain factors of subtuples of one pairwise transverse family.
 
     Construction builds, for every pair a < x of 0-based flag indices,
-    the integer coordinates c_{a,x} = ū diag(1/δ) of F_x over F_a.  A
-    zero pivot of that elimination is exactly a failure of
-    transversality, and raises NotTransverse with the 1-based pair, the
-    pairs taken in order: the anchor pair (1, n) first, then (1, j) for
-    the other coordinates over flag 1, then the rest.  So an engine
+    the integer coordinates c_{a,x} = ū diag(1/δ) of F_x over F_a: one
+    solve per anchor frame, one echelon per pair.  A zero pivot of that
+    echelon is exactly a failure of transversality, and raises
+    NotTransverse with the 1-based pair, the pairs taken in order: (1, n)
+    first, then (1, j) for 1 < j < n, then the rest.  So an engine
     exists only over a pairwise transverse family, and every subtuple
     needs no further check.  The factor of (a, y, x) is
     c_{a,y}^-1 c_{a,x}; the transporter of (F_a, F_e, F_x) is
@@ -153,14 +153,13 @@ class _TupleEngine:
 
     def __init__(self, flags: list[Flag]):
         n = len(flags)
-        order = [(1, n)] + [(1, j) for j in range(2, n)]
-        order += [(a, b) for a in range(2, n + 1) for b in range(a + 1, n + 1)]
         self._pairs: dict[tuple[int, int], ColumnScaled] = {}
-        for a, b in order:
+        for a in range(1, n):
+            later = [n] + list(range(2, n)) if a == 1 else list(range(a + 1, n + 1))
+            coords = _coordinates(flags[a - 1], [flags[b - 1] for b in later], "not transverse")
             try:
-                self._pairs[(a - 1, b - 1)] = _pair_coordinates(
-                    flags[a - 1], flags[b - 1], "flags are not transverse"
-                )
+                for b in later:
+                    self._pairs[(a - 1, b - 1)] = next(coords)
             except NotTransverse:
                 raise NotTransverse(f"flags {a} and {b} are not transverse", pair=(a, b)) from None
         self._factors: dict[tuple[int, int, int], ColumnScaled] = {}
@@ -231,8 +230,9 @@ def is_positive_tuple_chain(
     the status and witness of the first failing factor (the witness
     indexes into that factor, see the certificate's verdict list).
     """
-    verdict, signs, factors, verdicts = _engine(flags).chain(tuple(range(len(flags))))
-    adapted = adapted_basis(flags[0], flags[-1])
+    engine = _engine(flags)
+    verdict, signs, factors, verdicts = engine.chain(tuple(range(len(flags))))
+    adapted = _adapted(flags[0], flags[-1], engine._pairs[(0, len(flags) - 1)])
     factors = tuple(Matrix._of(_fractions(g, s)) for g, s in factors)
     return verdict, TupleCertificate(adapted, Matrix.diagonal(signs), factors, verdicts)
 

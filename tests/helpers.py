@@ -34,6 +34,7 @@ from posiflag import (
     tp_staged,
     transverse,
 )
+from posiflag.flags import _reverse_echelon
 from posiflag.linalg import _bareiss, _cleared, _is_unipotent, _ratio, _scaled_solve
 from posiflag.reps import MoebiusElement
 
@@ -300,6 +301,11 @@ def gen_positive_tuple(d: int, n: int, rng: random.Random) -> list[Flag]:
 
 
 def gen_nonpositive_tuple(d: int, n: int, rng: random.Random) -> list[Flag]:
+    """A pairwise transverse n-tuple of d-dimensional flags whose chain has
+    one poisoned factor (see `poison_factor`), so it is not positive.
+    The poisoned minor ((1,2),(2,3)) needs d >= 3; smaller d raises ValueError."""
+    if d < 3:
+        raise ValueError(f"poisoning minor ((1,2),(2,3)) needs d >= 3, got d = {d}")
     while True:
         factors = [random_tp(d, rng.randint(0, 10**9)) for _ in range(n - 2)]
         idx = rng.randrange(len(factors))
@@ -470,3 +476,14 @@ def back_substitute(u, b) -> tuple[tuple[Fraction, ...], ...]:
         )
     return tuple(x)
 
+
+def per_pair_coordinates(f: Flag, h: Flag, failure: str):
+    """(ū, δ), the integer coordinates of h over f by the per-pair route: one
+    `_scaled_solve` of F against H alone, then `_reverse_echelon` of its
+    reversed columns.  Raises NotTransverse(failure) at a zero pivot."""
+    x, _ = _scaled_solve(f.frame.rows_tuple(), h.frame.rows_tuple())
+    echelon = _reverse_echelon([list(col[::-1]) for col in zip(*x)])
+    if echelon is None:
+        raise NotTransverse(failure)
+    ubar = echelon[0]
+    return ubar, [row[k] for k, row in enumerate(ubar)]

@@ -33,7 +33,7 @@ from posiflag import (
     transverse,
     veronese_flag,
 )
-from posiflag.flags import _pair_coordinates
+from posiflag.flags import _coordinates
 from posiflag.linalg import _fractions, _grid_det, _quotient
 from posiflag.tuples import _TupleEngine
 from helpers import back_substitute, fraction_coordinates
@@ -100,9 +100,14 @@ def outcome(fn, *args):
         return ("NotTransverse", exc.pair, str(exc))
 
 
+def pair_coordinates(f, h, failure):
+    """The integer coordinates (ū, δ) of h over f, as a one-flag solve."""
+    return next(_coordinates(f, (h,), failure))
+
+
 def integer_coordinates(f, h, failure):
     """The integer pair coordinates ū diag(1/δ) as a Fraction matrix."""
-    return Matrix(_fractions(*_pair_coordinates(f, h, failure)))
+    return Matrix(_fractions(*pair_coordinates(f, h, failure)))
 
 
 def reference_transporter(f, h, g):
@@ -125,7 +130,7 @@ class TestIntegerCoordinates:
             assert got == outcome(fraction_coordinates, f, h, msg)
             if isinstance(got, Matrix):
                 d, c = f.dim, got.rows_tuple()
-                ubar, delta = _pair_coordinates(f, h, msg)
+                ubar, delta = pair_coordinates(f, h, msg)
                 shifted = back_substitute(c, c[1:] + ((0,) * d,))
                 assert _fractions(*_quotient(ubar, ubar[1:] + [[0] * d], delta)) == shifted
         for f, h, g in ((flags[0], flags[2], flags[1]), (flags[0], flags[1], flags[2]),
@@ -141,7 +146,7 @@ class TestIntegerCoordinates:
         flags = data.draw(flag_tuples(kind, shape, 4))
         msg = "flags are not transverse"
         for f, h in combinations(flags, 2):
-            assert (outcome(_pair_coordinates, f, h, msg)[0] != "NotTransverse") == transverse(f, h)
+            assert (outcome(pair_coordinates, f, h, msg)[0] != "NotTransverse") == transverse(f, h)
         pairwise = all(transverse(f, h) for f, h in combinations(flags, 2))
         assert isinstance(outcome(_TupleEngine, flags), _TupleEngine) == pairwise
 

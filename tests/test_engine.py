@@ -5,10 +5,13 @@ subtuple at a time, on Veronese, Barbot and deliberately degenerate
 families of 4 to 7 flags.  The reference takes the public `adapted_basis`
 P of the anchor pair and computes each transporter by its definition,
 the reverse column-echelon form of P^-1 G reduced in plain Fractions, so
-it shares no code with the engine's per-pair coordinates.
+it shares no code with the engine's flag coordinates.  Those coordinates,
+one solve per anchor frame, are also compared with the per-pair route
+(one solve per pair, `helpers.per_pair_coordinates`).
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -43,8 +46,10 @@ from posiflag import (
 from posiflag.linalg import _fractions
 from posiflag.tuples import _TupleEngine
 from helpers import (
+    all_pairs_transverse,
     brute_threshold,
     distinct_points,
+    per_pair_coordinates,
     poison_factor,
     reverse_column_echelon,
     tuple_from_factors,
@@ -242,6 +247,95 @@ def test_families_cover_every_outcome():
                     "NotTransverse", "ZeroSuperdiagonal"}
 
 
+# -- engine coordinates against the per-pair route ------------------------------
+
+
+def random_family(d, n, rng, denominators):
+    """n flags with random invertible frames, entries in -3..3, or in
+    -6/q..6/q for q in 1..4 when `denominators` is set."""
+    flags = []
+    while len(flags) < n:
+        frame = Matrix([
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if denominators
+             else rng.randint(-3, 3) for _ in range(d)]
+            for _ in range(d)
+        ])
+        if frame.det() != 0:
+            flags.append(Flag(frame))
+    return flags
+
+
+def transverse_family(d, n, rng, denominators):
+    while True:
+        flags = random_family(d, n, rng, denominators)
+        if all_pairs_transverse(flags):
+            return flags
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_engine_coordinates_match_per_pair_route(d):
+    """One solve per anchor gives every pair the coordinates of its own
+    solve: the same integers on integral frames, the same rationals when
+    frames have denominators (the joint solve may scale the integers)."""
+    rng = random.Random(1_800 + d)
+    pts = distinct_points(6, rng)
+    integral = [[veronese_flag(x, d) for x in pts], transverse_family(d, 5, rng, False)]
+    if d % 2:
+        spec = barbot_spec(d, d // 2)
+        integral.append([barbot_flag(spec, x) for x in pts])
+    rational = [transverse_family(d, 5, rng, True) for _ in range(2)]
+    for flags in integral + rational:
+        engine = _TupleEngine(flags)
+        assert len(engine._pairs) == comb(len(flags), 2)
+        for (a, b), got in engine._pairs.items():
+            want = per_pair_coordinates(flags[a], flags[b], "flags are not transverse")
+            if flags in integral:
+                assert got == want, (a, b)
+            else:
+                assert _fractions(*got) == _fractions(*want), (a, b)
+
+
+def shared_family(d, n, rng, pairs):
+    """n random flags, where for each (i, j) in `pairs` flag j takes flag
+    i's first k columns, so that the two share a line; frames with
+    denominators when the first pair's indices sum to an odd number."""
+    while True:
+        flags = random_family(d, n, rng, denominators=sum(pairs[0]) % 2 == 1)
+        for i, j in pairs:
+            k = rng.randint(1, d - 1)
+            frame = Matrix([ri[:k] + rj[k:] for ri, rj in
+                            zip(flags[i].frame.rows_tuple(), flags[j].frame.rows_tuple())])
+            if frame.det() == 0:
+                break
+            flags[j] = Flag(frame)
+        else:
+            return flags
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_engine_refuses_at_the_reference_pair(d):
+    """With exactly one non-transverse pair, at each position in turn, the
+    engine raises NotTransverse with that pair and the reference message;
+    with two or more, at the first pair in the reference order."""
+    rng = random.Random(1_900 + d)
+    n = 5
+    positions = list(combinations(range(n), 2))
+    for i, j in positions:
+        while True:
+            flags = shared_family(d, n, rng, [(i, j)])
+            failing = [(p, q) for p, q in positions if not transverse(flags[p], flags[q])]
+            if failing == [(i, j)]:
+                break
+        want = ("NotTransverse", (i + 1, j + 1), f"flags {i + 1} and {j + 1} are not transverse")
+        assert outcome(ref_transverse, flags) == want
+        assert outcome(_TupleEngine, flags) == want
+    for first, second in combinations(positions, 2):
+        flags = shared_family(d, n, rng, [first, second])
+        want = outcome(ref_transverse, flags)
+        assert want[0] == "NotTransverse"
+        assert outcome(_TupleEngine, flags) == want, (first, second)
+
+
 @pytest.mark.parametrize("d,a", [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
 def test_threshold_matches_brute_force_scan(d, a):
     _, desc = standard_flags(d)
@@ -271,8 +365,9 @@ def test_threshold_matches_brute_force_on_random_flags():
 
 def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     """Work-count guard: a Veronese d = 4, n = 6 sample is checked without
-    the determinant test `transverse`, with one coordinate build per pair,
-    one staged scan per (factor, sign) and no Fraction built on the way."""
+    the determinant test `transverse`, with one solve per anchor frame
+    (n - 1), one echelon per pair (C(n, 2)), one staged scan per
+    (factor, sign) and no Fraction built on the way."""
     import posiflag
     import posiflag.flags as flags_module
     import posiflag.linalg as linalg_module
@@ -284,13 +379,17 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
 
     for module in (posiflag, flags_module):
         monkeypatch.setattr(module, "transverse", refuse)
-    builds, scans, ratios = [], [], []
-    real_pair, real_scan = tuples_module._pair_coordinates, tuples_module._staged_scan
-    real_ratio = linalg_module._ratio
+    solves, echelons, scans, ratios = [], [], [], []
+    real_solve, real_echelon = flags_module._scaled_solve, flags_module._reverse_echelon
+    real_scan, real_ratio = tuples_module._staged_scan, linalg_module._ratio
 
-    def counted_pair(f, h, failure):
-        builds.append((f, h))
-        return real_pair(f, h, failure)
+    def counted_solve(a, b):
+        solves.append(len(b[0]))
+        return real_solve(a, b)
+
+    def counted_echelon(a):
+        echelons.append(len(a))
+        return real_echelon(a)
 
     def counted_scan(grid, row_scales, col_scales, counter):
         scans.append((tuple(map(tuple, grid)), tuple(row_scales), tuple(col_scales)))
@@ -300,15 +399,18 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
         ratios.append((n, d))
         return real_ratio(n, d)
 
-    monkeypatch.setattr(tuples_module, "_pair_coordinates", counted_pair)
+    monkeypatch.setattr(flags_module, "_scaled_solve", counted_solve)
+    monkeypatch.setattr(flags_module, "_reverse_echelon", counted_echelon)
     monkeypatch.setattr(tuples_module, "_staged_scan", counted_scan)
-    n = 6
+    n, d = 6, 4
     pts = distinct_points(n, random.Random(6))
-    sample = FlagMapSample(tuple(pts), tuple(veronese_flag(x, 4) for x in pts))
+    sample = FlagMapSample(tuple(pts), tuple(veronese_flag(x, d) for x in pts))
     for module in (linalg_module, positivity_module):
         monkeypatch.setattr(module, "_ratio", counted_ratio)
     report = check_sampled_positivity(sample)
     assert report == SampleReport("consistent", (1, 2, 3), None, 1, comb(n, 4))
-    assert len(builds) == comb(n, 2)
+    # anchor a (1-based) solves against the n - a later frames at once
+    assert solves == [d * (n - a) for a in range(1, n)]
+    assert echelons == [d] * comb(n, 2)
     assert (len(scans), len(set(scans))) == (16, 16)  # one per (factor, sign) reached
     assert ratios == []

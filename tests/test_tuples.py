@@ -212,6 +212,12 @@ class TestChain:
                 continue
             assert verdict.status is not Status.POSITIVE
 
+    def test_poisoned_generator_needs_three_dimensions(self):
+        # the poisoned minor ((1,2),(2,3)) does not exist in a 2 x 2 factor
+        for d in (1, 2):
+            with pytest.raises(ValueError, match="needs d >= 3"):
+                gen_nonpositive_tuple(d, 4, random.Random(0))
+
     def test_cyclic_and_reversal_invariance(self):
         rng = random.Random(62)
 
