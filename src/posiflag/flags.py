@@ -15,15 +15,15 @@ the tuple-positivity certificates in this package test.
 
 Coordinates are kept in integers, c = ū diag(1/δ) with ū upper
 triangular and δ its diagonal (see _coordinates): one solve per anchor
-frame, against all later flags, and one echelon per pair (a forward
-elimination) build them, and a zero pivot of the latter is exactly a
-failure of transversality, which is how the tuple engine checks every
-pair of a family.  Quotients c_H^-1 c_G are fraction-free back
-substitutions that stay in integers, G diag(1/s) (`_unipotent_quotient`,
-shared with the tuple engine, which also checks that they are upper
-unipotent); Fractions appear only in the Matrix outputs of
-`adapted_basis` and `transporter`.  `transverse` stays the determinant
-test, for callers that want transversality alone.
+frame, against all later flags, and one forward elimination per pair
+build them, and a zero pivot of the latter is exactly a failure of
+transversality, which is how the tuple engine checks every pair of a
+family.  Quotients c_H^-1 c_G are fraction-free back substitutions that
+stay in integers, G diag(1/s) (`_unipotent_quotient`, shared with the
+tuple engine, which also checks that they are upper unipotent); Fractions
+appear only in the Matrix outputs of `adapted_basis` and `transporter`.
+`transverse` stays the determinant test, for callers that want
+transversality alone.
 """
 
 from __future__ import annotations
@@ -160,78 +160,53 @@ class AdaptedBasis:
         object.__setattr__(self, "inverse", inverse)
 
 
-def _reverse_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]] | None:
-    """Integer reverse column-echelon form, from one forward elimination.
-
-    Row m of `a` is column m of an integer grid X with its coordinates
-    reversed, so a is A = t^T U for U unit upper triangular and t upper
-    triangular exactly when X = (u . reversal) t with u upper unipotent
-    (see _coordinates).  One fraction-free elimination of A (in
-    place, no row swaps) leaves the final rows U' = diag(p_1 .. p_d) U,
-    p_k the leading k-minor of A, and below the diagonal the multipliers
-    of the fraction-free LU factorization
-    A = L diag(1/(p_0 p_1), ..., 1/(p_(d-1) p_d)) U', p_0 = 1 and L lower
-    triangular with diagonal p_1 .. p_d.  Read back with coordinates
-    reversed, the rows of U' are the columns of ū = u diag(δ), upper
-    triangular with δ = (p_d, ..., p_1) on its diagonal.  Returns ū and
-    the rows of L without their diagonal, or None when a zero pivot
-    leaves fewer than d pivots, which happens exactly when the flag of X
-    is not transverse to the ascending coordinate flag.
-    """
-    d = len(a)
-    if len(_bareiss(a, swaps=False)[0]) < d:
-        return None
-    ubar = [[a[d - 1 - k][d - 1 - i] if i <= k else 0 for k in range(d)] for i in range(d)]
-    return ubar, [row[:m] for m, row in enumerate(a)]
-
-
 def _coordinates(f: Flag, hs: Sequence[Flag], failure: str) -> Iterator[ColumnScaled]:
     """The coordinates c of each h in hs over f in integers, c = ū diag(1/δ),
-    in order: one solve per anchor frame, one echelon per pair.
+    in order: one solve per anchor frame, one forward elimination per pair.
 
     c is the u in F^-1 H = (u . reversal) t, u upper unipotent and t
     upper triangular.  F u presents f because u is upper unipotent, and
     F u . reversal presents h because t is upper triangular, so F u is
     the basis adapted to (f, h).  The form is unique, so g's frame in that
     basis is (c_h^-1 c_g . reversal) t_g.  One `_scaled_solve` gives
-    X = D F^-1 [H_1 | ... | H_m] in integers; each block of d columns has
-    the reverse column-echelon form of its F^-1 H, and `_reverse_echelon`
-    gives its ū (with denominators, the joint row lcm may scale ū, not c).
-    Raises NotTransverse(failure) at the first h not transverse to f.
-    Both postconditions are checked on the integers: ū is upper
-    triangular with no zero on its diagonal, and the fraction-free LU
-    factorization rebuilds the block's reversed columns, scaled by
-    q = lcm(p_k p_(k+1)).
+    X = D F^-1 [H_1 | ... | H_m] in integers (with denominators, the
+    joint row lcm may scale ū, not c).  Row m of a block's grid A is
+    column m of its d columns of X, coordinates reversed, so A = t^T U,
+    U unit upper triangular.  Its fraction-free elimination E (no row
+    swaps) is the LU factorization A = L diag(1/(p_0 p_1), ...,
+    1/(p_(d-1) p_d)) U', p_0 = 1 and p_k the leading k-minor of A:
+    U' = diag(p_1 .. p_d) U is E's upper part and L, with diagonal
+    p_1 .. p_d, its lower part.  Fewer than d pivots mean exactly that h
+    is not transverse to f, and raise NotTransverse(failure) at the first
+    such h.  The rows of U', last first and coordinates reversed, are the
+    columns of ū = u diag(δ), upper triangular with δ = (p_d, ..., p_1) on
+    its diagonal.  The factorization is checked on the integers: it
+    rebuilds A, scaled by q = lcm(p_k p_(k+1)).
     """
     d = f.dim
     frames = [h.frame.rows_tuple() for h in hs]
     x, _ = _scaled_solve(f.frame.rows_tuple(), [sum(rows, ()) for rows in zip(*frames)])
     cols = list(zip(*x))
-    for k in range(0, len(cols), d):
-        a = [col[::-1] for col in cols[k:k + d]]
-        echelon = _reverse_echelon([list(row) for row in a])
-        if echelon is None:
+    for start in range(0, len(cols), d):
+        a = [col[::-1] for col in cols[start:start + d]]
+        e = [list(row) for row in a]
+        if len(_bareiss(e, swaps=False)[0]) < d:
             raise NotTransverse(failure)
-        ubar, lower = echelon
-        delta = [row[i] for i, row in enumerate(ubar)]
-        if not (_is_upper(ubar) and all(delta)):
-            raise InvariantViolated("each F^k intersect H^{d-k+1} must be a one-dimensional "
-                                    "line with unit k-th coordinate")
-        p = [1] + delta[::-1]
-        dens = [p[i] * p[i + 1] for i in range(d)]
+        p = [1] + [row[m] for m, row in enumerate(e)]
+        dens = [p[m] * p[m + 1] for m in range(d)]
         q = lcm(*dens)
         weights = [q // den for den in dens]
-        # column j of U' is row d-1-j of ū, reversed; L's diagonal is p_1 .. p_d
-        u_cols = [row[::-1] for row in ubar[::-1]]
-        l_rows = [[lk * wk for lk, wk in zip(low + [p[i + 1]], weights)]
-                  for i, low in enumerate(lower)]
+        # row i of L is row i of E up to the diagonal, column j of U' is column j of E down to it
+        l_rows = [list(map(mul, row[:i + 1], weights)) for i, row in enumerate(e)]
+        u_cols = [[row[j] for row in e[:j + 1]] for j in range(d)]
         if any(
             sum(map(mul, l_row, u_col)) != q * v
             for l_row, a_row in zip(l_rows, a)
             for u_col, v in zip(u_cols, a_row)
         ):
             raise InvariantViolated("adapted coordinates must carry the descending flag to H")
-        yield ubar, delta
+        ubar = [[e[d - 1 - k][d - 1 - i] if i <= k else 0 for k in range(d)] for i in range(d)]
+        yield ubar, p[:0:-1]
 
 
 def _unipotent_quotient(c_y: ColumnScaled, c_x: ColumnScaled) -> ColumnScaled:

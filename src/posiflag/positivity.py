@@ -415,12 +415,14 @@ def random_tp(d: int, seed: int) -> Matrix:
     matrices as t ranges over positive values.
     """
     rng = random.Random(seed)
-    m = Matrix.identity(d)
+    rows = [list(row) for row in Matrix.identity(d).rows_tuple()]
     for stage in range(1, d):
         for i in range(stage, 0, -1):
             t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            m = m @ Matrix.elementary(d, i, i + 1, t)
-    return m
+            # times I + t E_{i,i+1}: t * column i (zero below row i) joins column i+1
+            for row in rows[:i]:
+                row[i] += t * row[i - 1]
+    return Matrix._of(tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ The quadruple route certifies an n-tuple by checking only its ordered
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -126,7 +127,8 @@ class TupleCertificate:
         return True
 
 
-def _aggregate(verdicts: tuple[PositivityVerdict, ...]) -> PositivityVerdict:
+def _aggregate(verdicts: Iterable[PositivityVerdict]) -> PositivityVerdict:
+    """The first non-positive verdict, read lazily, or Positive."""
     for v in verdicts:
         if not v.is_positive:
             return v
@@ -138,8 +140,8 @@ class _TupleEngine:
 
     Construction builds, for every pair a < x of 0-based flag indices,
     the integer coordinates c_{a,x} = ū diag(1/δ) of F_x over F_a: one
-    solve per anchor frame, one echelon per pair.  A zero pivot of that
-    echelon is exactly a failure of transversality, and raises
+    solve per anchor frame, one forward elimination per pair.  A zero pivot
+    of that elimination is exactly a failure of transversality, and raises
     NotTransverse with the 1-based pair, the pairs taken in order: (1, n)
     first, then (1, j) for 1 < j < n, then the rest.  So an engine
     exists only over a pairwise transverse family, and every subtuple
@@ -259,11 +261,7 @@ def is_positive_tuple_quad(flags: list[Flag]) -> PositivityVerdict:
     """
     n = len(flags)
     engine = _engine(flags)
-    for sub in combinations(range(n), min(n, 4)):
-        verdict = engine.chain(sub)[0]
-        if not verdict.is_positive:
-            return verdict
-    return PositivityVerdict(Status.POSITIVE, None, "staged")
+    return _aggregate(engine.chain(sub)[0] for sub in combinations(range(n), min(n, 4)))
 
 
 @dataclass(frozen=True)

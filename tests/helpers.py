@@ -34,7 +34,7 @@ from posiflag import (
     tp_staged,
     transverse,
 )
-from posiflag.flags import _reverse_echelon
+from posiflag.flags import _coordinates
 from posiflag.linalg import _bareiss, _cleared, _is_unipotent, _ratio, _scaled_solve
 from posiflag.reps import MoebiusElement
 
@@ -193,6 +193,19 @@ def count_nontrivial(d: int, sizes=None) -> int:
                 if all(i <= j for i, j in zip(rows, cols)):
                     total += 1
     return total
+
+
+def random_tp_by_products(d: int, seed: int) -> Matrix:
+    """`random_tp` by its definition: the staircase word (1)(2,1)...(d-1,...,1)
+    of elementary factors I + t E_{i,i+1}, multiplied out as full Matrix
+    products, with the same draws of t."""
+    rng = random.Random(seed)
+    m = Matrix.identity(d)
+    for stage in range(1, d):
+        for i in range(stage, 0, -1):
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            m = m @ Matrix.elementary(d, i, i + 1, t)
+    return m
 
 
 def gen_uniform(d: int, rng: random.Random) -> Matrix:
@@ -478,12 +491,7 @@ def back_substitute(u, b) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def per_pair_coordinates(f: Flag, h: Flag, failure: str):
-    """(ū, δ), the integer coordinates of h over f by the per-pair route: one
-    `_scaled_solve` of F against H alone, then `_reverse_echelon` of its
-    reversed columns.  Raises NotTransverse(failure) at a zero pivot."""
-    x, _ = _scaled_solve(f.frame.rows_tuple(), h.frame.rows_tuple())
-    echelon = _reverse_echelon([list(col[::-1]) for col in zip(*x)])
-    if echelon is None:
-        raise NotTransverse(failure)
-    ubar = echelon[0]
-    return ubar, [row[k] for k, row in enumerate(ubar)]
+    """(ū, δ), the integer coordinates of h over f by the per-pair route: the
+    one-flag call of `_coordinates`, one `_scaled_solve` of F against H
+    alone.  Raises NotTransverse(failure) at a zero pivot."""
+    return next(_coordinates(f, (h,), failure))

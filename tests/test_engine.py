@@ -366,8 +366,9 @@ def test_threshold_matches_brute_force_on_random_flags():
 def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     """Work-count guard: a Veronese d = 4, n = 6 sample is checked without
     the determinant test `transverse`, with one solve per anchor frame
-    (n - 1), one echelon per pair (C(n, 2)), one staged scan per
-    (factor, sign) and no Fraction built on the way."""
+    (n - 1), one forward elimination of d rows per pair (C(n, 2); the
+    solves run linalg's own), one staged scan per (factor, sign) and no
+    Fraction built on the way."""
     import posiflag
     import posiflag.flags as flags_module
     import posiflag.linalg as linalg_module
@@ -379,17 +380,17 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
 
     for module in (posiflag, flags_module):
         monkeypatch.setattr(module, "transverse", refuse)
-    solves, echelons, scans, ratios = [], [], [], []
-    real_solve, real_echelon = flags_module._scaled_solve, flags_module._reverse_echelon
+    solves, eliminations, scans, ratios = [], [], [], []
+    real_solve, real_bareiss = flags_module._scaled_solve, flags_module._bareiss
     real_scan, real_ratio = tuples_module._staged_scan, linalg_module._ratio
 
     def counted_solve(a, b):
         solves.append(len(b[0]))
         return real_solve(a, b)
 
-    def counted_echelon(a):
-        echelons.append(len(a))
-        return real_echelon(a)
+    def counted_bareiss(a, swaps=True):
+        eliminations.append(len(a))
+        return real_bareiss(a, swaps)
 
     def counted_scan(grid, row_scales, col_scales, counter):
         scans.append((tuple(map(tuple, grid)), tuple(row_scales), tuple(col_scales)))
@@ -400,7 +401,7 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
         return real_ratio(n, d)
 
     monkeypatch.setattr(flags_module, "_scaled_solve", counted_solve)
-    monkeypatch.setattr(flags_module, "_reverse_echelon", counted_echelon)
+    monkeypatch.setattr(flags_module, "_bareiss", counted_bareiss)
     monkeypatch.setattr(tuples_module, "_staged_scan", counted_scan)
     n, d = 6, 4
     pts = distinct_points(n, random.Random(6))
@@ -411,6 +412,6 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     assert report == SampleReport("consistent", (1, 2, 3), None, 1, comb(n, 4))
     # anchor a (1-based) solves against the n - a later frames at once
     assert solves == [d * (n - a) for a in range(1, n)]
-    assert echelons == [d] * comb(n, 2)
+    assert eliminations == [d] * comb(n, 2)
     assert (len(scans), len(set(scans))) == (16, 16)  # one per (factor, sign) reached
     assert ratios == []

@@ -30,6 +30,7 @@ from helpers import (
     gen_uniform,
     naive_minor,
     naive_scan,
+    random_tp_by_products,
     staged_bareiss_scan,
     tuple_table_scan,
 )
@@ -276,6 +277,13 @@ class TestMethodAgreement:
             assert a == b
             assert a != c
             assert tp_staged(a).status is Status.POSITIVE
+
+    def test_random_tp_is_the_staircase_product(self):
+        for d in range(1, 11):
+            for seed in range(10):
+                m = random_tp(d, seed)
+                assert m == random_tp_by_products(d, seed), (d, seed)
+                assert all(type(x) is Fraction for row in m.rows_tuple() for x in row)
 
 
 class TestBoundaryCorner:

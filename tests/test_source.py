@@ -190,6 +190,29 @@ def test_elimination_is_written_once():
     fraction-free elimination, called from these four places only."""
     callers = _callers("_bareiss")
     assert callers == [
-        ("flags.py", "_reverse_echelon"), ("linalg.py", "_det"),
+        ("flags.py", "_coordinates"), ("linalg.py", "_det"),
         ("linalg.py", "_grid_rank"), ("linalg.py", "_scaled_solve"),
     ], f"_bareiss is called from {callers}"
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    """Every module-level private function and class is read somewhere in the
+    package outside its own definition, so no helper stays alive only for
+    the tests or for fault injection."""
+    trees = {path.name: _parse(path) for path in SOURCES}
+    reads: dict[str, list[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(getattr(node, "id", getattr(node, "attr", None)), []).append(id(node))
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+            ):
+                inside = {id(n) for n in ast.walk(node)}
+                if all(i in inside for i in reads.get(node.name, [])):
+                    orphans.append(f"{module}:{node.name}")
+    assert not orphans, f"private helpers with no caller in the package: {orphans}"
