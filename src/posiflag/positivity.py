@@ -44,7 +44,6 @@ reports their evaluation counts and times (the CLI's `bench`).
 
 from __future__ import annotations
 
-import platform
 import random
 import sys
 import time
@@ -185,24 +184,33 @@ def _laplace_step(
     G's minors; R's rows lie below `last`, and `row` is G's row `last`.
     Each set is extended by a column c above its highest and at least
     `last`, which keeps that order, and the minor is expanded along its
-    last row: +row[c] times the set's minor, then the set's columns j from
-    the highest down give alternately -row[j] and +row[j] times R's minor
-    on the columns less j.  Columns below `last` meet zeros of the upper
-    triangular G.  `terms` memoizes those columns j for one caller's scan,
-    keyed by a set's part at or above `last`, which many sets share.
+    last row, whose columns below `last` are zeros of the upper triangular
+    G.  A set holding column d-1 has no extension; one wholly below `last`
+    gives row[c] times its minor, for c in the row's tail built once per
+    call; any other gives +row[c] times its minor, then its columns j >=
+    `last` from the highest down give alternately -row[j] and +row[j]
+    times R's minor on the columns less j.  `terms` memoizes those j for
+    one caller's scan, keyed by a set's part at or above `last`.
     """
     d = len(row)
+    tail = [(1 << c, row[c]) for c in range(last, d)]
     table = {}
     for base, minor in sub.items():
+        start = base.bit_length()
+        if start == d:
+            continue
+        if start <= last:
+            for bit, r in tail:
+                table[base | bit] = r * minor
+            continue
         high = base >> last << last
         top_down = terms.get(high)
         if top_down is None:
             top_down = terms[high] = [
-                (j, 1 << j) for j in range(high.bit_length() - 1, last - 1, -1) if high >> j & 1
+                (j, 1 << j) for j in range(start - 1, last - 1, -1) if high >> j & 1
             ]
-        for c in range(max(base.bit_length(), last), d):
-            bit = 1 << c
-            acc = row[c] * minor
+        for bit, r in tail[start - last:]:
+            acc = r * minor
             negative = True
             for j, jbit in top_down:
                 if negative:
@@ -446,6 +454,8 @@ def bench(d_values, samples: int, seed: int) -> BenchReport:
     per input and verified identical across samples; on these Positive
     inputs the staged count must equal its closed form.
     """
+    import platform
+
     rows = []
     for d in d_values:
         per_method: dict[str, tuple[int, float]] = {}

@@ -495,3 +495,33 @@ def per_pair_coordinates(f: Flag, h: Flag, failure: str):
     one-flag call of `_coordinates`, one `_scaled_solve` of F against H
     alone.  Raises NotTransverse(failure) at a zero pivot."""
     return next(_coordinates(f, (h,), failure))
+
+
+def reference_laplace_step(
+    row: list[int], sub: dict[int, int], last: int, terms: dict[int, list[tuple[int, int]]]
+) -> dict[int, int]:
+    """`positivity._laplace_step` as first written, kept as the reference:
+    every set of `sub` looks up its part at or above `last` in `terms` and
+    is extended by each column from max(its highest + 1, `last`) to d - 1,
+    each minor expanded by the full alternating sum along its last row."""
+    d = len(row)
+    table = {}
+    for base, minor in sub.items():
+        high = base >> last << last
+        top_down = terms.get(high)
+        if top_down is None:
+            top_down = terms[high] = [
+                (j, 1 << j) for j in range(high.bit_length() - 1, last - 1, -1) if high >> j & 1
+            ]
+        for c in range(max(base.bit_length(), last), d):
+            bit = 1 << c
+            acc = row[c] * minor
+            negative = True
+            for j, jbit in top_down:
+                if negative:
+                    acc -= row[j] * sub[base ^ jbit | bit]
+                else:
+                    acc += row[j] * sub[base ^ jbit | bit]
+                negative = not negative
+            table[base | bit] = acc
+    return table

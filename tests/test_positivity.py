@@ -21,7 +21,7 @@ from posiflag import (
     tp_oracle,
     tp_staged,
 )
-from posiflag.positivity import _contiguous_minors
+from posiflag.positivity import _contiguous_minors, _laplace_step
 from helpers import (
     count_nontrivial,
     gen_boundary,
@@ -31,6 +31,7 @@ from helpers import (
     naive_minor,
     naive_scan,
     random_tp_by_products,
+    reference_laplace_step,
     staged_bareiss_scan,
     tuple_table_scan,
 )
@@ -185,6 +186,31 @@ class TestOracleTable:
             assert (v.status, v.witness, counter.evaluations) == tuple_table_scan(m)
             seen.add(v.status)
         assert seen == set(Status)
+
+    def test_laplace_step_matches_reference(self):
+        # every row set's table, in _full_scan's order and each side with one
+        # memo for the grid, has the reference's keys in its insertion order
+        # and its values: witnesses and Outside counts read that order
+        rng = random.Random(20)
+        entries = (0, 0, -1, 1, 2, -3, 7)
+        for d in range(1, 10):
+            for _ in range(4 if d < 8 else 2):
+                grid = [
+                    [0] * i + [rng.randint(1, 4)] + [rng.choice(entries) for _ in range(i + 1, d)]
+                    for i in range(d)
+                ]
+                terms, ref_terms = {}, {}
+                prev = ref_prev = {(): {0: 1}}
+                for k in range(1, d + 1):
+                    cur, ref_cur = {}, {}
+                    for rows in combinations(range(d), k):
+                        row, last = grid[rows[-1]], rows[-1]
+                        table = cur[rows] = _laplace_step(row, prev[rows[:-1]], last, terms)
+                        ref = ref_cur[rows] = reference_laplace_step(
+                            row, ref_prev[rows[:-1]], last, ref_terms
+                        )
+                        assert list(table.items()) == list(ref.items()), (grid, rows)
+                    prev, ref_prev = cur, ref_cur
 
     def test_outside_count_is_position_of_first_negative_minor(self):
         # the oracle stops at its first negative minor, having counted every
