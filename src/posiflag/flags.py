@@ -18,8 +18,8 @@ triangular and δ its diagonal (see _coordinates): one solve per anchor
 frame, against all later flags, and one forward elimination per pair
 build them, and a zero pivot of the latter is exactly a failure of
 transversality, which is how the tuple engine checks every pair of a
-family.  Quotients c_H^-1 c_G are fraction-free back substitutions that
-stay in integers, G diag(1/s) (`_unipotent_quotient`, shared with the
+family.  Quotients c_H^-1 c_G run the solve's integer back substitution
+and stay in integers, G diag(1/s) (`_unipotent_quotient`, shared with the
 tuple engine, which also checks that they are upper unipotent); Fractions
 appear only in the Matrix outputs of `adapted_basis` and `transporter`.
 `transverse` stays the determinant test, for callers that want
@@ -53,6 +53,7 @@ from .linalg import (
     _nilpotent_powers,
     _quotient,
     _scaled_solve,
+    _to_fraction,
 )
 
 __all__ = [
@@ -93,7 +94,7 @@ class Flag:
             )
         if not 0 <= k <= self.dim:
             raise IndexOutOfRange(f"subspace {k} out of range for a flag of dimension {self.dim}")
-        rows = [self.frame.column(i) for i in range(1, k + 1)] + [tuple(v)]
+        rows = [self.frame.column(i) for i in range(1, k + 1)] + [tuple(map(_to_fraction, v))]
         return _grid_rank(rows) == k
 
     def __eq__(self, other) -> bool:
@@ -238,7 +239,7 @@ def transporter(f: Flag, h: Flag, g: Flag) -> Matrix:
     """Unipotent matrix carrying h to g while fixing f, in (f, h)-adapted coordinates.
 
     This is c_h^-1 c_g for the coordinates c of h and g over f (one
-    solve), by one fraction-free back substitution on their integer
+    solve), by the solve's integer back substitution on their integer
     forms.  Requires transverse(f, h), then transverse(f, g).  g need not
     be transverse to h, and the degenerate positions of the output
     encode exactly how transversality of (g, h) fails.

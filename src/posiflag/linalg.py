@@ -11,14 +11,15 @@ idea: scale each row (or column) by the lcm of its denominators
 end.  One fraction-free (Bareiss) forward elimination, `_bareiss`, where
 every interior division is exact, does all the elimination work:
 determinants read its last pivot (`_det`), ranks count its pivots, and
-solves and inverses back-substitute its triangular form in integers
-(`_scaled_solve`).  Quotients of
-triangular integer forms (`_quotient`) are fraction-free back
-substitutions that stay in integers: they return the column-scaled form
-G diag(1/s), each column over one positive scale with which it has gcd 1,
-and `_fractions` builds the rational grid only where a Matrix is
-returned.  Tests compare them against cofactor expansion, sympy and
-Fraction reference routes.
+solves and inverses back-substitute its triangular form (`_scaled_solve`).
+One integer back substitution, `_back_substitute`, does all the back
+substitution work: solves and inverses scale it by the last pivot, and
+quotients of triangular integer forms (`_quotient`) by the determinant
+of the triangular divisor, so both stay in integers.  A quotient is
+returned in the column-scaled form G diag(1/s), each column over one
+positive scale with which it has gcd 1, and `_fractions` builds the
+rational grid only where a Matrix is returned.  Tests compare them
+against cofactor expansion, sympy and Fraction reference routes.
 """
 
 from __future__ import annotations
@@ -166,6 +167,31 @@ def _grid_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_bareiss([r for r, _ in _cleared(rows)])[0])
 
 
+def _back_substitute(
+    u: Sequence[Sequence[int]], y: Sequence[Sequence[int]], den: int
+) -> list[list[int]]:
+    """X = den U^-1 Y, for U the upper triangular integer grid on the first
+    len(Y) rows and columns of u, and an integer grid Y.
+
+    Back substitution from the last row up solves U X = den Y, reading
+    nothing below U's diagonal.  Each division by U[i][i] is exact
+    whenever X is integral, because every row of X below i is then
+    exact.
+    """
+    n = len(y)
+    x: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = u[i]
+        acc = [den * v for v in y[i]]
+        for k in range(i + 1, n):
+            c = row[k]
+            if c:
+                acc = [v - c * w for v, w in zip(acc, x[k])]
+        pivot = row[i]
+        x[i] = [v // pivot for v in acc]
+    return x
+
+
 def _scaled_solve(
     a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
 ) -> tuple[list[list[int]], int]:
@@ -176,27 +202,15 @@ def _scaled_solve(
     triangular, and A^-1 B solves U Z = Y.  Raises SingularMatrix unless
     the pivots cover A, that is unless A is invertible.  D is the last
     pivot U[n-1][n-1], the determinant of the row-swapped cleared A, so
-    X = D A^-1 B is an integer grid (Cramer's rule).  Back substitution
-    from the last row up then solves U X = D Y in integers, each division
-    by U[i][i] exact.
+    X = D U^-1 Y = D A^-1 B is an integer grid (Cramer's rule), and
+    `_back_substitute` computes it.
     """
     n = len(a)
     m = [r for r, _ in _cleared(tuple(ra) + tuple(rb) for ra, rb in zip(a, b))]
     if _bareiss(m)[0][:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     den = m[-1][n - 1]
-    x: list[list[int]] = [[]] * n
-    x[-1] = m[-1][n:]  # U[n-1][n-1] is D itself
-    for i in range(n - 2, -1, -1):
-        row = m[i]
-        acc = [den * y for y in row[n:]]
-        for k in range(i + 1, n):
-            c = row[k]
-            if c:
-                acc = [v - c * w for v, w in zip(acc, x[k])]
-        pivot = row[i]
-        x[i] = [v // pivot for v in acc]
-    return x, den
+    return _back_substitute(m, [row[n:] for row in m], den), den
 
 
 def _is_upper(rows) -> bool:
@@ -221,48 +235,27 @@ def _quotient(
 
     U_y is an upper triangular integer grid whose diagonal δ_y has no
     zero, U_x any integer grid and δ_x nonzero integers: the quotient is
-    diag(δ_y) U_y^-1 U_x diag(1/δ_x).  Each column is a fraction-free back
-    substitution from its lowest nonzero row `top`: with
-    Q_i = δ_y[i] ... δ_y[top], the entries W_i = Q_i (U_y^-1 U_x)[i][j] are
-    integers, W_top = U_x[top][j] and
-    W_i = Q_{i+1} U_x[i][j] - sum over i < k <= top of
-    U_y[i][k] W_k δ_y[i+1] ... δ_y[k-1], summed Horner-fashion.  Entry
-    (i, j) is W_i / (Q_{i+1} δ_x[j]) = W_i P_i / (Q_0 δ_x[j]), P_i =
-    δ_y[0] ... δ_y[i], so the column is put over one denominator and
-    divided by the gcd of its numerators and that denominator, signed so
-    that s[j] > 0.  That form is canonical: s[j] is the lcm of the
-    column's reduced denominators.  When U_x is upper triangular with
-    diagonal δ_x the quotient is upper unipotent, and s is G's diagonal.
+    diag(δ_y) U_y^-1 U_x diag(1/δ_x).  With q = δ_y[0] ... δ_y[n-1] the
+    determinant of U_y, q U_y^-1 is the adjugate, so `_back_substitute`
+    gives the integer grid X = q U_y^-1 U_x, and entry (i, j) is
+    δ_y[i] X[i][j] / (q δ_x[j]).  Each column is divided by the gcd of
+    its numerators and that denominator, signed so that s[j] > 0.  That
+    form is canonical: s[j] is the lcm of the column's reduced
+    denominators.  When U_x is upper triangular with diagonal δ_x the
+    quotient is upper unipotent, and s is G's diagonal.
     """
-    n = len(uy)
     dy = [row[i] for i, row in enumerate(uy)]
-    g = [[0] * n for _ in range(n)]
-    s = []
-    for j, den in enumerate(dx):
-        col = [row[j] for row in ux]
-        top = max((i for i, v in enumerate(col) if v), default=-1)
-        w = [0] * n
-        q = 1  # Q_{i+1}
-        for i in range(top, -1, -1):
-            row = uy[i]
-            acc = 0
-            for k in range(top, i, -1):
-                acc = acc * dy[k] + row[k] * w[k]
-            w[i] = q * col[i] - acc
-            q *= dy[i]
-        # q is now Q_0; scale W_i by P_i = δ_y[0] ... δ_y[i]
-        p = 1
-        for i in range(top + 1):
-            p *= dy[i]
-            w[i] *= p
+    q = prod(dy)
+    x = _back_substitute(uy, ux, q)
+    cols, s = [], []
+    for w, den in zip(zip(*[[d * v for v in row] for d, row in zip(dy, x)]), dx):
         den *= q
         div = gcd(*w, den)
         if den < 0:
             div = -div
-        for i in range(top + 1):
-            g[i][j] = w[i] // div
+        cols.append([v // div for v in w])
         s.append(den // div)
-    return g, s
+    return [list(row) for row in zip(*cols)], s
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import sympy
 
@@ -488,6 +488,49 @@ def back_substitute(u, b) -> tuple[tuple[Fraction, ...], ...]:
             bij - sum(c * xk[j] for c, xk in terms if xk[j]) for j, bij in enumerate(b[i])
         )
     return tuple(x)
+
+
+def reference_quotient(uy, ux, dx) -> tuple[list[list[int]], list[int]]:
+    """`linalg._quotient` as first written, kept as the reference: (G, s)
+    with G diag(1/s) = diag(δ_y) U_y^-1 U_x diag(1/δ_x), δ_y the diagonal
+    of U_y.  Each column is a fraction-free back substitution from its
+    lowest nonzero row `top`: with Q_i = δ_y[i] ... δ_y[top], the entries
+    W_i = Q_i (U_y^-1 U_x)[i][j] are integers, W_top = U_x[top][j] and
+    W_i = Q_{i+1} U_x[i][j] - sum over i < k <= top of
+    U_y[i][k] W_k δ_y[i+1] ... δ_y[k-1], summed Horner-fashion.  Entry
+    (i, j) is W_i / (Q_{i+1} δ_x[j]) = W_i P_i / (Q_0 δ_x[j]), P_i =
+    δ_y[0] ... δ_y[i], so the column is put over one denominator and
+    divided by the gcd of its numerators and that denominator, signed so
+    that s[j] > 0."""
+    n = len(uy)
+    dy = [row[i] for i, row in enumerate(uy)]
+    g = [[0] * n for _ in range(n)]
+    s = []
+    for j, den in enumerate(dx):
+        col = [row[j] for row in ux]
+        top = max((i for i, v in enumerate(col) if v), default=-1)
+        w = [0] * n
+        q = 1  # Q_{i+1}
+        for i in range(top, -1, -1):
+            row = uy[i]
+            acc = 0
+            for k in range(top, i, -1):
+                acc = acc * dy[k] + row[k] * w[k]
+            w[i] = q * col[i] - acc
+            q *= dy[i]
+        # q is now Q_0; scale W_i by P_i = δ_y[0] ... δ_y[i]
+        p = 1
+        for i in range(top + 1):
+            p *= dy[i]
+            w[i] *= p
+        den *= q
+        div = gcd(*w, den)
+        if den < 0:
+            div = -div
+        for i in range(top + 1):
+            g[i][j] = w[i] // div
+        s.append(den // div)
+    return g, s
 
 
 def per_pair_coordinates(f: Flag, h: Flag, failure: str):

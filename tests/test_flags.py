@@ -10,6 +10,7 @@ import pytest
 import posiflag.flags as flags_module
 from posiflag import (
     AdaptedBasis,
+    BadParameters,
     DimensionMismatch,
     Flag,
     IndexOutOfRange,
@@ -105,6 +106,15 @@ class TestFlagType:
         asc, _ = standard_flags(3)
         with pytest.raises(IndexOutOfRange, match=f"subspace {k} out of range .* dimension 3"):
             asc.contains((F(1), F(0), F(0)), k)
+
+    def test_contains_takes_entries_as_matrix_does(self):
+        """A vector's entries follow Matrix's rule: integers, Fractions and
+        rational strings are read exactly, and a float is a bad parameter."""
+        asc, _ = standard_flags(3)
+        assert asc.contains(("1/2", 3, F(0)), 2)
+        assert not asc.contains(("1/2", 0, "-2/3"), 2)
+        with pytest.raises(BadParameters, match="got float"):
+            asc.contains((0.5, 0, 0), 1)
 
     def test_contains_rejects_a_longer_vector(self):
         asc, _ = standard_flags(2)

@@ -5,7 +5,7 @@ adapted basis with one sympy nullspace per column, the transporter with
 a plain Fraction reverse column-echelon form in that basis, solves,
 inverses, determinants, ranks and pivot columns with sympy, the integer-dot
 product with a plain Fraction product, the unit triangular solve (the Fraction reference
-and the integer quotient) with `inverse() @`, the
+and the integer quotient) with `inverse() @` and the quotient with its first version, the
 condensed consecutive minors with sympy determinants, and the staged scan
 with the cofactor oracle and a scan that eliminates each minor on its own.
 """
@@ -28,7 +28,8 @@ from posiflag.linalg import (
 )
 from posiflag.positivity import _contiguous_minors
 from helpers import (
-    back_substitute, count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, reverse_column_echelon, staged_bareiss_scan,
+    back_substitute, count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, reference_quotient,
+    reverse_column_echelon, staged_bareiss_scan,
 )
 
 SETTINGS = settings(
@@ -288,6 +289,37 @@ class TestBackSubstitution:
         assert _fractions(g, s) == want
         assert all(sj > 0 for sj in s)
         assert all(gcd(*col, sj) == 1 for col, sj in zip(zip(*g), s))
+
+    def test_quotient_matches_reference(self):
+        """`_quotient` returns the reference's (G, s) bit for bit, on seeded
+        triangular U_y with diagonals of either sign, for U_x upper
+        triangular (a chain factor), arbitrary with zero columns and
+        columns whose lowest nonzero row lies above the diagonal, and ū
+        shifted up one row over ū's own δ (the threshold's M = c^-1 S c)."""
+        rng = random.Random(21)
+
+        def entry():
+            return rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10**6, 10**6)))
+
+        def nonzero():
+            return rng.choice((1, -1)) * rng.choice((1, rng.randint(2, 9), rng.randint(10, 10**6)))
+
+        def upper(diagonal):
+            d = len(diagonal)
+            return [[diagonal[i] if i == j else entry() if j > i else 0 for j in range(d)]
+                    for i in range(d)]
+
+        for d in range(1, 9):
+            for _ in range(40):
+                dy, dx = [nonzero() for _ in range(d)], [nonzero() for _ in range(d)]
+                uy = upper(dy)
+                ragged = [[entry() for _ in range(d)] for _ in range(d)]
+                for j in range(d):
+                    top = rng.randint(-1, d - 1)  # -1 leaves the column zero
+                    for i in range(top + 1, d):
+                        ragged[i][j] = 0
+                for ux, den in ((upper(dx), dx), (ragged, dx), (uy[1:] + [[0] * d], dy)):
+                    assert _quotient(uy, ux, den) == reference_quotient(uy, ux, den), (uy, ux, den)
 
 
 # -- minor scans: condensation against sympy, staged against oracle ------------

@@ -195,6 +195,15 @@ def test_elimination_is_written_once():
     ], f"_bareiss is called from {callers}"
 
 
+def test_back_substitution_is_written_once():
+    """Every solve, inverse, chain factor and threshold quotient c^-1 S c
+    back-substitutes by one integer loop, called from these two places only."""
+    callers = _callers("_back_substitute")
+    assert callers == [
+        ("linalg.py", "_scaled_solve"), ("linalg.py", "_quotient"),
+    ], f"_back_substitute is called from {callers}"
+
+
 def test_every_private_helper_has_a_caller_in_the_package():
     """Every module-level private function and class is read somewhere in the
     package outside its own definition, so no helper stays alive only for
