@@ -13,6 +13,8 @@ whose ambient conjugate fixes F and carries H to G: c_H^-1 c_G, for the
 coordinates c of H and G over F.  Its total positivity is exactly what
 the tuple-positivity certificates in this package test.
 
+A flag clears its frame's rows to integers once, when it is built, and
+every solve against it (equality, coordinates) reads those rows.
 Coordinates are kept in integers, c = ū diag(1/δ) with ū upper
 triangular and δ its diagonal (see _coordinates): one solve per anchor
 frame, against all later flags, and one forward elimination per pair
@@ -46,6 +48,8 @@ from .linalg import (
     ColumnScaled,
     Matrix,
     _bareiss,
+    _cleared,
+    _det,
     _fractions,
     _grid_det,
     _grid_rank,
@@ -67,16 +71,24 @@ class Flag:
 
     subspace k = span of the first k frame columns.  Two flags compare
     equal when all their subspaces coincide, regardless of frames: when
-    F^-1 G is upper triangular for their frames F and G.
+    F^-1 G is upper triangular for their frames F and G.  The frame's
+    rows are cleared to integers once, here (`_cleared`): the determinant
+    test eliminates a copy, and every solve against the frame reads them,
+    so a Flag is immutable, like its frame.
     """
 
-    __slots__ = ("frame", "dim")
+    __slots__ = ("frame", "dim", "_rows")
 
     def __init__(self, frame: Matrix):
-        if frame.det() == 0:
+        rows = _cleared(frame.rows_tuple())
+        if _det([list(r) for r, _ in rows]) == 0:
             raise SingularMatrix("flag frame must be invertible")
-        self.frame = frame
-        self.dim = frame.dim
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "dim", frame.dim)
+        object.__setattr__(self, "_rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Flag is immutable")
 
     def column(self, k: int) -> tuple[Fraction, ...]:
         return self.frame.column(k)
@@ -102,7 +114,7 @@ class Flag:
             return NotImplemented
         if self.dim != other.dim:
             return False
-        return _is_upper(_scaled_solve(self.frame.rows_tuple(), other.frame.rows_tuple())[0])
+        return _is_upper(_scaled_solve(self._rows, [other._rows])[0])
 
     def __repr__(self) -> str:
         return f"Flag({self.frame!r})"
@@ -185,8 +197,7 @@ def _coordinates(f: Flag, hs: Sequence[Flag], failure: str) -> Iterator[ColumnSc
     rebuilds A, scaled by q = lcm(p_k p_(k+1)).
     """
     d = f.dim
-    frames = [h.frame.rows_tuple() for h in hs]
-    x, _ = _scaled_solve(f.frame.rows_tuple(), [sum(rows, ()) for rows in zip(*frames)])
+    x, _ = _scaled_solve(f._rows, [h._rows for h in hs])
     cols = list(zip(*x))
     for start in range(0, len(cols), d):
         a = [col[::-1] for col in cols[start:start + d]]

@@ -8,8 +8,11 @@ by strictly increasing 1-based row and column tuples.
 Determinants, inverses, solves, ranks and products share one
 idea: scale each row (or column) by the lcm of its denominators
 (`_cleared`), compute in plain integers, and build `Fraction`s only at the
-end.  One fraction-free (Bareiss) forward elimination, `_bareiss`, where
-every interior division is exact, does all the elimination work:
+end.  Solves take their blocks already row-cleared and join each row
+by the lcm of the blocks' row scales, so a flag's frame is cleared
+once, when the Flag is built (see flags).  One fraction-free (Bareiss)
+forward elimination, `_bareiss`, where every interior division is
+exact, does all the elimination work:
 determinants read its last pivot (`_det`), ranks count its pivots, and
 solves and inverses back-substitute its triangular form (`_scaled_solve`).
 One integer back substitution, `_back_substitute`, does all the back
@@ -42,6 +45,8 @@ __all__ = ["Matrix", "MinorIndex", "jordan_block_sizes"]
 
 # an integer grid G and nonzero column scales s, standing for G diag(1/s)
 ColumnScaled = tuple[list[list[int]], list[int]]
+# each row v of a rational grid as (v * s, s), s the lcm of its denominators
+Cleared = list[tuple[list[int], int]]
 
 
 def _to_fraction(x) -> Fraction:
@@ -111,7 +116,7 @@ def _det(a: list[list[int]]) -> int:
     return sign * a[-1][-1] if len(pivots) == len(a) else 0
 
 
-def _cleared(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[list[int], int]]:
+def _cleared(vectors: Iterable[Sequence[Fraction]]) -> Cleared:
     """Each vector as (v * s, s), s the lcm of its denominators, so v * s is integral."""
     out = []
     for v in vectors:
@@ -192,21 +197,30 @@ def _back_substitute(
     return x
 
 
-def _scaled_solve(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> tuple[list[list[int]], int]:
-    """(X, D) with X / D = A^-1 B, X an integer grid, for a square invertible
-    grid A and a grid B with as many rows.
+def _scaled_solve(a: Cleared, bs: Sequence[Cleared]) -> tuple[list[list[int]], int]:
+    """(X, D) with X / D = A^-1 [B_1 | ... | B_m], X an integer grid, for a
+    square invertible grid A and grids B_k with as many rows, each given
+    row-cleared (`_cleared`).
 
-    One `_bareiss` of [A | B], rows cleared, leaves [U | Y] with U upper
-    triangular, and A^-1 B solves U Z = Y.  Raises SingularMatrix unless
-    the pivots cover A, that is unless A is invertible.  D is the last
-    pivot U[n-1][n-1], the determinant of the row-swapped cleared A, so
-    X = D U^-1 Y = D A^-1 B is an integer grid (Cramer's rule), and
-    `_back_substitute` computes it.
+    Row i of [A | B_1 | ... | B_m] is joined over the lcm t of its blocks'
+    row scales, each block's integers times t over its own scale.  The
+    lcm of the joined row's denominators is t, so these are the integers
+    `_cleared` makes of the joined row.  One `_bareiss` of the joined
+    grid leaves [U | Y] with U upper triangular, and A^-1 B solves
+    U Z = Y.  Raises SingularMatrix unless the pivots cover A, that is
+    unless A is invertible.  D is the last pivot U[n-1][n-1], the
+    determinant of the row-swapped cleared A, so X = D U^-1 Y = D A^-1 B
+    is an integer grid (Cramer's rule), and `_back_substitute` computes
+    it.
     """
     n = len(a)
-    m = [r for r, _ in _cleared(tuple(ra) + tuple(rb) for ra, rb in zip(a, b))]
+    m = []
+    for parts in zip(a, *bs):
+        t = lcm(*[s for _, s in parts])
+        row: list[int] = []
+        for r, s in parts:
+            row += r if s == t else [x * (t // s) for x in r]
+        m.append(row)
     if _bareiss(m)[0][:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     den = m[-1][n - 1]
@@ -402,7 +416,7 @@ class Matrix:
         return _grid_det(self._rows)
 
     def inverse(self) -> "Matrix":
-        x, den = _scaled_solve(self._rows, Matrix.identity(self.dim)._rows)
+        x, den = _scaled_solve(_cleared(self._rows), [_cleared(Matrix.identity(self.dim)._rows)])
         return Matrix._of(_fractions(x, [den] * self.dim))
 
     def minor(self, index: MinorIndex) -> Fraction:

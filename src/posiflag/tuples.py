@@ -16,7 +16,9 @@ the chain route's certificate turns factors into Matrices.  The definition
 allows any adapted basis; the only freedom that affects total positivity
 of the factors is a diagonal sign flip, which is resolved here by
 conjugating every factor by the one +-1 diagonal that makes u_{n-1}'s
-superdiagonal positive.
+superdiagonal positive.  That diagonal is read off the coordinates of
+F_n and F_{n-1} alone, so a zero superdiagonal entry refuses the tuple
+(ZeroSuperdiagonal) before any factor is built.
 
 The quadruple route certifies an n-tuple by checking only its ordered
 4-element subtuples, which suffices; both routes agree on every input.
@@ -57,18 +59,17 @@ def _sign_conjugate(rows, signs: tuple[int, ...]) -> tuple[tuple, ...]:
     )
 
 
-def _signs(rows) -> tuple[int, ...]:
+def _signs(superdiagonal) -> tuple[int, ...]:
     """The +-1 diagonal, first entry +1, whose conjugation makes every
-    superdiagonal entry of a unipotent u positive, read from u's rows or
-    from those of u scaled by positive column scales.
+    superdiagonal entry of a unipotent u positive, read from u's
+    superdiagonal (1, 2), ..., (d-1, d) or from numbers of the same signs.
 
     A zero superdiagonal entry is a zero nontrivial 1x1 minor, unfixable
     by any diagonal conjugation, so it raises ZeroSuperdiagonal: u is
     certainly not conjugate into the fully positive set.
     """
     signs = [1]
-    for i in range(1, len(rows)):
-        s = rows[i - 1][i]
+    for i, s in enumerate(superdiagonal, 1):
         if s == 0:
             raise ZeroSuperdiagonal(
                 f"superdiagonal entry ({i},{i + 1}) is zero; "
@@ -87,8 +88,9 @@ def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
     """
     if not is_upper_unipotent(u):
         raise NotUnipotentUpperTriangular("sign normalization needs an upper unipotent input")
-    signs = _signs(u.rows_tuple())
-    return Matrix.diagonal(signs), Matrix._of(_sign_conjugate(u.rows_tuple(), signs))
+    rows = u.rows_tuple()
+    signs = _signs([rows[i][i + 1] for i in range(u.dim - 1)])
+    return Matrix.diagonal(signs), Matrix._of(_sign_conjugate(rows, signs))
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,9 @@ class _TupleEngine:
     c_{a,y}^-1 c_{a,x}; the transporter of (F_a, F_e, F_x) is
     c_{a,e}^-1 c_{a,x}, so factors do not depend on the last flag e and
     are shared across subtuples, and so is the staged verdict of each
-    factor under each sign vector.  An engine lives for one call of a
+    factor under each sign vector.  A chain's sign vector is read off two
+    pair coordinates before its factors are built, so a chain refused by
+    a zero superdiagonal builds none.  An engine lives for one call of a
     public entry point.
     """
 
@@ -189,11 +193,22 @@ class _TupleEngine:
     def chain(self, idx: tuple[int, ...]) -> tuple[PositivityVerdict, tuple[int, ...], tuple, tuple]:
         """Verdict, signs, factors (G, s) and factor verdicts for the flags at
         `idx`; u_j is the factor of (idx_1, idx_{j+1}, idx_j), and the signs
-        are those of the last factor."""
+        are those of the last factor.
+
+        The signs come first, from the pair coordinates alone, so a zero
+        superdiagonal raises ZeroSuperdiagonal before any factor is built.
+        c_y and c_x are upper unipotent, so the superdiagonal of c_y^-1 c_x
+        is c_x's minus c_y's; with c = ū diag(1/δ), entry i is
+        (ū_x[i][i+1] δ_y[i+1] - ū_y[i][i+1] δ_x[i+1]) / (δ_x[i+1] δ_y[i+1]).
+        """
         a = idx[0]
         keys = [(a, y, x) for x, y in zip(idx[1:-1], idx[2:])]
+        (uy, dy), (ux, dx) = self._pairs[(a, idx[-1])], self._pairs[(a, idx[-2])]
+        signs = _signs([
+            (ux[i][i + 1] * dy[i + 1] - uy[i][i + 1] * dx[i + 1]) * dx[i + 1] * dy[i + 1]
+            for i in range(len(dx) - 1)
+        ])
         factors = tuple(self.factor(*key) for key in keys)
-        signs = _signs(factors[-1][0])
         verdicts = tuple(self.verdict(*key, signs) for key in keys)
         return _aggregate(verdicts), signs, factors, verdicts
 

@@ -24,6 +24,7 @@ from posiflag import (
     NotSingleJordanBlock,
     NotTransverse,
     ProjectivePoint,
+    SingularMatrix,
     Status,
     Witness,
     ZeroSuperdiagonal,
@@ -35,7 +36,7 @@ from posiflag import (
     transverse,
 )
 from posiflag.flags import _coordinates
-from posiflag.linalg import _bareiss, _cleared, _is_unipotent, _ratio, _scaled_solve
+from posiflag.linalg import _back_substitute, _bareiss, _cleared, _is_unipotent, _ratio
 from posiflag.reps import MoebiusElement
 
 
@@ -463,9 +464,9 @@ def fraction_reverse_echelon(c: Matrix, failure: str):
 
 def fraction_coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
     """The coordinates of h over f by the Fraction route: F^-1 H from
-    `_scaled_solve` divided out into Fractions, `fraction_reverse_echelon`,
-    and a Fraction product re-checking the form."""
-    x, den = _scaled_solve(f.frame.rows_tuple(), h.frame.rows_tuple())
+    `reference_scaled_solve` divided out into Fractions,
+    `fraction_reverse_echelon`, and a Fraction product re-checking the form."""
+    x, den = reference_scaled_solve(f.frame.rows_tuple(), h.frame.rows_tuple())
     c = Matrix([[Fraction(v, den) for v in row] for row in x])
     placed, t = fraction_reverse_echelon(c, failure)
     u = Matrix([[col[i] for col in placed[::-1]] for i in range(c.dim)])
@@ -476,6 +477,19 @@ def fraction_coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
     if Matrix([[col[i] for col in placed] for i in range(c.dim)]) @ Matrix(t) != c:
         raise InvariantViolated("adapted coordinates must carry the descending flag to H")
     return u
+
+
+def reference_scaled_solve(a, b) -> tuple[list[list[int]], int]:
+    """`linalg._scaled_solve` as it was before it took cleared blocks, kept
+    as the reference: (X, D) with X / D = A^-1 B for Fraction grids A and
+    B, each row of [A | B] cleared by the lcm of its denominators as one
+    joined row, then eliminated and back-substituted."""
+    n = len(a)
+    m = [r for r, _ in _cleared(tuple(ra) + tuple(rb) for ra, rb in zip(a, b))]
+    if _bareiss(m)[0][:n] != list(range(n)):
+        raise SingularMatrix("matrix is not invertible")
+    den = m[-1][n - 1]
+    return _back_substitute(m, [row[n:] for row in m], den), den
 
 
 def back_substitute(u, b) -> tuple[tuple[Fraction, ...], ...]:

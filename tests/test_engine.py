@@ -7,7 +7,8 @@ P of the anchor pair and computes each transporter by its definition,
 the reverse column-echelon form of P^-1 G reduced in plain Fractions, so
 it shares no code with the engine's flag coordinates.  Those coordinates,
 one solve per anchor frame, are also compared with the per-pair route
-(one solve per pair, `helpers.per_pair_coordinates`).
+(one solve per pair, `helpers.per_pair_coordinates`), and each chain's
+signs, read off them, with the signs of the factor it would build.
 """
 
 import random
@@ -44,7 +45,7 @@ from posiflag import (
     veronese_flag,
 )
 from posiflag.linalg import _fractions
-from posiflag.tuples import _TupleEngine
+from posiflag.tuples import _signs, _TupleEngine
 from helpers import (
     all_pairs_transverse,
     brute_threshold,
@@ -336,6 +337,78 @@ def test_engine_refuses_at_the_reference_pair(d):
         assert outcome(_TupleEngine, flags) == want, (first, second)
 
 
+# -- chain signs from the pair coordinates ------------------------------------
+
+
+def sign_family(d, n, rng):
+    """n pairwise transverse flags with frames in {-1, 0, 1}."""
+    while True:
+        flags = []
+        while len(flags) < n:
+            frame = Matrix([[rng.randint(-1, 1) for _ in range(d)] for _ in range(d)])
+            if frame.det() != 0:
+                flags.append(Flag(frame))
+        if all_pairs_transverse(flags):
+            return flags
+
+
+def sign_rule_families():
+    rng = random.Random(2_222)
+    out = []
+    for n in (4, 5):
+        pts = distinct_points(n, rng)
+        out += [(f"veronese d={d}", [veronese_flag(x, d) for x in pts]) for d in (2, 3, 4, 5)]
+        out += [(f"barbot {spec}", [barbot_flag(barbot_spec(*spec), x) for x in pts])
+                for spec in ((3, 1), (5, 1), (5, 2), (7, 3))]
+        for d in (2, 3, 4):
+            out.append((f"integer d={d}", transverse_family(d, n, rng, False)))
+            out.append((f"rational d={d}", transverse_family(d, n, rng, True)))
+        # in d = 2 only four lines have entries in {-1, 0, 1}
+        out += [(f"sign d={d}", sign_family(d, n, rng)) for d in (3, 4)]
+    return out
+
+
+def test_chain_signs_match_the_built_factor():
+    """A chain reads its signs off the pair coordinates of its last factor
+    before building any factor.  On every triple (a, x, y) of each family
+    they equal `_signs` of the built factor c_(a,y)^-1 c_(a,x)'s
+    superdiagonal, and where that has a zero, the ZeroSuperdiagonal
+    message and position are the same."""
+    seen = set()
+    for name, flags in sign_rule_families():
+        engine = _TupleEngine(flags)
+        for a, x, y in combinations(range(len(flags)), 3):
+            g, _ = engine.factor(a, y, x)
+            want = outcome(_signs, [g[i][i + 1] for i in range(len(g) - 1)])
+            got = outcome(engine.chain, (a, x, y))
+            if not isinstance(got[0], str):
+                got = got[1]
+            assert got == want, (name, a, x, y)
+            seen.add((name.split()[0], want[1] if isinstance(want[0], str) else None))
+    assert seen >= {("veronese", None), ("integer", None), ("sign", None), ("rational", None),
+                    ("barbot", 1), ("barbot", 2), ("sign", 1), ("sign", 2), ("sign", 3)}
+
+
+def test_barbot_sample_builds_no_factor(monkeypatch):
+    """Work-count guard: every triple of a Barbot (3, 1) sample has a zero
+    superdiagonal, which the pair coordinates show, so the sampled check
+    scans all C(n, 3) triples without one quotient."""
+    import posiflag.flags as flags_module
+
+    def refuse(*args):
+        raise AssertionError("no chain factor may be built")
+
+    monkeypatch.setattr(flags_module, "_quotient", refuse)
+    n = 6
+    pts = distinct_points(n, random.Random(22))
+    spec = barbot_spec(3, 1)
+    sample = FlagMapSample(tuple(pts), tuple(barbot_flag(spec, x) for x in pts))
+    report = check_sampled_positivity(sample)
+    assert report == SampleReport(
+        "vacuously consistent, no positive triple", None, None, comb(n, 3), 0
+    )
+
+
 @pytest.mark.parametrize("d,a", [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
 def test_threshold_matches_brute_force_scan(d, a):
     _, desc = standard_flags(d)
@@ -384,9 +457,9 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     real_solve, real_bareiss = flags_module._scaled_solve, flags_module._bareiss
     real_scan, real_ratio = tuples_module._staged_scan, linalg_module._ratio
 
-    def counted_solve(a, b):
-        solves.append(len(b[0]))
-        return real_solve(a, b)
+    def counted_solve(a, bs):
+        solves.append(sum(len(b[0][0]) for b in bs))
+        return real_solve(a, bs)
 
     def counted_bareiss(a, swaps=True):
         eliminations.append(len(a))

@@ -89,6 +89,13 @@ class TestFlagType:
         with pytest.raises(TypeError):
             hash(Flag(Matrix.identity(2)))
 
+    def test_immutable(self):
+        """A flag keeps its frame's cleared rows, so no attribute may be rebound."""
+        f = Flag(Matrix.identity(2))
+        for name in ("frame", "dim", "_rows"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, Matrix.reversal(2))
+
     def test_contains(self):
         asc, _ = standard_flags(3)
         assert asc.contains((F(5), F(0), F(0)), 1)

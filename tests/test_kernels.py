@@ -5,7 +5,8 @@ adapted basis with one sympy nullspace per column, the transporter with
 a plain Fraction reverse column-echelon form in that basis, solves,
 inverses, determinants, ranks and pivot columns with sympy, the integer-dot
 product with a plain Fraction product, the unit triangular solve (the Fraction reference
-and the integer quotient) with `inverse() @` and the quotient with its first version, the
+and the integer quotient) with `inverse() @` and the quotient with its first version,
+solves on cleared blocks with the solve that clears each joined Fraction row, the
 condensed consecutive minors with sympy determinants, and the staged scan
 with the cofactor oracle and a scan that eliminates each minor on its own.
 """
@@ -23,13 +24,16 @@ from posiflag import (
     DetCounter, Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, random_tp,
     staged_minor_count, tp_oracle, tp_staged, transporter, transverse,
 )
+import posiflag.flags as flags_module
+import posiflag.linalg as linalg_module
+from posiflag.flags import _coordinates
 from posiflag.linalg import (
-    _bareiss, _cleared, _fractions, _grid_det, _grid_rank, _quotient, _scaled_solve,
+    _bareiss, _cleared, _fractions, _grid_det, _grid_rank, _is_upper, _quotient, _scaled_solve,
 )
 from posiflag.positivity import _contiguous_minors
 from helpers import (
     back_substitute, count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, reference_quotient,
-    reverse_column_echelon, staged_bareiss_scan,
+    reference_scaled_solve, reverse_column_echelon, staged_bareiss_scan,
 )
 
 SETTINGS = settings(
@@ -181,9 +185,9 @@ class TestSolve:
         sa = to_sympy(a)
         if sa.det() == 0:
             with pytest.raises(SingularMatrix):
-                _scaled_solve(a, b)
+                _scaled_solve(_cleared(a), [_cleared(b)])
             return
-        x, den = _scaled_solve(a, b)
+        x, den = _scaled_solve(_cleared(a), [_cleared(b)])
         assert _fractions(x, [den] * len(x[0])) == from_sympy(sa.LUsolve(to_sympy(b)))
 
     @SETTINGS
@@ -207,6 +211,104 @@ class TestSolve:
     def test_det_matches_sympy(self, rows):
         det = to_sympy(rows).det()
         assert _grid_det(rows) == Fraction(int(det.p), int(det.q))
+
+
+# -- cleared blocks against the joined Fraction rows ------------------------------
+
+
+def rational_frame(rng: random.Random, d: int) -> Matrix:
+    """An invertible frame whose rows have denominators up to 4, drawn per row,
+    so that the row scales of two frames differ."""
+    while True:
+        bounds = [rng.randint(1, 4) for _ in range(d)]
+        m = Matrix([[Fraction(rng.randint(-6, 6), rng.randint(1, q)) for _ in range(d)]
+                    for q in bounds])
+        if m.det() != 0:
+            return m
+
+
+def coordinates(f: Flag, hs: list[Flag]) -> list:
+    """The coordinates of each h in hs over f, up to a refusal, then the refusal."""
+    out: list = []
+    try:
+        out.extend(_coordinates(f, hs, "not transverse"))
+    except NotTransverse as exc:
+        out.append(str(exc))
+    return out
+
+
+def recorded_solves(monkeypatch, module) -> list:
+    """Every result of `_scaled_solve` called through `module`, in order."""
+    calls = []
+    real = module._scaled_solve
+
+    def solve(a, bs):
+        calls.append(real(a, bs))
+        return calls[-1]
+
+    monkeypatch.setattr(module, "_scaled_solve", solve)
+    return calls
+
+
+class TestClearedBlocks:
+    """A flag clears its frame once, and solves join cleared blocks row by row
+    over the lcm of their row scales.  That gives the integers of the old
+    route, which clears each joined Fraction row of [A | B_1 | ... | B_m]
+    (`helpers.reference_scaled_solve`), so coordinates, flag equality and
+    inverses return the same integers, denominators included."""
+
+    def test_flag_keeps_its_cleared_frame(self):
+        rng = random.Random(2_201)
+        for d in range(1, 7):
+            m = rational_frame(rng, d)
+            assert Flag(m)._rows == _cleared(m.rows_tuple())
+
+    def test_coordinates_match_joined_fraction_rows(self, monkeypatch):
+        rng = random.Random(2_202)
+        joins = 0
+        for d in range(2, 6):
+            for n in (2, 3, 5):
+                flags = [Flag(rational_frame(rng, d)) for _ in range(n)]
+                f, hs = flags[0], flags[1:]
+                blocks = [f._rows] + [h._rows for h in hs]
+                joins += sum(len({blk[i][1] for blk in blocks}) > 1 for i in range(d))
+                got = coordinates(f, hs)
+                joined = [sum(rows, ()) for rows in zip(*(h.frame.rows_tuple() for h in hs))]
+                with monkeypatch.context() as m:
+                    m.setattr(flags_module, "_scaled_solve",
+                              lambda a, bs: reference_scaled_solve(f.frame.rows_tuple(), joined))
+                    want = coordinates(f, hs)
+                assert got == want, (d, n)
+        assert joins > 0
+
+    def test_flag_equality_matches_joined_fraction_rows(self, monkeypatch):
+        rng = random.Random(2_203)
+        calls = recorded_solves(monkeypatch, flags_module)
+        equal = 0
+        for d in range(1, 6):
+            for _ in range(8):
+                f = Flag(rational_frame(rng, d))
+                t = Matrix([[Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) if i == j
+                             else Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if i < j else 0
+                             for j in range(d)] for i in range(d)])
+                for g in (Flag(f.frame @ t), Flag(rational_frame(rng, d))):
+                    got = f == g
+                    want = reference_scaled_solve(f.frame.rows_tuple(), g.frame.rows_tuple())
+                    assert calls[-1] == want
+                    assert got == _is_upper(want[0])
+                    equal += got
+        assert equal >= 40
+
+    def test_inverse_matches_joined_fraction_rows(self, monkeypatch):
+        rng = random.Random(2_204)
+        calls = recorded_solves(monkeypatch, linalg_module)
+        for d in range(1, 7):
+            for _ in range(6):
+                m = rational_frame(rng, d)
+                inv = m.inverse()
+                x, den = reference_scaled_solve(m.rows_tuple(), Matrix.identity(d).rows_tuple())
+                assert calls[-1] == (x, den)
+                assert inv.rows_tuple() == _fractions(x, [den] * d)
 
 
 # -- rank and pivot columns against sympy -------------------------------------
