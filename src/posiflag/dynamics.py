@@ -6,7 +6,9 @@ positive for every large enough integer t; the threshold search finds
 the first such t exactly.  F is framed by a Jordan chain of u, so the
 triple's one chain factor is the t-th power of one fixed unipotent, and
 after one coordinate solve every t is an integer binomial sum of fixed
-grids, scanned by consecutive minors (see power_positivity_threshold).
+grids, built a row at a time until an entry fails and scanned by
+consecutive minors only when every entry passes (see
+power_positivity_threshold).
 
 The float side: powers of a hyperbolic 2x2 element pushed through the
 reducible block family develop widening singular-value gaps, the flag of
@@ -167,10 +169,14 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     superdiagonal t and needs no sign normalization.  With s the lcm of
     M's denominators, s^(d-1) V^t = sum over k < d of binom(t, k) A_k,
     A_k = s^(d-1-k) (sM)^k: an integer grid whose consecutive minors have
-    the signs of V^t's.  Each t scans them (`_contiguous_minors`) up to
-    the first non-positive one.  A totally positive factor already makes
-    u^t G transverse to G, so no t needs a transversality test.  Reaching
-    the cap raises CapExceeded rather than returning anything.
+    the signs of V^t's.  Each t builds the grid row by row and moves on
+    to t + 1 at the first row with a non-positive entry on or above the
+    diagonal: that entry is a non-positive 1 x 1 consecutive minor, the
+    first one a scan would report.  Only a grid whose entries all pass
+    is scanned (`_contiguous_minors`) up to its first non-positive
+    minor.  A totally positive factor already makes u^t G transverse to
+    G, so no t needs a transversality test.  Reaching the cap raises
+    CapExceeded rather than returning anything.
     """
     if cap < 1:
         raise BadParameters(f"cap must be at least 1, got {cap}")
@@ -200,9 +206,14 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     for t in range(1, cap + 1):
         for k in range(d - 1, 0, -1):
             binom[k] += binom[k - 1]
-        grid = [[sum(map(mul, binom, entry)) for entry in row] for row in terms]
-        if all(value > 0 for *_, value in _contiguous_minors(grid)):
-            return t
+        grid = []
+        for i, row in enumerate(terms):
+            grid.append([sum(map(mul, binom, entry)) for entry in row])
+            if min(grid[i][i:]) <= 0:
+                break
+        else:
+            if all(value > 0 for *_, value in _contiguous_minors(grid)):
+                return t
     raise CapExceeded(f"no positive power found for t in [1, {cap}]", cap=cap)
 
 

@@ -11,10 +11,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 
 import sympy
 
 from posiflag import (
+    BadParameters,
     CapExceeded,
     DimensionMismatch,
     Flag,
@@ -35,8 +37,11 @@ from posiflag import (
     tp_staged,
     transverse,
 )
-from posiflag.flags import _coordinates
-from posiflag.linalg import _back_substitute, _bareiss, _cleared, _is_unipotent, _ratio
+from posiflag.flags import _coordinates, unipotent_fixed_flag
+from posiflag.linalg import (
+    _back_substitute, _bareiss, _cleared, _is_unipotent, _quotient, _ratio, _scaled_powers,
+)
+from posiflag.positivity import _contiguous_minors
 from posiflag.reps import MoebiusElement
 
 
@@ -429,6 +434,62 @@ def threshold_reference(u: Matrix, g: Flag, cap: int) -> int:
     if t is None:
         raise CapExceeded(f"no positive power found for t in [1, {cap}]", cap=cap)
     return t
+
+
+def whole_grid_powers(u: Matrix, g: Flag, cap: int):
+    """Yield (t, grid) for t = 1..cap: the whole integer grid s^(d-1) V^t of
+    `power_positivity_threshold`, built as it was before the search learned
+    to reject a power row by row.  The set-up, its checks and messages are
+    the search's own."""
+    if cap < 1:
+        raise BadParameters(f"cap must be at least 1, got {cap}")
+    try:
+        fixed = unipotent_fixed_flag(u)
+    except NotSingleJordanBlock:
+        raise NotSingleJordanBlock("threshold search needs a single Jordan block") from None
+    d = u.dim
+    if g.dim != d:
+        raise DimensionMismatch(f"flag dims differ: {d} vs {g.dim}")
+    c, delta = next(_coordinates(fixed, (g,), "flag must be transverse to the fixed flag"))
+    m, ms = _quotient(c, c[1:] + [[0] * d], delta)
+    if any(any(row[:i + 1]) for i, row in enumerate(m)) or any(
+        m[i][i + 1] != ms[i + 1] for i in range(d - 1)
+    ):
+        raise InvariantViolated("c^-1 S c must be strictly upper with unit superdiagonal")
+    powers, s = _scaled_powers(m, ms, d - 1)
+    terms: list[list[list[int]]] = [[[] for _ in range(d)] for _ in range(d)]
+    for k, power in enumerate(powers):
+        scale = s ** (d - 1 - k)
+        for i in range(d - k):
+            for j in range(i + k, d):
+                terms[i][j].append(scale * power[i][j])
+    binom = [1] + [0] * (d - 1)
+    for t in range(1, cap + 1):
+        for k in range(d - 1, 0, -1):
+            binom[k] += binom[k - 1]
+        yield t, [[sum(map(mul, binom, entry)) for entry in row] for row in terms]
+
+
+def whole_grid_threshold(u: Matrix, g: Flag, cap: int) -> int:
+    """The threshold search that scans every power's whole grid by
+    consecutive minors: the differential reference of the row-by-row
+    rejection in `power_positivity_threshold`."""
+    for t, grid in whole_grid_powers(u, g, cap):
+        if all(value > 0 for *_, value in _contiguous_minors(grid)):
+            return t
+    raise CapExceeded(f"no positive power found for t in [1, {cap}]", cap=cap)
+
+
+def rejection_path(grid: list[list[int]]) -> str | None:
+    """How a power's grid fails: "first row" or "later row" for its first
+    non-positive entry on or above the diagonal, "minor" when every entry
+    is positive and a consecutive minor of size >= 2 is not; None if it
+    passes."""
+    first = next((key for *key, value in _contiguous_minors(grid) if value <= 0), None)
+    if first is None:
+        return None
+    k, a, _ = first
+    return "minor" if k > 1 else "first row" if a == 1 else "later row"
 
 
 # -- the Fraction coordinate route, kept as a differential reference ----------

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -37,13 +38,18 @@ from posiflag import (
     standard_flags,
     svd_flag,
 )
+from posiflag import dynamics
 from posiflag.dynamics import _tau_hat
+from posiflag.positivity import _contiguous_minors
 from helpers import (
     kernel_fixed_flag,
     power_triple_positive,
     random_mild_hyperbolic,
     random_single_block,
+    rejection_path,
     threshold_reference,
+    whole_grid_powers,
+    whole_grid_threshold,
 )
 
 F = Fraction
@@ -251,13 +257,55 @@ class TestThreshold:
     @given(threshold_cases())
     def test_matches_per_t_reference(self, case):
         # same t, or the same exception type and message, as the per-t
-        # reference; a threshold also persists for five more powers
+        # reference and as the search that scans every power's whole grid;
+        # a threshold also persists for five more powers
         u, g, cap = case
         got = outcome(power_positivity_threshold, u, g, cap)
         assert got == outcome(threshold_reference, u, g, cap)
+        assert got == outcome(whole_grid_threshold, u, g, cap)
         if got[0] == "ok":
             fixed = kernel_fixed_flag(u)
             assert all(power_triple_positive(u, got[1] + e, g, fixed) for e in range(1, 6))
+
+    def test_seeded_corpus_reaches_every_rejection_path(self):
+        """Single-block and pascal cases reject powers by an entry of the
+        first row, by an entry of a later row, and by a larger minor with
+        every entry positive; the row-by-row search agrees with the
+        whole-grid one on each case."""
+        rng = random.Random(23)
+        paths = Counter()
+        for _ in range(60):
+            case = threshold_case(rng.randint(2, 6), rng.choice(("single", "pascal")), 80, rng)
+            assert outcome(power_positivity_threshold, *case) == outcome(whole_grid_threshold, *case)
+            try:
+                for _, grid in whole_grid_powers(*case):
+                    path = rejection_path(grid)
+                    if path is None:
+                        break
+                    paths[path] += 1
+            except NotTransverse:
+                continue
+        assert set(paths) == {"first row", "later row", "minor"}, paths
+
+    def test_one_minor_scan_per_search(self, monkeypatch):
+        """Work pin: pascal(d) against the descending flag sheared by
+        I + a E_12 has threshold (d-1)a + 1, and every earlier power fails
+        at a grid entry, so the search scans consecutive minors once."""
+        scans = []
+
+        def counted(grid):
+            scans.append(len(grid))
+            return _contiguous_minors(grid)
+
+        monkeypatch.setattr(dynamics, "_contiguous_minors", counted)
+        cases = ([(3, a) for a in (8, 10, 12, 14)] + [(4, a) for a in (3, 5, 7, 9)]
+                 + [(5, a) for a in (2, 4, 6, 7)] + [(6, a) for a in (1, 3, 5)])
+        for d, a in cases:
+            _, desc = standard_flags(d)
+            g = desc.apply(Matrix.elementary(d, 1, 2, a))
+            scans.clear()
+            assert power_positivity_threshold(pascal(d), g) == (d - 1) * a + 1
+            assert scans == [d], f"d={d} a={a}: {len(scans)} scans"
 
     def test_cases_cover_every_outcome(self):
         rng = random.Random(5)

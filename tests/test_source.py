@@ -204,6 +204,17 @@ def test_back_substitution_is_written_once():
     ], f"_back_substitute is called from {callers}"
 
 
+def test_consecutive_minor_scan_has_three_callers():
+    """The staged verdict, the boundary corner check and the threshold
+    search scan consecutive minors by one condensation, called from these
+    three places only."""
+    callers = _callers("_contiguous_minors")
+    assert callers == [
+        ("dynamics.py", "power_positivity_threshold"), ("positivity.py", "_staged_scan"),
+        ("positivity.py", "boundary_corner_check"),
+    ], f"_contiguous_minors is called from {callers}"
+
+
 def test_every_private_helper_has_a_caller_in_the_package():
     """Every module-level private function and class is read somewhere in the
     package outside its own definition, so no helper stays alive only for
