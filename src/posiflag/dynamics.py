@@ -4,8 +4,10 @@ The exact side: for a unipotent u with a single Jordan block and a flag G
 transverse to u's fixed flag F, the triple (F, u^t G, G) becomes
 positive for every large enough integer t; the threshold search finds
 the first such t exactly.  F is framed by a Jordan chain of u, so the
-triple's one chain factor is the t-th power of one fixed unipotent, and
-after one coordinate solve every t is an integer binomial sum of fixed
+triple's one chain factor is the t-th power of one fixed unipotent.  The
+chain is built in integers (`linalg._jordan_chain`) and its rows go
+straight to the coordinate solve, with no Fraction frame and no Flag,
+and after that one solve every t is an integer binomial sum of fixed
 grids, built a row at a time until an entry fails and scanned by
 consecutive minors only when every entry passes (see
 power_positivity_threshold).
@@ -50,9 +52,10 @@ from .errors import (
     PreconditionViolated,
     RationalEigenlineRequired,
     SingularGapTooSmall,
+    SingularMatrix,
 )
-from .flags import Flag, _coordinates, unipotent_fixed_flag
-from .linalg import Matrix, _quotient, _scaled_powers
+from .flags import Flag, _coordinates
+from .linalg import Matrix, _jordan_chain, _quotient, _scaled_powers
 from .positivity import _contiguous_minors
 from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, _blocks, barbot_flag, barbot_matrix
 
@@ -163,8 +166,13 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     transverse to F (NotTransverse), and cap at least 1 (BadParameters).
     In F's Jordan-chain frame u acts as I + S, S the superdiagonal shift,
     so with c the coordinates of G over F (one solve, which also tests
-    transversality) the coordinates of u^t G are (I + S)^t c.  The only
-    chain factor of the triple is therefore V^t, V = I + M, M = c^-1 S c.
+    transversality) the coordinates of u^t G are (I + S)^t c.  F comes
+    as the integer chain v, Bv, ..., B^(d-1)v of B = r N, r the lcm of
+    N's denominators (`_jordan_chain`), and the solve reads the integer
+    rows of r^(d-1) F, a scalar multiple of F's frame with the same c; a
+    dependent chain would contradict the chain lemma and raises
+    InvariantViolated.  The only chain factor of the triple is therefore
+    V^t, V = I + M, M = c^-1 S c.
     M is strictly upper with unit superdiagonal, checked, so V^t has
     superdiagonal t and needs no sign normalization.  With s the lcm of
     M's denominators, s^(d-1) V^t = sum over k < d of binom(t, k) A_k,
@@ -181,13 +189,20 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     if cap < 1:
         raise BadParameters(f"cap must be at least 1, got {cap}")
     try:
-        fixed = unipotent_fixed_flag(u)
+        chain, r = _jordan_chain(u)
     except NotSingleJordanBlock:
         raise NotSingleJordanBlock("threshold search needs a single Jordan block") from None
     d = u.dim
     if g.dim != d:
         raise DimensionMismatch(f"flag dims differ: {d} vs {g.dim}")
-    c, delta = next(_coordinates(fixed, (g,), "flag must be transverse to the fixed flag"))
+    # the integer rows of r^(d-1) F: column m is r^m B^(d-1-m) v
+    scales = [r**m for m in range(d)]
+    fixed = [([x * chain[d - 1 - m][i] for m, x in enumerate(scales)], 1) for i in range(d)]
+    coords = _coordinates(fixed, (g._rows,), "flag must be transverse to the fixed flag")
+    try:
+        c, delta = next(coords)
+    except SingularMatrix:
+        raise InvariantViolated("a Jordan chain must be a basis") from None
     # S c = (S ū) diag(1/δ): ū shifted up one row; M = m diag(1/ms)
     m, ms = _quotient(c, c[1:] + [[0] * d], delta)
     if any(any(row[:i + 1]) for i, row in enumerate(m)) or any(

@@ -15,7 +15,9 @@ the tuple-positivity certificates in this package test.
 
 A flag clears its frame's rows to integers once, when it is built, and
 every solve against it (equality, coordinates) reads those rows.
-Coordinates are kept in integers, c = ū diag(1/δ) with ū upper
+`_coordinates` takes such cleared rows rather than Flags, so a frame
+already in integers, such as the threshold search's Jordan chain, is
+solved against without a Flag.  Coordinates are kept in integers, c = ū diag(1/δ) with ū upper
 triangular and δ its diagonal (see _coordinates): one solve per anchor
 frame, against all later flags, and one forward elimination per pair
 build them, and a zero pivot of the latter is exactly a failure of
@@ -40,11 +42,11 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvariantViolated,
-    NotSingleJordanBlock,
     NotTransverse,
     SingularMatrix,
 )
 from .linalg import (
+    Cleared,
     ColumnScaled,
     Matrix,
     _bareiss,
@@ -54,7 +56,7 @@ from .linalg import (
     _grid_det,
     _grid_rank,
     _is_upper,
-    _nilpotent_powers,
+    _jordan_chain,
     _quotient,
     _scaled_solve,
     _to_fraction,
@@ -173,9 +175,12 @@ class AdaptedBasis:
         object.__setattr__(self, "inverse", inverse)
 
 
-def _coordinates(f: Flag, hs: Sequence[Flag], failure: str) -> Iterator[ColumnScaled]:
+def _coordinates(f: Cleared, hs: Sequence[Cleared], failure: str) -> Iterator[ColumnScaled]:
     """The coordinates c of each h in hs over f in integers, c = ū diag(1/δ),
     in order: one solve per anchor frame, one forward elimination per pair.
+    Each flag is given by its frame's cleared rows (a Flag's `_rows`), so
+    a frame known in integers needs no Flag; a frame scaled by a nonzero
+    constant gives the same c.
 
     c is the u in F^-1 H = (u . reversal) t, u upper unipotent and t
     upper triangular.  F u presents f because u is upper unipotent, and
@@ -196,8 +201,8 @@ def _coordinates(f: Flag, hs: Sequence[Flag], failure: str) -> Iterator[ColumnSc
     its diagonal.  The factorization is checked on the integers: it
     rebuilds A, scaled by q = lcm(p_k p_(k+1)).
     """
-    d = f.dim
-    x, _ = _scaled_solve(f._rows, [h._rows for h in hs])
+    d = len(f)
+    x, _ = _scaled_solve(f, hs)
     cols = list(zip(*x))
     for start in range(0, len(cols), d):
         a = [col[::-1] for col in cols[start:start + d]]
@@ -242,7 +247,7 @@ def adapted_basis(f: Flag, h: Flag) -> AdaptedBasis:
     """The basis adapted to (f, h): F u, for u the coordinates of h over f."""
     if f.dim != h.dim:
         raise DimensionMismatch(f"flag dims differ: {f.dim} vs {h.dim}")
-    c = next(_coordinates(f, (h,), "flags are not transverse; no adapted basis exists"))
+    c = next(_coordinates(f._rows, (h._rows,), "flags are not transverse; no adapted basis exists"))
     return _adapted(f, h, c)
 
 
@@ -257,7 +262,9 @@ def transporter(f: Flag, h: Flag, g: Flag) -> Matrix:
     """
     if f.dim != h.dim or f.dim != g.dim:
         raise DimensionMismatch("flag dims differ")
-    coords = _coordinates(f, (h, g), "flags are not transverse; no adapted basis exists")
+    coords = _coordinates(
+        f._rows, (h._rows, g._rows), "flags are not transverse; no adapted basis exists"
+    )
     c_h = next(coords)
     try:
         c_g = next(coords)
@@ -275,13 +282,12 @@ def unipotent_fixed_flag(u: Matrix) -> Flag:
     chain vectors span a k-dimensional space that N^k kills.  In this
     frame F^-1 u F = I + S exactly, S the superdiagonal shift.  Raises
     NotUnipotent when N^d != 0, else NotSingleJordanBlock when N^(d-1) = 0.
-    The powers of N are the integer powers of s N from `_nilpotent_powers`.
+    The chain is the integer chain v, Bv, ..., B^(d-1)v of B = s N from
+    `_jordan_chain`; the threshold search reads it without building this
+    Flag.
     """
     d = u.dim
-    powers, s = _nilpotent_powers(u)
-    j = next((j for j in range(d) if any(row[j] for row in powers[d - 1])), None)
-    if j is None:
-        raise NotSingleJordanBlock("fixed flag construction needs a single Jordan block")
+    chain, s = _jordan_chain(u)
     # column m is N^(d-m) v = (s N)^(d-m) v / s^(d-m)
-    frame = [[powers[d - m][i][j] for m in range(1, d + 1)] for i in range(d)]
+    frame = [[chain[d - m][i] for m in range(1, d + 1)] for i in range(d)]
     return Flag(Matrix._of(_fractions(frame, [s ** (d - m) for m in range(1, d + 1)])))

@@ -21,8 +21,13 @@ quotients of triangular integer forms (`_quotient`) by the determinant
 of the triangular divisor, so both stay in integers.  A quotient is
 returned in the column-scaled form G diag(1/s), each column over one
 positive scale with which it has gcd 1, and `_fractions` builds the
-rational grid only where a Matrix is returned.  Tests compare them
-against cofactor expansion, sympy and Fraction reference routes.
+rational grid only where a Matrix is returned.  Powers of N = u - I stay
+in integers too, as powers of s N for s the lcm of N's denominators:
+Jordan types take every power (`_nilpotent_powers`), while a fixed flag
+needs only the Jordan chain v, (sN)v, ..., (sN)^(d-1)v, which
+`_jordan_chain` builds from 2d - 1 vector products (`_row_times`)
+instead of d + 1 matrix powers.  Tests compare them against cofactor
+expansion, sympy and Fraction reference routes.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .errors import (
     BadParameters,
     DimensionMismatch,
     IndexOutOfRange,
+    NotSingleJordanBlock,
     NotUnipotent,
     SingularMatrix,
 )
@@ -134,20 +140,30 @@ def _column_scaled(rows: Sequence[Sequence[Fraction]]) -> ColumnScaled:
     return [list(row) for row in zip(*(c for c, _ in cols))], [t for _, t in cols]
 
 
+def _row_times(r: Sequence[int], b: Sequence[Sequence[int]]) -> list[int]:
+    """The row vector r B, one row update per nonzero entry of r."""
+    acc = [0] * len(b[0])
+    for x, row in zip(r, b):
+        if x:
+            acc = [a + x * y for a, y in zip(acc, row)]
+    return acc
+
+
 def _scaled_powers(
     g: Sequence[Sequence[int]], s: Sequence[int], count: int
 ) -> tuple[list[list[list[int]]], int]:
     """([B^0, ..., B^count], t) for B = t N, N = G diag(1/s) a square grid
     with positive column scales s and t = lcm(s), so every power is an
     integer grid.  When each column of G has gcd 1 with its scale, t is
-    the lcm of all denominators of N."""
+    the lcm of all denominators of N.  Each row of B^(k+1) is the row of
+    B^k times B (`_row_times`), so zero entries of B^k, most of a strictly
+    upper triangular B's powers, cost nothing."""
     t = lcm(*s)
     weights = [t // sj for sj in s]
     b = [list(map(mul, row, weights)) for row in g]
-    cols = list(zip(*b))
     powers = [[[int(i == j) for j in range(len(b))] for i in range(len(b))]]
     for _ in range(count):
-        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
+        powers.append([_row_times(row, b) for row in powers[-1]])
     return powers, t
 
 
@@ -450,6 +466,48 @@ def _nilpotent_powers(u: Matrix) -> tuple[list[list[list[int]]], int]:
     if any(map(any, powers[d])):
         raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
     return powers, s
+
+
+def _jordan_chain(u: Matrix) -> tuple[list[list[int]], int]:
+    """([v, Bv, ..., B^(d-1)v], s), the Jordan chain of a unipotent u with
+    one Jordan block in integers: B = s N, N = u - I and s the lcm of N's
+    denominators, and v = e_j for j the first nonzero column of N^(d-1).
+
+    B is u's column-cleared rows minus diag(s_j), each column times
+    s / s_j: N's columns have u's denominators.  j is read off rows: the
+    first row i with e_i^T B^(d-1) != 0 (d - 1 vector products per row
+    tried) and that row's first nonzero entry.  Raises
+    NotSingleJordanBlock when there is no such row, N^(d-1) = 0; then
+    NotUnipotent unless B^d v = 0.  That test is exact: with N^(d-1) v != 0
+    and N^d v = 0 the chain is a basis that N^d kills, so N^d = 0.  And
+    for a nilpotent N with N^(d-1) != 0, N^(d-1) has rank one, so its
+    nonzero rows share their first nonzero column: j is the same from any
+    row, the first column of N^(d-1) that is not zero.
+    """
+    d = u.dim
+    g, scales = _column_scaled(u._rows)
+    s = lcm(*scales)
+    b = [
+        [(x - sj if i == j else x) * (s // sj) for j, (x, sj) in enumerate(zip(row, scales))]
+        for i, row in enumerate(g)
+    ]
+    for i in range(d):
+        r = [int(k == i) for k in range(d)]
+        for _ in range(d - 1):
+            r = _row_times(r, b)
+        j = next((j for j, x in enumerate(r) if x), None)
+        if j is not None:
+            break
+    else:
+        raise NotSingleJordanBlock("fixed flag construction needs a single Jordan block")
+    # B v is the row v^T B^T: column updates, one per nonzero entry of v
+    cols = list(zip(*b))
+    chain = [[int(k == j) for k in range(d)]]
+    for _ in range(d):
+        chain.append(_row_times(chain[-1], cols))
+    if any(chain.pop()):
+        raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
+    return chain, s
 
 
 def jordan_block_sizes(u: Matrix) -> tuple[int, ...]:

@@ -162,7 +162,9 @@ class _TupleEngine:
         self._pairs: dict[tuple[int, int], ColumnScaled] = {}
         for a in range(1, n):
             later = [n] + list(range(2, n)) if a == 1 else list(range(a + 1, n + 1))
-            coords = _coordinates(flags[a - 1], [flags[b - 1] for b in later], "not transverse")
+            coords = _coordinates(
+                flags[a - 1]._rows, [flags[b - 1]._rows for b in later], "not transverse"
+            )
             try:
                 for b in later:
                     self._pairs[(a - 1, b - 1)] = next(coords)

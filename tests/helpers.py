@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 import sympy
@@ -39,7 +39,8 @@ from posiflag import (
 )
 from posiflag.flags import _coordinates, unipotent_fixed_flag
 from posiflag.linalg import (
-    _back_substitute, _bareiss, _cleared, _is_unipotent, _quotient, _ratio, _scaled_powers,
+    _back_substitute, _bareiss, _cleared, _fractions, _is_unipotent, _nilpotent_powers, _quotient,
+    _ratio, _scaled_powers,
 )
 from posiflag.positivity import _contiguous_minors
 from posiflag.reps import MoebiusElement
@@ -400,6 +401,34 @@ def kernel_fixed_flag(u: Matrix) -> Flag:
     return Flag(Matrix([[Fraction(int(c[i].p), int(c[i].q)) for c in cols] for i in range(d)]))
 
 
+def reference_fixed_flag(u: Matrix) -> Flag:
+    """`flags.unipotent_fixed_flag` as it was before it read u's Jordan
+    chain off 2d - 1 vector products, kept as the reference: all d + 1
+    integer powers of s N (`_nilpotent_powers`, which raises NotUnipotent
+    when N^d != 0), j the first nonzero column of N^(d-1), and column m
+    of the frame N^(d-m) e_j."""
+    d = u.dim
+    powers, s = _nilpotent_powers(u)
+    j = next((j for j in range(d) if any(row[j] for row in powers[d - 1])), None)
+    if j is None:
+        raise NotSingleJordanBlock("fixed flag construction needs a single Jordan block")
+    frame = [[powers[d - m][i][j] for m in range(1, d + 1)] for i in range(d)]
+    return Flag(Matrix._of(_fractions(frame, [s ** (d - m) for m in range(1, d + 1)])))
+
+
+def reference_scaled_powers(g, s, count) -> tuple[list[list[list[int]]], int]:
+    """`linalg._scaled_powers` by plain products, kept as the reference:
+    ([B^0, ..., B^count], t), B = G diag(t/s) and t = lcm(s), each power
+    the previous one times B, one dot product per entry."""
+    t = lcm(*s)
+    b = [[x * (t // sj) for x, sj in zip(row, s)] for row in g]
+    cols = list(zip(*b))
+    powers = [[[int(i == j) for j in range(len(b))] for i in range(len(b))]]
+    for _ in range(count):
+        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
+    return powers, t
+
+
 def power_triple_positive(u: Matrix, t: int, g: Flag, fixed: Flag | None = None) -> bool:
     """Whether (F, u^t G, G) is a positive triple, F = the fixed flag of u,
     rebuilt from scratch through the public triple certificate."""
@@ -450,7 +479,9 @@ def whole_grid_powers(u: Matrix, g: Flag, cap: int):
     d = u.dim
     if g.dim != d:
         raise DimensionMismatch(f"flag dims differ: {d} vs {g.dim}")
-    c, delta = next(_coordinates(fixed, (g,), "flag must be transverse to the fixed flag"))
+    c, delta = next(
+        _coordinates(fixed._rows, (g._rows,), "flag must be transverse to the fixed flag")
+    )
     m, ms = _quotient(c, c[1:] + [[0] * d], delta)
     if any(any(row[:i + 1]) for i, row in enumerate(m)) or any(
         m[i][i + 1] != ms[i + 1] for i in range(d - 1)
@@ -612,7 +643,7 @@ def per_pair_coordinates(f: Flag, h: Flag, failure: str):
     """(ū, δ), the integer coordinates of h over f by the per-pair route: the
     one-flag call of `_coordinates`, one `_scaled_solve` of F against H
     alone.  Raises NotTransverse(failure) at a zero pivot."""
-    return next(_coordinates(f, (h,), failure))
+    return next(_coordinates(f._rows, (h._rows,), failure))
 
 
 def reference_laplace_step(

@@ -102,7 +102,7 @@ def outcome(fn, *args):
 
 def pair_coordinates(f, h, failure):
     """The integer coordinates (ū, δ) of h over f, as a one-flag solve."""
-    return next(_coordinates(f, (h,), failure))
+    return next(_coordinates(f._rows, (h._rows,), failure))
 
 
 def integer_coordinates(f, h, failure):

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from posiflag import (
     CapExceeded,
     DimensionMismatch,
     Flag,
+    InvariantViolated,
     LimitEntry,
     Matrix,
     MoebiusElement,
@@ -180,6 +182,11 @@ def threshold_cases(draw):
     )
 
 
+# pascal(d) against the descending flag sheared by I + a E_12, threshold (d-1)a + 1
+SHEARED_PASCAL_CASES = ([(3, a) for a in (8, 10, 12, 14)] + [(4, a) for a in (3, 5, 7, 9)]
+                        + [(5, a) for a in (2, 4, 6, 7)] + [(6, a) for a in (1, 3, 5)])
+
+
 class TestThreshold:
     def test_descending_is_immediate(self):
         _, desc = standard_flags(3)
@@ -298,14 +305,58 @@ class TestThreshold:
             return _contiguous_minors(grid)
 
         monkeypatch.setattr(dynamics, "_contiguous_minors", counted)
-        cases = ([(3, a) for a in (8, 10, 12, 14)] + [(4, a) for a in (3, 5, 7, 9)]
-                 + [(5, a) for a in (2, 4, 6, 7)] + [(6, a) for a in (1, 3, 5)])
-        for d, a in cases:
+        for d, a in SHEARED_PASCAL_CASES:
             _, desc = standard_flags(d)
             g = desc.apply(Matrix.elementary(d, 1, 2, a))
             scans.clear()
             assert power_positivity_threshold(pascal(d), g) == (d - 1) * a + 1
             assert scans == [d], f"d={d} a={a}: {len(scans)} scans"
+
+    def test_search_builds_no_flag_and_one_power_table(self, monkeypatch):
+        """Work pin on the sheared pascal cases: the fixed flag comes as u's
+        integer Jordan chain, so a search builds no Flag and no powers of
+        u - I, and takes the powers of one grid, M's, once."""
+        import posiflag
+
+        calls = Counter()
+        powered = []
+        real_init = Flag.__init__
+
+        def counted_init(self, frame):
+            calls["Flag"] += 1
+            real_init(self, frame)
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                if name == "_scaled_powers":
+                    powered.append((len(args[0]), args[2]))
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(Flag, "__init__", counted_init)
+        modules = [m for m in vars(posiflag).values() if isinstance(m, ModuleType)]
+        for name in ("_nilpotent_powers", "_scaled_powers"):
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for d, a in SHEARED_PASCAL_CASES:
+            _, desc = standard_flags(d)
+            g = desc.apply(Matrix.elementary(d, 1, 2, a))
+            calls.clear()
+            powered.clear()
+            assert power_positivity_threshold(pascal(d), g) == (d - 1) * a + 1
+            assert calls == Counter(_scaled_powers=1), f"d={d} a={a}: {dict(calls)}"
+            assert powered == [(d, d - 1)], f"d={d} a={a}: {powered}"
+
+    def test_dependent_chain_is_an_invariant_violation(self, monkeypatch):
+        """A chain that is not a basis cannot come out of `_jordan_chain`; if
+        it did, the search reports a broken invariant, not a singular input."""
+        _, desc = standard_flags(3)
+        dependent = [[0, 0, 1], [0, 1, 0], [0, 2, 0]]
+        monkeypatch.setattr(dynamics, "_jordan_chain", lambda u: (dependent, 1))
+        with pytest.raises(InvariantViolated, match="a Jordan chain must be a basis"):
+            power_positivity_threshold(pascal(3), desc)
 
     def test_cases_cover_every_outcome(self):
         rng = random.Random(5)

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from posiflag import (
     NotSingleJordanBlock,
     NotTransverse,
     NotUnipotent,
+    PosiflagError,
     SingularMatrix,
     Status,
     adapted_basis,
@@ -32,7 +34,7 @@ from posiflag import (
     unipotent_fixed_flag,
 )
 from posiflag.linalg import _grid_rank
-from helpers import gen_boundary, kernel_fixed_flag, random_single_block
+from helpers import gen_boundary, kernel_fixed_flag, random_single_block, reference_fixed_flag
 
 F = Fraction
 
@@ -302,6 +304,99 @@ class TestUnipotentFixedFlag:
                 unipotent_fixed_flag(m)
         with pytest.raises(NotSingleJordanBlock, match="needs a single Jordan block"):
             unipotent_fixed_flag(Matrix(((1, 0, 1), (0, 1, 1), (0, 0, 1))))
+
+
+FIXED_FLAG_KINDS = ["upper", "lower", "conjugated", "rational", "split", "identity",
+                    "nonunipotent", "rank2", "cyclic", "dense"]
+
+
+def fixed_flag_case(d: int, kind: str, rng: random.Random) -> Matrix:
+    """A d x d matrix of one kind: a single-block upper unipotent, its
+    transpose, or its conjugate by an integer or a rational h; a split
+    Jordan type (a zero superdiagonal entry) or the identity; a single
+    block with one diagonal entry moved off 1; h diag(1, ..., 1, 2, 2) h^-1,
+    whose N^(d-1) has rank 2; I + P for the cyclic shift P, whose chain
+    is a basis although N^d = I; or a dense integer matrix."""
+    def invertible(rational=False):
+        while True:
+            h = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3) if rational else 1)
+                         for _ in range(d)] for _ in range(d)])
+            if h.det() != 0:
+                return h
+
+    def conjugate(m, rational=False):
+        h = invertible(rational)
+        return h @ m @ h.inverse()
+
+    block = random_single_block(d, rng)
+    if kind == "upper":
+        return block
+    if kind == "lower":
+        return Matrix(list(zip(*block.rows_tuple())))
+    if kind in ("conjugated", "rational"):
+        return conjugate(block, kind == "rational")
+    if kind == "identity":
+        return Matrix.identity(d)
+    if kind == "dense":
+        return Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+    if kind == "rank2":
+        return conjugate(Matrix.diagonal([1] * (d - 2) + [2, 2]))
+    if kind == "cyclic":
+        return conjugate(Matrix([[int(i == j) + int(j == (i + 1) % d) for j in range(d)]
+                                 for i in range(d)]))
+    rows = [list(r) for r in block.rows_tuple()]
+    i = rng.randrange(d - 1) if kind == "split" else rng.randrange(d)
+    if kind == "split":
+        rows[i][i + 1] = F(0)
+    else:
+        rows[i][i] = F(rng.choice((2, -1, F(1, 2))))
+    return conjugate(Matrix(rows), rng.random() < 0.5)
+
+
+def nilpotent_power(u: Matrix, k: int) -> Matrix:
+    """(u - I)^k."""
+    return Matrix([[x - (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(u.rows_tuple())]).power(k)
+
+
+class TestJordanChain:
+    """`unipotent_fixed_flag` takes u's Jordan chain from 2d - 1 vector
+    products (`linalg._jordan_chain`); the d + 1 matrix powers it replaced
+    are kept as `helpers.reference_fixed_flag`."""
+
+    def test_matches_powers_route_on_seeded_corpus(self):
+        """Frames bit for bit, or the same exception type and message, for
+        d = 1..7 over every kind.  A lower-triangular block makes the row
+        search pass row 0, and a non-nilpotent N with N^(d-1) of rank 2 must
+        still raise NotUnipotent."""
+        rng = random.Random(2_401)
+
+        def outcome(fn, u):
+            try:
+                return "ok", fn(u).frame.rows_tuple()
+            except PosiflagError as exc:
+                return type(exc).__name__, str(exc)
+
+        seen = Counter()
+        for d in range(1, 8):
+            for kind in FIXED_FLAG_KINDS:
+                if d < 2 and kind in ("lower", "split", "rank2", "cyclic"):
+                    continue
+                for _ in range(4):
+                    u = fixed_flag_case(d, kind, rng)
+                    got = outcome(unipotent_fixed_flag, u)
+                    assert got == outcome(reference_fixed_flag, u), (d, kind, u)
+                    seen[kind, got[0]] += 1
+                    if kind == "lower":
+                        assert not any(nilpotent_power(u, d - 1).row(1))
+                    if kind == "rank2":
+                        assert _grid_rank(nilpotent_power(u, d - 1).rows_tuple()) == 2
+        for kind in ("upper", "lower", "conjugated", "rational"):
+            assert seen[kind, "ok"] > 0, kind
+        assert seen["split", "NotSingleJordanBlock"] > 0
+        assert seen["identity", "NotSingleJordanBlock"] > 0
+        for kind in ("nonunipotent", "rank2", "cyclic"):
+            assert seen[kind, "NotUnipotent"] == sum(n for (k, _), n in seen.items() if k == kind)
 
 
 def skew_reduction(monkeypatch):

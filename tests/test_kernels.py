@@ -4,7 +4,8 @@ Each kernel is compared with a definition computed another way: the
 adapted basis with one sympy nullspace per column, the transporter with
 a plain Fraction reverse column-echelon form in that basis, solves,
 inverses, determinants, ranks and pivot columns with sympy, the integer-dot
-product with a plain Fraction product, the unit triangular solve (the Fraction reference
+product with a plain Fraction product, integer powers with plain dot
+products, the unit triangular solve (the Fraction reference
 and the integer quotient) with `inverse() @` and the quotient with its first version,
 solves on cleared blocks with the solve that clears each joined Fraction row, the
 condensed consecutive minors with sympy determinants, and the staged scan
@@ -28,12 +29,13 @@ import posiflag.flags as flags_module
 import posiflag.linalg as linalg_module
 from posiflag.flags import _coordinates
 from posiflag.linalg import (
-    _bareiss, _cleared, _fractions, _grid_det, _grid_rank, _is_upper, _quotient, _scaled_solve,
+    _bareiss, _cleared, _fractions, _grid_det, _grid_rank, _is_upper, _quotient, _scaled_powers,
+    _scaled_solve,
 )
 from posiflag.positivity import _contiguous_minors
 from helpers import (
     back_substitute, count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, reference_quotient,
-    reference_scaled_solve, reverse_column_echelon, staged_bareiss_scan,
+    reference_scaled_powers, reference_scaled_solve, reverse_column_echelon, staged_bareiss_scan,
 )
 
 SETTINGS = settings(
@@ -231,7 +233,7 @@ def coordinates(f: Flag, hs: list[Flag]) -> list:
     """The coordinates of each h in hs over f, up to a refusal, then the refusal."""
     out: list = []
     try:
-        out.extend(_coordinates(f, hs, "not transverse"))
+        out.extend(_coordinates(f._rows, [h._rows for h in hs], "not transverse"))
     except NotTransverse as exc:
         out.append(str(exc))
     return out
@@ -351,6 +353,25 @@ class TestMatmul:
         product = a @ b
         assert product.rows_tuple() == naive_product(a, b)
         assert all(type(x) is Fraction for r in product.rows_tuple() for x in r)
+
+
+class TestScaledPowers:
+    def test_matches_plain_products(self):
+        """`_scaled_powers` multiplies by one row update per nonzero entry;
+        `helpers.reference_scaled_powers` by one dot product per entry.  Dense,
+        strictly upper and zero-row grids with negative entries, d = 1..7."""
+        rng = random.Random(2_404)
+        for d in range(1, 8):
+            for kind in ("dense", "strictly upper", "zero rows"):
+                for _ in range(5):
+                    g = [[rng.randint(-9, 9) if kind != "strictly upper" or j > i else 0
+                          for j in range(d)] for i in range(d)]
+                    if kind == "zero rows":
+                        for i in rng.sample(range(d), rng.randint(1, d)):
+                            g[i] = [0] * d
+                    s = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(d)]
+                    count = rng.randint(0, d + 1)
+                    assert _scaled_powers(g, s, count) == reference_scaled_powers(g, s, count)
 
 
 # -- unit triangular back substitution against inverse() @ --------------------

@@ -204,6 +204,15 @@ def test_back_substitution_is_written_once():
     ], f"_back_substitute is called from {callers}"
 
 
+def test_jordan_chain_has_two_callers():
+    """The fixed flag and the threshold search take u's Jordan chain from one
+    routine; nothing else builds a fixed flag's frame."""
+    callers = _callers("_jordan_chain")
+    assert callers == [
+        ("dynamics.py", "power_positivity_threshold"), ("flags.py", "unipotent_fixed_flag"),
+    ], f"_jordan_chain is called from {callers}"
+
+
 def test_consecutive_minor_scan_has_three_callers():
     """The staged verdict, the boundary corner check and the threshold
     search scan consecutive minors by one condensation, called from these
