@@ -22,7 +22,9 @@ triangular and δ its diagonal (see _coordinates): one solve per anchor
 frame, against all later flags, and one forward elimination per pair
 build them, and a zero pivot of the latter is exactly a failure of
 transversality, which is how the tuple engine checks every pair of a
-family.  Quotients c_H^-1 c_G run the solve's integer back substitution
+family.  Each pair's elimination is checked to be the fraction-free LU
+factorization of its grid by undoing it, on the elimination's own
+integers.  Quotients c_H^-1 c_G run the solve's integer back substitution
 and stay in integers, G diag(1/s) (`_unipotent_quotient`, shared with the
 tuple engine, which also checks that they are upper unipotent); Fractions
 appear only in the Matrix outputs of `adapted_basis` and `transporter`.
@@ -35,8 +37,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -198,32 +198,65 @@ def _coordinates(f: Cleared, hs: Sequence[Cleared], failure: str) -> Iterator[Co
     is not transverse to f, and raise NotTransverse(failure) at the first
     such h.  The rows of U', last first and coordinates reversed, are the
     columns of ū = u diag(δ), upper triangular with δ = (p_d, ..., p_1) on
-    its diagonal.  The factorization is checked on the integers: it
-    rebuilds A, scaled by q = lcm(p_k p_(k+1)).
+    its diagonal.  The factorization is checked on the integers, by
+    undoing the elimination (`_undoes_to`).
     """
     d = len(f)
     x, _ = _scaled_solve(f, hs)
     cols = list(zip(*x))
     for start in range(0, len(cols), d):
-        a = [col[::-1] for col in cols[start:start + d]]
-        e = [list(row) for row in a]
+        a = [list(col[::-1]) for col in cols[start:start + d]]
+        e = [row[:] for row in a]
         if len(_bareiss(e, swaps=False)[0]) < d:
             raise NotTransverse(failure)
-        p = [1] + [row[m] for m, row in enumerate(e)]
-        dens = [p[m] * p[m + 1] for m in range(d)]
-        q = lcm(*dens)
-        weights = [q // den for den in dens]
-        # row i of L is row i of E up to the diagonal, column j of U' is column j of E down to it
-        l_rows = [list(map(mul, row[:i + 1], weights)) for i, row in enumerate(e)]
-        u_cols = [[row[j] for row in e[:j + 1]] for j in range(d)]
-        if any(
-            sum(map(mul, l_row, u_col)) != q * v
-            for l_row, a_row in zip(l_rows, a)
-            for u_col, v in zip(u_cols, a_row)
-        ):
+        if not _undoes_to(e, a):
             raise InvariantViolated("adapted coordinates must carry the descending flag to H")
         ubar = [[e[d - 1 - k][d - 1 - i] if i <= k else 0 for k in range(d)] for i in range(d)]
-        yield ubar, p[:0:-1]
+        yield ubar, [e[m][m] for m in range(d - 1, -1, -1)]
+
+
+def _undoes_to(e: list[list[int]], a: list[list[int]]) -> bool:
+    """Whether E, the elimination of a square grid A with a pivot in every
+    column, is A's fraction-free LU factorization (see `_coordinates`).
+
+    Each row i of E is run back through the Bareiss steps: from the row's
+    entries on and past the diagonal, R^(k) = (p_k R^(k+1) + l_k U'_k) /
+    p_(k+1) on the columns past k, for k = i-1 down to 0, where
+    l_k = E[i][k] is the stored multiplier and column k of R^(k); R^(0)
+    must be row i of A.  Over the rationals this is row i of
+    A = L diag(1/(p_k p_(k+1))) U' in nested form.  That factorization
+    is unique, so an E that satisfies it is the true elimination, whose
+    intermediate rows are integer minors: an inexact division is a
+    failure too, and no integer outgrows the elimination's own.  A zero
+    multiplier between two equal pivots leaves the row as it is.
+    """
+    p = [1] + [row[m] for m, row in enumerate(e)]
+    for i, row in enumerate(e):
+        r = row[i:]
+        for k in range(i - 1, -1, -1):
+            ell, pk, pk1 = row[k], p[k], p[k + 1]
+            if ell:
+                out = [ell]
+                for v, w in zip(r, e[k][k + 1:]):
+                    n = pk * v + ell * w
+                    q = n // pk1
+                    if q * pk1 != n:
+                        return False
+                    out.append(q)
+                r = out
+            elif pk != pk1:
+                out = [0]
+                for v in r:
+                    q, rem = divmod(pk * v, pk1)
+                    if rem:
+                        return False
+                    out.append(q)
+                r = out
+            else:
+                r.insert(0, 0)
+        if r != a[i]:
+            return False
+    return True
 
 
 def _unipotent_quotient(c_y: ColumnScaled, c_x: ColumnScaled) -> ColumnScaled:

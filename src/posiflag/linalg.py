@@ -81,10 +81,12 @@ def _bareiss(a: list[list[int]], swaps: bool = True) -> tuple[list[int], int]:
     by the previous pivot is exact and the whole computation stays in plain
     integers.  Row r is final once it is the pivot row: its pivot is the
     leading minor on rows 0..r and the pivot columns, and the entries
-    below the pivot keep the multipliers of that step.  A column whose
-    entry in the next pivot row is zero takes as pivot the first nonzero
-    entry below it when `swaps` is set, and is skipped without a pivot
-    otherwise.  Returns (pivot columns, sign of the row permutation).
+    below the pivot keep the multipliers of that step.  A row whose
+    multiplier is zero is only rescaled by pivot / prev, and left as it
+    is when the two are equal.  A column whose entry in the next pivot
+    row is zero takes as pivot the first nonzero entry below it when
+    `swaps` is set, and is skipped without a pivot otherwise.  Returns
+    (pivot columns, sign of the row permutation).
     """
     nrows, ncols = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
@@ -105,8 +107,12 @@ def _bareiss(a: list[list[int]], swaps: bool = True) -> tuple[list[int], int]:
         for i in range(r + 1, nrows):
             row_i = a[i]
             aic = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (row_i[j] * pivot - aic * row_r[j]) // prev
+            if aic:
+                for j in range(c + 1, ncols):
+                    row_i[j] = (row_i[j] * pivot - aic * row_r[j]) // prev
+            elif pivot != prev:
+                for j in range(c + 1, ncols):
+                    row_i[j] = row_i[j] * pivot // prev
         pivots.append(c)
         prev = pivot
     return pivots, sign

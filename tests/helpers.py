@@ -46,6 +46,35 @@ from posiflag.positivity import _contiguous_minors
 from posiflag.reps import MoebiusElement
 
 
+def reference_bareiss(a: list[list[int]], swaps: bool = True) -> tuple[list[int], int]:
+    """`linalg._bareiss` as first written, kept as the reference: every row
+    below the pivot row gets the full update, whatever its multiplier."""
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if a[r][c] == 0:
+            swap = next((i for i in range(r + 1, nrows) if a[i][c]), None) if swaps else None
+            if swap is None:
+                continue
+            a[r], a[swap] = a[swap], a[r]
+            sign = -sign
+        row_r = a[r]
+        pivot = row_r[c]
+        for i in range(r + 1, nrows):
+            row_i = a[i]
+            aic = row_i[c]
+            for j in range(c + 1, ncols):
+                row_i[j] = (row_i[j] * pivot - aic * row_r[j]) // prev
+        pivots.append(c)
+        prev = pivot
+    return pivots, sign
+
+
 def cofactor_det(grid: list[list[Fraction]]) -> Fraction:
     """Recursive first-row cofactor expansion; quadratic-free reference."""
     n = len(grid)
@@ -552,6 +581,26 @@ def fraction_reverse_echelon(c: Matrix, failure: str):
         for i in range(d)
     ]
     return placed, t
+
+
+def lu_identity_holds(a: list[list[int]], e: list[list[int]]) -> bool:
+    """The check `flags._coordinates` first made of a pair block's
+    elimination, kept as the reference: whether L diag(q/(p_0 p_1), ...,
+    q/(p_(d-1) p_d)) U' = q A, for q = lcm(p_k p_(k+1)), L the lower part
+    of E with its diagonal, U' its upper part and p_k its diagonal
+    (p_0 = 1).  E must have no zero on its diagonal."""
+    d = len(a)
+    p = [1] + [row[m] for m, row in enumerate(e)]
+    dens = [p[m] * p[m + 1] for m in range(d)]
+    q = lcm(*dens)
+    weights = [q // den for den in dens]
+    l_rows = [list(map(mul, row[:i + 1], weights)) for i, row in enumerate(e)]
+    u_cols = [[row[j] for row in e[:j + 1]] for j in range(d)]
+    return all(
+        sum(map(mul, l_row, u_col)) == q * v
+        for l_row, a_row in zip(l_rows, a)
+        for u_col, v in zip(u_cols, a_row)
+    )
 
 
 def fraction_coordinates(f: Flag, h: Flag, failure: str) -> Matrix:

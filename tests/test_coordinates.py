@@ -10,7 +10,11 @@ frames with a flag that shares leading columns with another (so that
 pair is never transverse), Veronese flags and Barbot flags.  The
 zero-pivot transversality of the pair coordinates, and so the engine's
 refusal of a family, are compared with the determinant test
-`transverse`, and the chain route with the quad route.
+`transverse`, and the chain route with the quad route.  The check that
+each pair block's elimination E is its fraction-free LU factorization,
+an undo of the elimination, is compared with the lcm-scaled product it
+replaced (`lu_identity_holds`), on every pair block and on corrupted
+copies of E.
 """
 
 from itertools import combinations
@@ -33,10 +37,11 @@ from posiflag import (
     transverse,
     veronese_flag,
 )
-from posiflag.flags import _coordinates
+import posiflag.flags as flags_module
+from posiflag.flags import _coordinates, _undoes_to
 from posiflag.linalg import _fractions, _grid_det, _quotient
 from posiflag.tuples import _TupleEngine
-from helpers import back_substitute, fraction_coordinates
+from helpers import back_substitute, fraction_coordinates, lu_identity_holds
 
 SETTINGS = settings(
     max_examples=6, deadline=None, derandomize=True,
@@ -168,3 +173,53 @@ class TestIntegerCoordinates:
         except ZeroSuperdiagonal:
             quad = False
         assert chain == quad
+
+
+def eliminated_blocks(flags):
+    """(A, E) for every pair block that `_coordinates` eliminates with a
+    pivot in every column, over all pairs of flags."""
+    blocks = []
+    real = flags_module._bareiss
+
+    def recorded(a, swaps=True):
+        before = [row[:] for row in a]
+        pivots, sign = real(a, swaps)
+        if len(pivots) == len(a):
+            blocks.append((before, [row[:] for row in a]))
+        return pivots, sign
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flags_module, "_bareiss", recorded)
+        for f, h in combinations(flags, 2):
+            outcome(pair_coordinates, f, h, "flags are not transverse")
+    return blocks
+
+
+def corruptions(e):
+    """Copies of E with one entry moved by -1, +1 or doubled, and with one
+    row negated, keeping every diagonal entry nonzero."""
+    d = len(e)
+    for i in range(d):
+        for j in range(d):
+            x = e[i][j]
+            for y in {x - 1, x + 1, 2 * x} - {x}:
+                if i != j or y:
+                    bad = [row[:] for row in e]
+                    bad[i][j] = y
+                    yield bad
+        yield [[-x for x in row] if k == i else row[:] for k, row in enumerate(e)]
+
+
+class TestEliminationCheck:
+    @cases
+    @settings(SETTINGS, max_examples=3)
+    @given(data=st.data())
+    def test_undo_rejects_exactly_what_the_product_rejects(self, kind, shape, data):
+        """Every eliminated pair block passes both checks, and every corrupted
+        copy of its E fails the undo exactly when it fails the lcm-scaled
+        product."""
+        blocks = eliminated_blocks(data.draw(flag_tuples(kind, shape, 3)))
+        for a, e in blocks:
+            assert _undoes_to(e, a) and lu_identity_holds(a, e)
+            for bad in corruptions(e):
+                assert _undoes_to(bad, a) == lu_identity_holds(a, bad)

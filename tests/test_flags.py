@@ -413,6 +413,23 @@ def skew_reduction(monkeypatch):
     monkeypatch.setattr(flags_module, "_bareiss", skewed)
 
 
+# one entry of each eliminated 3x3 pair block, by what it holds
+CORRUPTED_ENTRIES = {"multiplier": (1, 0), "pivot": (1, 1), "last row": (2, 2)}
+
+
+def corrupt_entry(monkeypatch, i, j):
+    """Corrupt adapted_basis: move entry (i, j) of each eliminated grid,
+    doubled when nonzero and set to 1 when zero, so no pivot becomes zero."""
+    real = flags_module._bareiss
+
+    def corrupted(a, swaps=True):
+        out = real(a, swaps)
+        a[i][j] += a[i][j] or 1
+        return out
+
+    monkeypatch.setattr(flags_module, "_bareiss", corrupted)
+
+
 class TestInvariants:
     def test_corrupted_adapted_basis_is_an_explicit_error(self, monkeypatch):
         asc, desc = standard_flags(3)
@@ -420,11 +437,25 @@ class TestInvariants:
         skew_reduction(monkeypatch)
         with pytest.raises(InvariantViolated, match="descending flag"):
             adapted_basis(asc, h)
-        with pytest.raises(InvariantViolated):
+        with pytest.raises(InvariantViolated, match="descending flag"):
             is_positive_tuple_chain([asc, desc.apply(pascal(3).power(2)), h])
         # transporter builds no adapted basis: only the coordinates' own check sees it
         with pytest.raises(InvariantViolated, match="descending flag"):
             transporter(asc, h, desc.apply(pascal(3).power(2)))
+
+    @pytest.mark.parametrize("cell", CORRUPTED_ENTRIES.values(), ids=CORRUPTED_ENTRIES)
+    def test_corrupted_entry_is_an_explicit_error(self, monkeypatch, cell):
+        """A multiplier, a pivot or the last row's entry of the elimination,
+        corrupted, fails the coordinates' own check on every route."""
+        asc, desc = standard_flags(3)
+        h, g = desc.apply(pascal(3)), desc.apply(pascal(3).power(2))
+        corrupt_entry(monkeypatch, *cell)
+        with pytest.raises(InvariantViolated, match="descending flag"):
+            adapted_basis(asc, h)
+        with pytest.raises(InvariantViolated, match="descending flag"):
+            transporter(asc, h, g)
+        with pytest.raises(InvariantViolated, match="descending flag"):
+            is_positive_tuple_chain([asc, g, h])
 
     def test_basis_not_adapted_to_its_source(self):
         asc, desc = standard_flags(3)
@@ -453,3 +484,29 @@ class TestInvariants:
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, env=env, check=True)
         assert out.stdout.strip() == "raised"
+
+    def test_corrupted_entries_raise_under_optimize_flag(self):
+        code = (
+            "import posiflag.flags as m\n"
+            "from posiflag import InvariantViolated, is_positive_tuple_chain, pascal, standard_flags\n"
+            "real = m._bareiss\n"
+            "asc, desc = standard_flags(3)\n"
+            "h, g = desc.apply(pascal(3)), desc.apply(pascal(3).power(2))\n"
+            f"for i, j in {list(CORRUPTED_ENTRIES.values())!r}:\n"
+            "    def corrupted(a, swaps=True, i=i, j=j):\n"
+            "        out = real(a, swaps)\n"
+            "        a[i][j] += a[i][j] or 1\n"
+            "        return out\n"
+            "    m._bareiss = corrupted\n"
+            "    for route in (lambda: m.adapted_basis(asc, h), lambda: m.transporter(asc, h, g),\n"
+            "                  lambda: is_positive_tuple_chain([asc, g, h])):\n"
+            "        try:\n"
+            "            route()\n"
+            "            print('passed')\n"
+            "        except InvariantViolated as exc:\n"
+            "            print('raised' if 'descending flag' in str(exc) else exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(flags_module.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=env, check=True)
+        assert out.stdout.split("\n") == ["raised"] * 9 + [""]

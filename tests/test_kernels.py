@@ -10,9 +10,12 @@ and the integer quotient) with `inverse() @` and the quotient with its first ver
 solves on cleared blocks with the solve that clears each joined Fraction row, the
 condensed consecutive minors with sympy determinants, and the staged scan
 with the cofactor oracle and a scan that eliminates each minor on its own.
+The forward elimination, which only rescales a row whose multiplier is
+zero, is compared with its first loop, which updates every row.
 """
 
 import random
+from itertools import combinations
 from fractions import Fraction
 from math import gcd
 
@@ -22,8 +25,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from posiflag import (
-    DetCounter, Flag, Matrix, NotTransverse, SingularMatrix, adapted_basis, random_tp,
-    staged_minor_count, tp_oracle, tp_staged, transporter, transverse,
+    DetCounter, Flag, Matrix, NotTransverse, ProjectivePoint, SingularMatrix, adapted_basis,
+    barbot_flag, barbot_spec, random_tp, staged_minor_count, tp_oracle, tp_staged, transporter,
+    transverse,
 )
 import posiflag.flags as flags_module
 import posiflag.linalg as linalg_module
@@ -35,7 +39,8 @@ from posiflag.linalg import (
 from posiflag.positivity import _contiguous_minors
 from helpers import (
     back_substitute, count_nontrivial, gen_boundary, gen_perturbed, gen_uniform, reference_quotient,
-    reference_scaled_powers, reference_scaled_solve, reverse_column_echelon, staged_bareiss_scan,
+    reference_bareiss, reference_scaled_powers, reference_scaled_solve, reverse_column_echelon,
+    staged_bareiss_scan,
 )
 
 SETTINGS = settings(
@@ -316,6 +321,13 @@ class TestClearedBlocks:
 # -- rank and pivot columns against sympy -------------------------------------
 
 
+def eliminated_by_both(grid, swaps):
+    """((pivots, sign), grid) from `_bareiss` and from `reference_bareiss`,
+    each run on its own copy of an integer grid."""
+    mine, ref = [list(r) for r in grid], [list(r) for r in grid]
+    return (_bareiss(mine, swaps), mine), (reference_bareiss(ref, swaps), ref)
+
+
 class TestRankEchelon:
     @SETTINGS
     @given(st.one_of(rect_grids(integers), rect_grids(rationals)))
@@ -326,6 +338,49 @@ class TestRankEchelon:
     @given(st.one_of(rect_grids(integers), rect_grids(rationals)))
     def test_bareiss_pivots_match_sympy_rref(self, rows):
         assert tuple(_bareiss([r for r, _ in _cleared(rows)])[0]) == to_sympy(rows).rref()[1]
+
+    @SETTINGS
+    @given(st.one_of(rect_grids(integers), rect_grids(rationals)), st.booleans())
+    def test_bareiss_matches_reference_loop(self, rows, swaps):
+        """Rows with a zero multiplier are only rescaled, or left as they are:
+        the same grid, multipliers included, pivots and sign as the loop that
+        updates every row, on grids with skipped columns too."""
+        got, want = eliminated_by_both([r for r, _ in _cleared(rows)], swaps)
+        assert got == want
+
+    @SETTINGS
+    @given(st.integers(1, 6).flatmap(lambda d: grids(st.integers(-4, 4), rows=d)), st.booleans())
+    def test_bareiss_matches_reference_on_upper_grids(self, rows, swaps):
+        upper = [[x if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        got, want = eliminated_by_both(upper, swaps)
+        assert got == want
+
+    @pytest.mark.parametrize("shape", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)])
+    @pytest.mark.parametrize("swaps", [True, False])
+    def test_bareiss_matches_reference_on_barbot_frames(self, shape, swaps):
+        """Barbot frames and the pair blocks of their coordinates, where most
+        multipliers are zero."""
+        points = [ProjectivePoint(p, q) for p, q in [(1, 0), (-3, 1), (0, 1), (2, 3), (5, 1)]]
+        flags = [barbot_flag(barbot_spec(*shape), x) for x in points]
+        blocks = [[r for r, _ in f._rows] for f in flags]
+        for f, h in combinations(flags, 2):
+            x, _ = _scaled_solve(f._rows, [h._rows])
+            blocks.append([list(col[::-1]) for col in zip(*x)])
+        for grid in blocks:
+            got, want = eliminated_by_both(grid, swaps)
+            assert got == want
+
+    @pytest.mark.parametrize("swaps", [True, False])
+    def test_zero_multiplier_rows(self, swaps):
+        """Below a pivot equal to the one before, a zero-multiplier row is left
+        as it is; below a different one it is rescaled by their ratio."""
+        cases = [
+            ([[1, 2, 3], [0, 1, 4], [0, 0, 5]], [[1, 2, 3], [0, 1, 4], [0, 0, 5]]),
+            ([[2, 1, 1], [0, 3, 1], [0, 0, 5]], [[2, 1, 1], [0, 6, 2], [0, 0, 30]]),
+        ]
+        for grid, eliminated in cases:
+            got, want = eliminated_by_both(grid, swaps)
+            assert got == want == (([0, 1, 2], 1), eliminated)
 
 
 # -- integer-dot product against the plain Fraction product ------------------

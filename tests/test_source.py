@@ -186,7 +186,7 @@ def test_laplace_expansion_is_written_once():
 
 
 def test_elimination_is_written_once():
-    """Every det, rank, solve, inverse and reverse echelon runs on one forward
+    """Every det, rank, solve, inverse and pair coordinate runs on one forward
     fraction-free elimination, called from these four places only."""
     callers = _callers("_bareiss")
     assert callers == [
