@@ -22,6 +22,10 @@ F_n and F_{n-1} alone, so a zero superdiagonal entry refuses the tuple
 
 The quadruple route certifies an n-tuple by checking only its ordered
 4-element subtuples, which suffices; both routes agree on every input.
+The sampled check uses that agreement the other way round: one chain over
+the whole sample decides all of its quadruples at once, and quadruples
+are scanned one by one only when that chain fails, to name the first
+failing one.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import (
     BadParameters,
     DimensionMismatch,
+    InvariantViolated,
     NotTransverse,
     NotUnipotentUpperTriangular,
     PreconditionViolated,
@@ -324,7 +330,11 @@ class SampleReport:
     quadruple is positive), "vacuously consistent, no positive triple",
     or "inconsistent" (a positive triple exists but some quadruple
     fails, recorded in failing_quad).  Indices are 1-based sample
-    positions.
+    positions.  triples_scanned counts the triples scanned up to the
+    first positive one, or all C(n, 3) when none is; quads_checked counts
+    the quadruples the verdict covers: all C(n, 4) when consistent, those
+    up to and including the failing one in lexicographic order when
+    inconsistent, none when vacuous.
     """
 
     status: str
@@ -339,8 +349,16 @@ def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
 
     Verifies all pairs transverse (raising NotTransverse with the 1-based
     pair on failure), scans triples in lexicographic order for one
-    positive triple, and if one exists asserts that every ordered
+    positive triple, and if one exists checks that every ordered
     quadruple of the sample is positive.  A finite check, not a proof.
+
+    The work is n - 1 solves and C(n, 2) pair eliminations (the engine),
+    at most C(n, 3) triple chains, then one chain of n - 2 factors over
+    the whole sample: the sample is positive exactly when all its ordered
+    quadruples are.  Only when that chain fails are the quadruples
+    scanned in lexicographic order, each by its own chain, for the first
+    failing one; finding none raises InvariantViolated, since the two
+    routes must agree.
     """
     n = len(sample.flags)
     engine = _TupleEngine(list(sample.flags))
@@ -355,6 +373,8 @@ def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
         return SampleReport(
             "vacuously consistent, no positive triple", None, None, triples, 0
         )
+    if engine.positive(tuple(range(n))):
+        return SampleReport("consistent", positive_triple, None, triples, comb(n, 4))
     quads = 0
     for sub in combinations(range(n), 4):
         quads += 1
@@ -366,4 +386,4 @@ def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
                 triples,
                 quads,
             )
-    return SampleReport("consistent", positive_triple, None, triples, quads)
+    raise InvariantViolated("the whole-sample chain fails but every quadruple is positive")

@@ -440,8 +440,10 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     """Work-count guard: a Veronese d = 4, n = 6 sample is checked without
     the determinant test `transverse`, with one solve per anchor frame
     (n - 1), one forward elimination of d rows per pair (C(n, 2); the
-    solves run linalg's own), one staged scan per (factor, sign) and no
-    Fraction built on the way."""
+    solves run linalg's own), then, after the positive triple (1, 2, 3),
+    one chain over the whole sample: n - 2 factors, one staged scan per
+    (factor, sign), the triple's factor shared, and no Fraction built on
+    the way."""
     import posiflag
     import posiflag.flags as flags_module
     import posiflag.linalg as linalg_module
@@ -453,8 +455,9 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
 
     for module in (posiflag, flags_module):
         monkeypatch.setattr(module, "transverse", refuse)
-    solves, eliminations, scans, ratios = [], [], [], []
+    solves, eliminations, quotients, scans, ratios = [], [], [], [], []
     real_solve, real_bareiss = flags_module._scaled_solve, flags_module._bareiss
+    real_quotient = flags_module._quotient
     real_scan, real_ratio = tuples_module._staged_scan, linalg_module._ratio
 
     def counted_solve(a, bs):
@@ -464,6 +467,10 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     def counted_bareiss(a, swaps=True):
         eliminations.append(len(a))
         return real_bareiss(a, swaps)
+
+    def counted_quotient(*args):
+        quotients.append(args)
+        return real_quotient(*args)
 
     def counted_scan(grid, row_scales, col_scales, counter):
         scans.append((tuple(map(tuple, grid)), tuple(row_scales), tuple(col_scales)))
@@ -475,6 +482,7 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
 
     monkeypatch.setattr(flags_module, "_scaled_solve", counted_solve)
     monkeypatch.setattr(flags_module, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(flags_module, "_quotient", counted_quotient)
     monkeypatch.setattr(tuples_module, "_staged_scan", counted_scan)
     n, d = 6, 4
     pts = distinct_points(n, random.Random(6))
@@ -486,5 +494,106 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     # anchor a (1-based) solves against the n - a later frames at once
     assert solves == [d * (n - a) for a in range(1, n)]
     assert eliminations == [d] * comb(n, 2)
-    assert (len(scans), len(set(scans))) == (16, 16)  # one per (factor, sign) reached
+    assert len(quotients) == n - 2
+    assert (len(scans), len(set(scans))) == (4, 4)  # one per (factor, sign) reached
     assert ratios == []
+
+
+def test_quad_route_runs_one_chain_per_quadruple(monkeypatch):
+    """Work-count guard: the quad route stays quadruple by quadruple, one
+    chain each, on the Veronese d = 4, n = 6 sample that the sampled check
+    decides by one whole-sample chain, so that comparing the two routes
+    compares two computations."""
+    calls = []
+    real_chain = _TupleEngine.chain
+
+    def counted_chain(self, idx):
+        calls.append(idx)
+        return real_chain(self, idx)
+
+    monkeypatch.setattr(_TupleEngine, "chain", counted_chain)
+    n, d = 6, 4
+    pts = distinct_points(n, random.Random(6))
+    assert is_positive_tuple_quad([veronese_flag(x, d) for x in pts]).is_positive
+    assert calls == list(combinations(range(n), 4))  # C(6, 4) = 15 chains
+
+
+def sampled_corpus():
+    """(name, points, flags) for n = 4..7: Veronese d = 2..5, four Barbot
+    shapes, chain tuples of `random_tp` factors with 0, 1 or 2 of them
+    poisoned, and chain tuples whose last factor has a zero superdiagonal."""
+    rng = random.Random(2_626)
+    out = []
+    for n in range(4, 8):
+        for d in range(2, 6):
+            pts = distinct_points(n, rng)
+            out.append((f"veronese d={d} n={n}", pts, [veronese_flag(x, d) for x in pts]))
+        for shape in ((3, 1), (5, 1), (5, 2), (7, 3)):
+            spec = barbot_spec(*shape)
+            pts = distinct_points(n, rng)
+            out.append((f"barbot {shape} n={n}", pts, [barbot_flag(spec, x) for x in pts]))
+        for poisoned in range(3):
+            factors = [random_tp(3, rng.randint(0, 10**9)) for _ in range(n - 2)]
+            for k in rng.sample(range(n - 2), poisoned):
+                factors[k] = poison_factor(factors[k], rng)
+            out.append((f"poisoned {poisoned} n={n}", distinct_points(n, rng),
+                        tuple_from_factors(3, factors)))
+        factors = [random_tp(3, rng.randint(0, 10**9)) for _ in range(n - 3)] + [ZERO_SUPER]
+        out.append((f"zero-super n={n}", distinct_points(n, rng), tuple_from_factors(3, factors)))
+    return out
+
+
+def test_sampled_check_matches_uncached_reference():
+    """The whole-sample chain with its quadruple scan gives the report of
+    the uncached quad-by-quad reference on every sample of the corpus, and
+    the corpus reaches each way the check can end: consistent, inconsistent
+    after a whole chain with a failing factor, inconsistent after a whole
+    chain refused by a zero superdiagonal, and vacuous."""
+    seen = set()
+    for name, pts, flags in sampled_corpus():
+        report = outcome(check_sampled_positivity, FlagMapSample(tuple(pts), tuple(flags)))
+        assert report == outcome(ref_sampled, flags), name
+        status = report[0] if isinstance(report, tuple) else report.status
+        if status == "inconsistent":
+            whole = outcome(_TupleEngine(list(flags)).chain, tuple(range(len(flags))))
+            status += " after ZeroSuperdiagonal" if whole[0] == "ZeroSuperdiagonal" else ""
+        seen.add(status)
+    assert seen >= {"consistent", "inconsistent", "inconsistent after ZeroSuperdiagonal",
+                    "vacuously consistent, no positive triple"}
+
+
+# the sampled check with its whole-sample chain forced to say "not positive"
+DISAGREEING_CHAIN = """
+import posiflag.tuples as t
+from posiflag import FlagMapSample, InvariantViolated, check_sampled_positivity, veronese_flag
+from posiflag.reps import ProjectivePoint
+
+real = t._TupleEngine.positive
+t._TupleEngine.positive = lambda self, idx: len(idx) < 6 and real(self, idx)
+pts = [ProjectivePoint(p, q) for p, q in ((1, 0), (9, 1), (3, 2), (6, 5), (-1, 7), (-5, 9))]
+sample = FlagMapSample(tuple(pts), tuple(veronese_flag(x, 4) for x in pts))
+try:
+    print(check_sampled_positivity(sample))
+except InvariantViolated as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "optimized"])
+def test_disagreeing_whole_chain_raises(optimize):
+    """A whole-sample chain that fails where every quadruple passes is a
+    defect, not a verdict: with the chain forced non-positive on a
+    consistent Veronese d = 4, n = 6 sample, the check raises
+    InvariantViolated instead of reporting, also under `python -O`."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import posiflag
+
+    # the child imports the same posiflag as this process
+    env = {**os.environ, "PYTHONPATH": str(Path(posiflag.__file__).parents[1])}
+    out = subprocess.run([sys.executable, *optimize, "-c", DISAGREEING_CHAIN],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "raised: the whole-sample chain fails but every quadruple is positive\n"
