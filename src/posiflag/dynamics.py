@@ -34,7 +34,6 @@ float range (PreconditionViolated) rather than passing on inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING
@@ -55,7 +54,7 @@ from .errors import (
     SingularMatrix,
 )
 from .flags import Flag, _coordinates
-from .linalg import Matrix, _jordan_chain, _quotient, _scaled_powers
+from .linalg import Matrix, _Value, _jordan_chain, _quotient, _scaled_powers
 from .positivity import _contiguous_minors
 from .reps import BarbotSpec, MoebiusElement, ProjectivePoint, _blocks, barbot_flag, barbot_matrix
 
@@ -66,7 +65,6 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class FloatFlag:
     """Flag presented by an orthonormal float frame.
 
@@ -75,22 +73,25 @@ class FloatFlag:
     canonical) the frame is.
     """
 
-    frame: np.ndarray
-    dim: int
-    min_gap: float | None = None
+    def __init__(self, frame: np.ndarray, dim: int, min_gap: float | None = None):
+        self.frame = frame
+        self.dim = dim
+        self.min_gap = min_gap
+
+    def __repr__(self) -> str:
+        return f"FloatFlag(frame={self.frame!r}, dim={self.dim!r}, min_gap={self.min_gap!r})"
 
 
-@dataclass(frozen=True)
-class SingularProfile:
+class SingularProfile(_Value):
     """Singular values in decreasing order, with their consecutive ratios."""
 
-    values: tuple[float, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = self.values
-        if any(a < b for a, b in zip(vals, vals[1:])):
+    def __init__(self, values: tuple[float, ...]):
+        object.__setattr__(self, "values", values)
+        if any(a < b for a, b in zip(values, values[1:])):
             raise BadParameters("singular values must not increase")
-        if any(v <= 0 for v in vals):
+        if any(v <= 0 for v in values):
             raise BadParameters("singular values must be positive")
 
     @property
@@ -320,14 +321,16 @@ def singular_ratio_profile(
     return out
 
 
-@dataclass(frozen=True)
-class LimitEntry:
+class LimitEntry(_Value):
     """One step of the convergence series; skipped means gaps were too narrow."""
 
-    n: int
-    distance: float | None
-    min_gap: float
-    skipped: bool
+    __slots__ = ("n", "distance", "min_gap", "skipped")
+
+    def __init__(self, n: int, distance: float | None, min_gap: float, skipped: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "min_gap", min_gap)
+        object.__setattr__(self, "skipped", skipped)
 
 
 def limit_convergence(spec: BarbotSpec, g: MoebiusElement, n_max: int) -> list[LimitEntry]:

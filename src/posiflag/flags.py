@@ -35,7 +35,6 @@ transversality alone.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -49,6 +48,7 @@ from .linalg import (
     Cleared,
     ColumnScaled,
     Matrix,
+    _Value,
     _bareiss,
     _cleared,
     _det,
@@ -142,8 +142,7 @@ def transverse(f: Flag, g: Flag) -> bool:
     return all(_grid_det(f_cols[:k] + g_cols[:d - k]) != 0 for k in range(1, d))
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(_Value):
     """Basis adapted to a transverse flag pair.
 
     Column k of `matrix` spans the line F^k intersect H^{d-k+1}; the
@@ -155,16 +154,17 @@ class AdaptedBasis:
     adapted coordinates.
     """
 
-    matrix: Matrix
-    source: tuple[Flag, Flag]
-    inverse: Matrix = field(init=False, repr=False, compare=False)
+    __slots__ = ("matrix", "source", "inverse")
+    __match_args__ = ("matrix", "source")  # `inverse` is derived, not a field
 
-    def __post_init__(self):
-        f, h = self.source
-        if not self.matrix.dim == f.dim == h.dim:
+    def __init__(self, matrix: Matrix, source: tuple[Flag, Flag]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "source", source)
+        f, h = source
+        if not matrix.dim == f.dim == h.dim:
             raise DimensionMismatch("basis and flags must share one dimension")
         try:
-            inverse = self.matrix.inverse()
+            inverse = matrix.inverse()
         except SingularMatrix:
             raise InvariantViolated("an adapted basis must be invertible") from None
         if not _is_upper((inverse @ f.frame).rows_tuple()):

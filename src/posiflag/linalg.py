@@ -32,7 +32,6 @@ expansion, sympy and Fraction reference routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -297,8 +296,41 @@ def _quotient(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinorIndex:
+class _Value:
+    """Immutable value whose fields, in order, are its class's `__slots__`,
+    or the fewer `__match_args__` its body names to leave a derived slot
+    out; `__init__` sets them by `object.__setattr__`.  It reprs as
+    `Name(field=value, ...)`, equals only its own class's instances with
+    equal fields, and hashes as its field tuple."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class MinorIndex(_Value):
     """Address of a minor: strictly increasing 1-based row/column tuples.
 
     `nontrivial` means every row index is at most the matching column index
@@ -307,12 +339,11 @@ class MinorIndex:
     integers.
     """
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        cols = tuple(self.cols)
+    def __init__(self, rows: Iterable[int], cols: Iterable[int]):
+        rows = tuple(rows)
+        cols = tuple(cols)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         if not rows or len(rows) != len(cols):
@@ -464,11 +495,18 @@ class Matrix:
 
 def _nilpotent_powers(u: Matrix) -> tuple[list[list[list[int]]], int]:
     """([B^0, ..., B^d], s) for B = s N, N = u - I and s the lcm of N's
-    denominators, so every power is an integer grid.  Raises NotUnipotent
-    when N^d != 0."""
+    denominators, so every power is an integer grid.  Each entry is one
+    dot product: u is dense in general, and on dense rows that costs about
+    half the row updates of `_scaled_powers`.  Raises NotUnipotent when
+    N^d != 0."""
     d = u.dim
     n = [[x - 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(u._rows)]
-    powers, s = _scaled_powers(*_column_scaled(n), d)
+    g, scales = _column_scaled(n)
+    s = lcm(*scales)
+    cols = [[x * (s // sj) for x in col] for col, sj in zip(zip(*g), scales)]
+    powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
+    for _ in range(d):
+        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
     if any(map(any, powers[d])):
         raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
     return powers, s

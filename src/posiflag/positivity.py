@@ -47,7 +47,6 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -55,7 +54,7 @@ from math import prod
 from operator import gt
 
 from .errors import InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated
-from .linalg import Matrix, MinorIndex, _cleared, _det, _is_unipotent, _ratio
+from .linalg import Matrix, MinorIndex, _Value, _cleared, _det, _is_unipotent, _ratio
 
 __all__ = [
     "BoundaryReport", "DetCounter", "PositivityVerdict", "Status", "Witness",
@@ -70,14 +69,15 @@ class Status(Enum):
     OUTSIDE = "Outside"
 
 
-@dataclass(frozen=True)
-class Witness:
-    index: MinorIndex
-    value: Fraction
+class Witness(_Value):
+    __slots__ = ("index", "value")
+
+    def __init__(self, index: MinorIndex, value: Fraction):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
+class PositivityVerdict(_Value):
     """Three-state verdict with an optional offending minor.
 
     `witness` is present exactly when status is not Positive and records
@@ -86,17 +86,19 @@ class PositivityVerdict:
     `method` names the route that produced the verdict.
     """
 
-    status: Status
-    witness: Witness | None
-    method: str
+    __slots__ = ("status", "witness", "method")
+
+    def __init__(self, status: Status, witness: Witness | None, method: str):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "method", method)
 
     @property
     def is_positive(self) -> bool:
         return self.status is Status.POSITIVE
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(_Value):
     """Where a boundary matrix first degenerates.
 
     `level` is the smallest minor size with a vanishing nontrivial minor,
@@ -106,10 +108,16 @@ class BoundaryReport:
     levels below are fully positive.
     """
 
-    level: int
-    failing_index: MinorIndex
-    corner_index: MinorIndex
-    corner_value: Fraction
+    __slots__ = ("level", "failing_index", "corner_index", "corner_value")
+
+    def __init__(
+        self, level: int, failing_index: MinorIndex, corner_index: MinorIndex,
+        corner_value: Fraction,
+    ):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "failing_index", failing_index)
+        object.__setattr__(self, "corner_index", corner_index)
+        object.__setattr__(self, "corner_value", corner_value)
 
 
 class DetCounter:
@@ -433,18 +441,22 @@ def random_tp(d: int, seed: int) -> Matrix:
     return Matrix._of(tuple(map(tuple, rows)))
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    d: int
-    method: str
-    dets: int
-    time_ms: float
+class BenchRow(_Value):
+    __slots__ = ("d", "method", "dets", "time_ms")
+
+    def __init__(self, d: int, method: str, dets: int, time_ms: float):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "dets", dets)
+        object.__setattr__(self, "time_ms", time_ms)
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-    env: str
+class BenchReport(_Value):
+    __slots__ = ("rows", "env")
+
+    def __init__(self, rows: tuple[BenchRow, ...], env: str):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "env", env)
 
 
 def bench(d_values, samples: int, seed: int) -> BenchReport:

@@ -17,13 +17,12 @@ insensitive to the scaling, so nothing depends on the choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
 from .errors import BadParameters, DimensionMismatch, SingularMatrix
 from .flags import Flag
-from .linalg import Matrix
+from .linalg import Matrix, _Value
 
 __all__ = [
     "BarbotSpec", "MoebiusElement", "ProjectivePoint", "barbot_flag", "barbot_matrix",
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(_Value):
     """Point of the rational projective line, as a coprime integer pair.
 
     (p, q) and (-p, -q) are the same point; the stored representative has
@@ -42,11 +40,9 @@ class ProjectivePoint:
     (1, 0).
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int):
         if p == 0 and q == 0:
             raise BadParameters("projective point needs a nonzero pair")
         g = gcd(abs(p), abs(q))
@@ -77,16 +73,16 @@ def cyclically_ordered(points: list[ProjectivePoint]) -> bool:
     return all(a < b for a, b in zip(rotated, rotated[1:]))
 
 
-@dataclass(frozen=True)
-class MoebiusElement:
+class MoebiusElement(_Value):
     """Invertible 2x2 rational matrix acting on the projective line."""
 
-    matrix: Matrix
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        if self.matrix.dim != 2:
+    def __init__(self, matrix: Matrix):
+        object.__setattr__(self, "matrix", matrix)
+        if matrix.dim != 2:
             raise DimensionMismatch("Moebius element needs a 2x2 matrix")
-        if self.matrix.det() == 0:
+        if matrix.det() == 0:
             raise SingularMatrix("Moebius element must be invertible")
 
     @classmethod
@@ -200,8 +196,7 @@ def veronese_flag(x: ProjectivePoint, d: int) -> Flag:
     return Flag(sym_power(g_from_point(x), d))
 
 
-@dataclass(frozen=True)
-class BarbotSpec:
+class BarbotSpec(_Value):
     """Shape data for the reducible family: sizes, and the interleaved basis.
 
     d odd, 1 <= j <= (d-1)/2, k = (d-2j+1)/2.  perm[m] is the standard
@@ -211,19 +206,20 @@ class BarbotSpec:
     f_(k+j), f_(k+j+1), ..., f_(d-j)) with f_i = e_i, f'_i = e_(d-j+i).
     """
 
-    d: int
-    j: int
-    k: int
-    perm: tuple[int, ...]
+    __slots__ = ("d", "j", "k", "perm")
 
-    def __post_init__(self):
-        if self.d % 2 == 0 or self.d < 3:
-            raise BadParameters(f"d must be odd and >= 3, got {self.d}")
-        if not 1 <= self.j <= (self.d - 1) // 2:
-            raise BadParameters(f"j must lie in [1, {(self.d - 1) // 2}], got {self.j}")
-        if 2 * self.k != self.d - 2 * self.j + 1:
+    def __init__(self, d: int, j: int, k: int, perm: tuple[int, ...]):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "perm", perm)
+        if d % 2 == 0 or d < 3:
+            raise BadParameters(f"d must be odd and >= 3, got {d}")
+        if not 1 <= j <= (d - 1) // 2:
+            raise BadParameters(f"j must lie in [1, {(d - 1) // 2}], got {j}")
+        if 2 * k != d - 2 * j + 1:
             raise BadParameters("k must equal (d - 2j + 1)/2")
-        if sorted(self.perm) != list(range(1, self.d + 1)):
+        if sorted(perm) != list(range(1, d + 1)):
             raise BadParameters("perm must be a permutation of 1..d")
 
 

@@ -31,7 +31,6 @@ failing one.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -45,7 +44,7 @@ from .errors import (
     ZeroSuperdiagonal,
 )
 from .flags import AdaptedBasis, Flag, _adapted, _coordinates, _unipotent_quotient
-from .linalg import ColumnScaled, Matrix, _fractions
+from .linalg import ColumnScaled, Matrix, _Value, _fractions
 from .positivity import DetCounter, PositivityVerdict, Status, _staged_scan, is_upper_unipotent
 from .reps import ProjectivePoint, cyclically_ordered
 
@@ -99,8 +98,7 @@ def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
     return Matrix.diagonal(signs), Matrix._of(_sign_conjugate(rows, signs))
 
 
-@dataclass(frozen=True)
-class TupleCertificate:
+class TupleCertificate(_Value):
     """Factorization data behind a tuple-positivity verdict.
 
     `factors[i]` is u_{i+2} in the coordinates of `adapted.matrix` (plain,
@@ -110,10 +108,16 @@ class TupleCertificate:
     F_j = (u_{n-1} ... u_j) F_n for every j.
     """
 
-    adapted: AdaptedBasis
-    sign: Matrix
-    factors: tuple[Matrix, ...]
-    verdicts: tuple[PositivityVerdict, ...]
+    __slots__ = ("adapted", "sign", "factors", "verdicts")
+
+    def __init__(
+        self, adapted: AdaptedBasis, sign: Matrix, factors: tuple[Matrix, ...],
+        verdicts: tuple[PositivityVerdict, ...],
+    ):
+        object.__setattr__(self, "adapted", adapted)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def normalized_factors(self) -> tuple[Matrix, ...]:
@@ -287,8 +291,7 @@ def is_positive_tuple_quad(flags: list[Flag]) -> PositivityVerdict:
     return _aggregate(engine.chain(sub)[0] for sub in combinations(range(n), min(n, 4)))
 
 
-@dataclass(frozen=True)
-class FlagMapSample:
+class FlagMapSample(_Value):
     """Finite sample of a circle-to-flags map.
 
     Points must be pairwise distinct and listed in strict cyclic order
@@ -297,20 +300,19 @@ class FlagMapSample:
     all flags share one dimension.
     """
 
-    points: tuple[ProjectivePoint, ...]
-    flags: tuple[Flag, ...]
+    __slots__ = ("points", "flags")
 
-    def __post_init__(self):
-        if len(self.points) != len(self.flags):
-            raise PreconditionViolated(
-                f"{len(self.points)} points but {len(self.flags)} flags"
-            )
-        if len(self.points) < 3:
+    def __init__(self, points: tuple[ProjectivePoint, ...], flags: tuple[Flag, ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "flags", flags)
+        if len(points) != len(flags):
+            raise PreconditionViolated(f"{len(points)} points but {len(flags)} flags")
+        if len(points) < 3:
             raise PreconditionViolated("a sample needs at least 3 points")
-        _require_one_dim(self.flags)
-        if len(set(self.points)) != len(self.points):
+        _require_one_dim(flags)
+        if len(set(points)) != len(points):
             raise PreconditionViolated("sample points must be pairwise distinct")
-        if not cyclically_ordered(list(self.points)):
+        if not cyclically_ordered(list(points)):
             raise PreconditionViolated("sample points are not in strict cyclic order")
 
     @classmethod
@@ -322,8 +324,7 @@ class FlagMapSample:
         return cls(points, flags)
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(_Value):
     """Outcome of the sampled propagation check.
 
     status is "consistent" (a positive triple exists and every ordered
@@ -337,11 +338,17 @@ class SampleReport:
     inconsistent, none when vacuous.
     """
 
-    status: str
-    positive_triple: tuple[int, int, int] | None
-    failing_quad: tuple[int, int, int, int] | None
-    triples_scanned: int
-    quads_checked: int
+    __slots__ = ("status", "positive_triple", "failing_quad", "triples_scanned", "quads_checked")
+
+    def __init__(
+        self, status: str, positive_triple: tuple[int, int, int] | None,
+        failing_quad: tuple[int, int, int, int] | None, triples_scanned: int, quads_checked: int,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "positive_triple", positive_triple)
+        object.__setattr__(self, "failing_quad", failing_quad)
+        object.__setattr__(self, "triples_scanned", triples_scanned)
+        object.__setattr__(self, "quads_checked", quads_checked)
 
 
 def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:

@@ -329,8 +329,12 @@ class TestGenerators:
             "from posiflag.cli import main\n"
             "main(['pascal', '--d', '3'], standalone_mode=False)\n"
             "print('numpy' in sys.modules)\n"
+            "print('dataclasses' in sys.modules)\n"
         )
-        assert out.stdout.splitlines()[-1] == "False"
+        numpy_loaded, dataclasses_loaded = out.stdout.splitlines()[-2:]
+        assert numpy_loaded == "False"
+        # start-up pays for no dataclass code generation either
+        assert dataclasses_loaded == "False"
 
     def test_sym_power_needs_two_by_two(self, runner, files):
         path = files("big.mat", format_matrix(Matrix.identity(3)))
