@@ -12,9 +12,11 @@ wrong shapes, non-hyperbolic elements, ...), 4 cap exceeded.  A zero
 superdiagonal entry in a tuple factor is a negative verdict (exit 1):
 no sign convention can rescue such a factor.  Every library error except
 `InvariantViolated`, which reports a defect in the package and keeps its
-traceback, ends in one of these codes under every subcommand, since the
-map sits on the command group; a new error class exits 3.  An input
-file that is not UTF-8 is a parse error.
+traceback, ends in one of these codes under every subcommand, since
+`main` runs whichever subcommand `_command` registered inside the map; a
+new error class exits 3.  Usage errors, found by the parser or in a
+subcommand's body, exit 2 with the subcommand's usage.  An input file
+that is not UTF-8 is a parse error.
 
 Machine format (--format machine) is line-oriented: one record per
 verdict, space-separated key=value pairs, first pair record=<subcommand>.
@@ -25,11 +27,11 @@ else the POSIFLAG_SEED environment variable, else 0.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
-
-import click
+from typing import Callable
 
 from . import fileio
 from .dynamics import limit_convergence, power_positivity_threshold
@@ -61,28 +63,69 @@ from .tuples import (
     is_positive_tuple_quad,
 )
 
+# one option of a subcommand: its flags and the keywords for `add_argument`
+_Option = tuple[tuple[str, ...], dict]
+# subcommand name -> (function, options), in registration order
+_COMMANDS: dict[str, tuple[Callable[..., None], tuple[_Option, ...]]] = {}
 
-class _Posiflag(click.Group):
-    """Command group ending every library error under any subcommand in its
-    documented exit code; `InvariantViolated` reports a defect and propagates."""
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ParseError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except CapExceeded as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
-        except ZeroSuperdiagonal as exc:
-            click.echo(f"not positive: {exc}", err=True)
-            sys.exit(1)
-        except InvariantViolated:
-            raise
-        except PosiflagError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
+class _UsageError(Exception):
+    """A usage error found in a subcommand's body: exits 2, as the parser's do."""
+
+
+def _command(name: str, *options: _Option):
+    """Register the decorated function as subcommand `name`.  It takes the
+    parsed option values as keyword arguments named by each option's dest,
+    and runs inside `main`'s exit-code map."""
+
+    def register(run):
+        _COMMANDS[name] = (run, options)
+        return run
+
+    return register
+
+
+def _opt(*flags: str, **kwargs) -> _Option:
+    """An option: its flags and `add_argument` keywords.  Its help ends with
+    its default, where it has one."""
+    if kwargs.get("default") is not None:
+        kwargs["help"] += " (default: %(default)s)"
+    return flags, kwargs
+
+
+def _input_file(path: str) -> str:
+    """An input path that exists, is not a directory and is readable."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {path!r} is not readable")
+    return path
+
+
+def _file(flag: str, dest: str, what: str, required: bool = True) -> _Option:
+    return _opt(flag, dest=dest, type=_input_file, required=required, metavar="FILE", help=what)
+
+
+def _int_range(low: int, high: int | None = None) -> Callable[[str], int]:
+    """Type of an integer option with values in low..high, unbounded above for None."""
+
+    def integer(text: str) -> int:  # argparse reports a ValueError as an invalid integer
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
+        return value
+
+    return integer
+
+
+_FORMAT = _opt("--format", dest="fmt", choices=["text", "machine"], default="text",
+               help="output format")
+_DIM = _opt("--d", type=_int_range(1), required=True, help="dimension, at least 1")
+_ODD_DIM = _opt("--d", type=int, required=True, help="dimension, odd")
+_BLOCK = _opt("--j", type=int, required=True, help="block parameter, 1 to (d-1)/2")
 
 
 def _read(path: str) -> str:
@@ -94,16 +137,10 @@ def _read(path: str) -> str:
 
 
 def _record(name: str, /, **fields) -> None:
-    """Echo one machine record: record=<name>, then key=value for each field
+    """Print one machine record: record=<name>, then key=value for each field
     in call order, leaving out fields that are None."""
     pairs = [f"{key}={value}" for key, value in fields.items() if value is not None]
-    click.echo(" ".join([f"record={name}", *pairs]))
-
-
-_FILE = click.Path(exists=True, dir_okay=False)
-_format = click.option(
-    "--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True
-)
+    print(" ".join([f"record={name}", *pairs]))
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -114,7 +151,7 @@ def _resolve_seed(seed: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise click.UsageError("POSIFLAG_SEED must be an integer")
+            raise _UsageError("POSIFLAG_SEED must be an integer")
     return 0
 
 
@@ -129,20 +166,12 @@ def _witness_str(w: Witness | None) -> str | None:
     return f"{w.index.size};{_seq_str(w.index.rows)};{_seq_str(w.index.cols)};{w.value}"
 
 
-@click.group(cls=_Posiflag)
-def main():
-    """Exact total positivity of unipotent matrices and flag tuples."""
-    # exact results may exceed the interpreter's int/str digit limit; print
-    # them in full (inputs are bounded by the parsers instead)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-
-
-@main.command("tp-check")
-@click.option("--input", "input_path", type=_FILE, required=True)
-@click.option("--method", type=click.Choice(["staged", "oracle", "both"]), default="staged", show_default=True)
-@click.option("--emit", type=click.Choice(["status", "witness"]), default="status", show_default=True)
-@_format
+@_command("tp-check", _file("--input", "input_path", "matrix file"),
+          _opt("--method", choices=["staged", "oracle", "both"], default="staged",
+               help="minor scan, or both in turn"),
+          _opt("--emit", choices=["status", "witness"], default="status",
+               help="print the witness minor too"),
+          _FORMAT)
 def tp_check(input_path, method, emit, fmt):
     """Decide total positivity of one matrix."""
     m = fileio.parse_matrix(_read(input_path))
@@ -156,16 +185,16 @@ def tp_check(input_path, method, emit, fmt):
         if fmt == "machine":
             _record("tp-check", method=name, status=verdict.status.value, witness=witness)
         else:
-            click.echo(f"{name}: {verdict.status.value}")
+            print(f"{name}: {verdict.status.value}")
             if witness is not None:
-                click.echo(f"witness: {witness}")
+                print(f"witness: {witness}")
     sys.exit(0 if all_positive else 1)
 
 
-@main.command("tuple-check")
-@click.option("--flags", "flags_path", type=_FILE, required=True)
-@click.option("--method", type=click.Choice(["chain", "quad", "both"]), default="chain", show_default=True)
-@_format
+@_command("tuple-check", _file("--flags", "flags_path", "flags file, the tuple in order"),
+          _opt("--method", choices=["chain", "quad", "both"], default="chain",
+               help="certificate, or both in turn"),
+          _FORMAT)
 def tuple_check(flags_path, method, fmt):
     """Certify positivity of an ordered flag tuple."""
     frames = fileio.parse_frames(_read(flags_path))
@@ -186,20 +215,19 @@ def tuple_check(flags_path, method, fmt):
                 _record("tuple-check", method=name, status="NotPositive",
                         detail="zero-superdiagonal", position=exc.position)
             else:
-                click.echo(f"{name}: not positive (zero superdiagonal at position {exc.position})")
+                print(f"{name}: not positive (zero superdiagonal at position {exc.position})")
             continue
         all_positive = all_positive and verdict.is_positive
         if fmt == "machine":
             _record("tuple-check", method=name, status=verdict.status.value,
                     witness=_witness_str(verdict.witness), factors=factors)
         else:
-            click.echo(f"{name}: {verdict.status.value}")
+            print(f"{name}: {verdict.status.value}")
     sys.exit(0 if all_positive else 1)
 
 
-@main.command("map-check")
-@click.option("--sample", "sample_path", type=_FILE, required=True)
-@_format
+@_command("map-check", _file("--sample", "sample_path", "sample file of points and flags"),
+          _FORMAT)
 def map_check(sample_path, fmt):
     """Run the sampled positivity-propagation check."""
     records = fileio.parse_sample(_read(sample_path))
@@ -215,19 +243,19 @@ def map_check(sample_path, fmt):
                 failing_quad=_seq_str(report.failing_quad), triples=report.triples_scanned,
                 quads=report.quads_checked)
     else:
-        click.echo(f"status: {report.status}")
+        print(f"status: {report.status}")
         if report.positive_triple is not None:
-            click.echo(f"positive triple: {_seq_str(report.positive_triple)}")
+            print(f"positive triple: {_seq_str(report.positive_triple)}")
         if report.failing_quad is not None:
-            click.echo(f"failing quadruple: {_seq_str(report.failing_quad)}")
-        click.echo(f"scanned {report.triples_scanned} triples, {report.quads_checked} quadruples")
+            print(f"failing quadruple: {_seq_str(report.failing_quad)}")
+        print(f"scanned {report.triples_scanned} triples, {report.quads_checked} quadruples")
     sys.exit(1 if report.status == "inconsistent" else 0)
 
 
-@main.command("flags-transverse")
-@click.option("--input", "input_path", type=_FILE, required=True)
-@click.option("--pair", nargs=2, type=int, required=True, metavar="I J")
-@_format
+@_command("flags-transverse", _file("--input", "input_path", "flags file"),
+          _opt("--pair", nargs=2, type=int, required=True, metavar=("I", "J"),
+               help="positions of the two flags, from 1"),
+          _FORMAT)
 def flags_transverse(input_path, pair, fmt):
     """Test transversality of two flags from a flags file (1-based positions)."""
     frames = fileio.parse_frames(_read(input_path))
@@ -239,67 +267,61 @@ def flags_transverse(input_path, pair, fmt):
     if fmt == "machine":
         _record("flags-transverse", pair=_seq_str(pair), transverse="true" if result else "false")
     else:
-        click.echo(f"flags {i} and {j} are {'transverse' if result else 'not transverse'}")
+        print(f"flags {i} and {j} are {'transverse' if result else 'not transverse'}")
     sys.exit(0 if result else 1)
 
 
-@main.command("pascal")
-@click.option("--d", type=click.IntRange(min=1), required=True)
+@_command("pascal", _DIM)
 def pascal_cmd(d):
     """Print the upper-triangular binomial matrix as a matrix file."""
-    click.echo(fileio.format_matrix(pascal(d)), nl=False)
+    print(fileio.format_matrix(pascal(d)), end="")
 
 
-@main.command("sym-power")
-@click.option("--d", type=click.IntRange(min=1), required=True)
-@click.option("--g", "g_path", type=_FILE, required=True)
+@_command("sym-power", _DIM, _file("--g", "g_path", "2x2 matrix file"))
 def sym_power_cmd(d, g_path):
     """Print the d-dimensional symmetric power of a 2x2 matrix."""
     g = fileio.parse_matrix(_read(g_path))
-    click.echo(fileio.format_matrix(sym_power(g, d)), nl=False)
+    print(fileio.format_matrix(sym_power(g, d)), end="")
 
 
-@main.command("barbot")
-@click.option("--d", type=int, required=True)
-@click.option("--j", type=int, required=True)
-@click.option("--emit", type=click.Choice(["spec", "basis", "matrix", "flags"]), default="spec", show_default=True)
-@click.option("--g", "g_path", type=_FILE, default=None)
-@click.option("--points", "points_path", type=_FILE, default=None)
+@_command("barbot", _ODD_DIM, _BLOCK,
+          _opt("--emit", choices=["spec", "basis", "matrix", "flags"], default="spec",
+               help="what to print"),
+          _file("--g", "g_path", "2x2 matrix file, for --emit matrix", required=False),
+          _file("--points", "points_path", "points file, for --emit flags", required=False))
 def barbot_cmd(d, j, emit, g_path, points_path):
     """Inspect the reducible block family: shape, basis, matrices, flags."""
     spec = barbot_spec(d, j)
     if emit == "spec":
-        click.echo(f"d={spec.d} j={spec.j} k={spec.k} perm={_seq_str(spec.perm)}")
+        print(f"d={spec.d} j={spec.j} k={spec.k} perm={_seq_str(spec.perm)}")
     elif emit == "basis":
-        click.echo(" ".join(f"e{i}" for i in spec.perm))
+        print(" ".join(f"e{i}" for i in spec.perm))
     elif emit == "matrix":
         if g_path is None:
-            raise click.UsageError("--emit matrix requires --g FILE")
+            raise _UsageError("--emit matrix requires --g FILE")
         g = fileio.parse_matrix(_read(g_path))
-        click.echo(fileio.format_matrix(barbot_matrix(spec, g)), nl=False)
+        print(fileio.format_matrix(barbot_matrix(spec, g)), end="")
     else:
         if points_path is None:
-            raise click.UsageError("--emit flags requires --points FILE")
+            raise _UsageError("--emit flags requires --points FILE")
         pts = fileio.parse_points(_read(points_path))
         frames = [barbot_flag(spec, ProjectivePoint(p, q)).frame for p, q in pts]
-        click.echo(fileio.format_frames(frames), nl=False)
+        print(fileio.format_frames(frames), end="")
 
 
-@main.command("veronese")
-@click.option("--d", type=click.IntRange(min=2), required=True)
-@click.option("--points", "points_path", type=_FILE, required=True)
+@_command("veronese", _opt("--d", type=_int_range(2), required=True, help="dimension, at least 2"),
+          _file("--points", "points_path", "points file"))
 def veronese_cmd(d, points_path):
     """Print the symmetric-power flags at the given projective points."""
     pts = fileio.parse_points(_read(points_path))
     frames = [veronese_flag(ProjectivePoint(p, q), d).frame for p, q in pts]
-    click.echo(fileio.format_frames(frames), nl=False)
+    print(fileio.format_frames(frames), end="")
 
 
-@main.command("threshold")
-@click.option("--u", "u_path", type=_FILE, required=True)
-@click.option("--flag", "flag_path", type=_FILE, required=True)
-@click.option("--cap", type=click.IntRange(min=1), default=100_000, show_default=True)
-@_format
+@_command("threshold", _file("--u", "u_path", "unipotent matrix file"),
+          _file("--flag", "flag_path", "flags file holding one frame"),
+          _opt("--cap", type=_int_range(1), default=100_000, help="largest power, at least 1"),
+          _FORMAT)
 def threshold_cmd(u_path, flag_path, cap, fmt):
     """Find the first power of u making the triple with the given flag positive."""
     u = fileio.parse_matrix(_read(u_path))
@@ -310,36 +332,33 @@ def threshold_cmd(u_path, flag_path, cap, fmt):
     if fmt == "machine":
         _record("threshold", t=t, cap=cap)
     else:
-        click.echo(f"threshold: {t}")
+        print(f"threshold: {t}")
 
 
-@main.command("limit-demo")
-@click.option("--d", type=int, required=True)
-@click.option("--j", type=int, required=True)
-@click.option("--g", "g_path", type=_FILE, required=True)
-@click.option("--iters", type=click.IntRange(min=0), default=50, show_default=True)
-@click.option("--emit", type=click.Choice(["series"]), default="series", show_default=True)
+@_command("limit-demo", _ODD_DIM, _BLOCK, _file("--g", "g_path", "hyperbolic 2x2 matrix file"),
+          _opt("--iters", type=_int_range(0), default=50, help="powers of g, at least 0"),
+          _opt("--emit", choices=["series"], default="series", help="what to print"))
 def limit_demo(d, j, g_path, iters, emit):
     """CSV series of flag distances to the attracting limit flag."""
     spec = barbot_spec(d, j)
     g = MoebiusElement(fileio.parse_matrix(_read(g_path)))
     series = limit_convergence(spec, g, iters)
-    click.echo("n,distance,min_gap")
+    print("n,distance,min_gap")
     for entry in series:
         dist = "skipped" if entry.skipped else f"{entry.distance:.6e}"
-        click.echo(f"{entry.n},{dist},{entry.min_gap:.6e}")
+        print(f"{entry.n},{dist},{entry.min_gap:.6e}")
 
 
-@main.command("bench")
-@click.option("--d-min", type=click.IntRange(3, 12), default=3, show_default=True)
-@click.option("--d-max", type=click.IntRange(3, 12), default=10, show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--seed", type=int, default=None, help="defaults to POSIFLAG_SEED, else 0")
-@_format
+@_command("bench",
+          _opt("--d-min", type=_int_range(3, 12), default=3, help="smallest dimension, 3 to 12"),
+          _opt("--d-max", type=_int_range(3, 12), default=10, help="largest dimension, 3 to 12"),
+          _opt("--samples", type=_int_range(1), default=1, help="matrices per d, at least 1"),
+          _opt("--seed", type=int, help="defaults to POSIFLAG_SEED, else 0"),
+          _FORMAT)
 def bench_cmd(d_min, d_max, samples, seed, fmt):
     """Count determinant evaluations for both methods on identical inputs."""
     if d_max < d_min:
-        raise click.UsageError("--d-max must be at least --d-min")
+        raise _UsageError("--d-max must be at least --d-min")
     report = bench(range(d_min, d_max + 1), samples, _resolve_seed(seed))
     if fmt == "machine":
         _record("bench-env", **dict(field.split("=", 1) for field in report.env.split()))
@@ -347,10 +366,50 @@ def bench_cmd(d_min, d_max, samples, seed, fmt):
             _record("bench", d=row.d, method=row.method, dets=row.dets,
                     time_ms=f"{row.time_ms:.3f}")
     else:
-        click.echo(report.env)
-        click.echo(f"{'d':>3} {'method':>7} {'dets':>8} {'time_ms':>10}")
+        print(report.env)
+        print(f"{'d':>3} {'method':>7} {'dets':>8} {'time_ms':>10}")
         for row in report.rows:
-            click.echo(f"{row.d:>3} {row.method:>7} {row.dets:>8} {row.time_ms:>10.3f}")
+            print(f"{row.d:>3} {row.method:>7} {row.dets:>8} {row.time_ms:>10.3f}")
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one subcommand; `args` defaults to the command line.  Every library
+    error it raises except `InvariantViolated`, which reports a defect and
+    propagates, ends in its documented exit code."""
+    # exact results may exceed the interpreter's int/str digit limit; print
+    # them in full (inputs are bounded by the parsers instead)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    parser = argparse.ArgumentParser(
+        prog=prog_name or "posiflag", allow_abbrev=False,
+        description="Exact total positivity of unipotent matrices and flag tuples.",
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (run, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+    values = vars(parser.parse_args(args))
+    command = values.pop("command")
+    try:
+        _COMMANDS[command][0](**values)
+    except _UsageError as exc:
+        commands.choices[command].error(str(exc))
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(4)
+    except ZeroSuperdiagonal as exc:
+        print(f"not positive: {exc}", file=sys.stderr)
+        sys.exit(1)
+    except InvariantViolated:
+        raise
+    except PosiflagError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ class Flag:
         if not 0 <= k <= self.dim:
             raise IndexOutOfRange(f"subspace {k} out of range for a flag of dimension {self.dim}")
         rows = [self.frame.column(i) for i in range(1, k + 1)] + [tuple(map(_to_fraction, v))]
-        return _grid_rank(rows) == k
+        return _grid_rank([r for r, _ in _cleared(rows)]) == k
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Flag):

@@ -188,9 +188,11 @@ def _grid_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return _ratio(_det([r for r, _ in scaled]), prod(s for _, s in scaled))
 
 
-def _grid_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rectangular grid: the pivots of its row-cleared form."""
-    return len(_bareiss([r for r, _ in _cleared(rows)])[0])
+def _grid_rank(rows: list[list[int]]) -> int:
+    """Rank of a rectangular integer grid: its pivot count under `_bareiss`,
+    which eliminates the grid in place.  A rational grid is row-cleared
+    (`_cleared`) by the caller first."""
+    return len(_bareiss(rows)[0])
 
 
 def _back_substitute(
@@ -559,8 +561,8 @@ def jordan_block_sizes(u: Matrix) -> tuple[int, ...]:
 
     Derived from the rank sequence r_m = rank((u - I)^m): the number of
     blocks of size at least m is r_{m-1} - r_m.  The ranks are those of
-    the integer powers from `_nilpotent_powers`.  Raises NotUnipotent when
-    (u - I)^dim is nonzero.
+    the integer powers from `_nilpotent_powers`, each eliminated in place.
+    Raises NotUnipotent when (u - I)^dim is nonzero.
     """
     ranks = [_grid_rank(p) for p in _nilpotent_powers(u)[0]] + [0]
     # blocks of size exactly m: (r_{m-1} - r_m) - (r_m - r_{m+1})

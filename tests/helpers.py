@@ -7,11 +7,15 @@ values never depend on the code paths under test.
 
 from __future__ import annotations
 
+import io
+import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
+from unittest.mock import patch
 
 import sympy
 
@@ -723,3 +727,39 @@ def reference_laplace_step(
                 negative = not negative
             table[base | bit] = acc
     return table
+
+
+class CliResult:
+    """One in-process CLI run: its exit code, the captured streams, and the
+    exception that ended it (None after exit code 0)."""
+
+    def __init__(self, exit_code: int, stdout: str, stderr: str, exception: BaseException | None):
+        self.exit_code = exit_code
+        self.stdout = stdout
+        self.stderr = stderr
+        self.exception = exception
+
+    @property
+    def output(self) -> str:
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+class CliRunner:
+    """Runs a CLI entry point in process, with stdout and stderr captured and
+    the environment extended by `env` for the run.  An exit by SystemExit
+    gives its code; any other exception gives exit code 1 and is kept."""
+
+    def invoke(self, main, args, env=None) -> CliResult:
+        out, err = io.StringIO(), io.StringIO()
+        exception = None
+        with patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+            try:
+                main(list(args))
+                code = 0
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+                exception = exc if code else None
+            except Exception as exc:
+                code, exception = 1, exc
+        return CliResult(code, out.getvalue(), err.getvalue(), exception)

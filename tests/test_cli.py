@@ -6,7 +6,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import posiflag
 import posiflag.cli as cli_module
@@ -24,6 +23,7 @@ from posiflag.fileio import (
     parse_frames,
     parse_matrix,
 )
+from helpers import CliRunner
 
 F = Fraction
 
@@ -47,9 +47,12 @@ def files(tmp_path):
 
 def run_cli_process(code: str) -> subprocess.CompletedProcess:
     """Run Python code in a fresh interpreter that imports this posiflag."""
-    env = {**os.environ, "PYTHONPATH": str(Path(posiflag.__file__).parents[1])}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=child_env(), check=True)
+
+
+def child_env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(Path(posiflag.__file__).parents[1])}
 
 
 def desc_frame(d: int) -> Matrix:
@@ -313,7 +316,7 @@ class TestGenerators:
         path = files("big.mat", f"dim 2\nentries\n{10 ** 1000} 0\n0 1\n")
         out = run_cli_process(
             "from posiflag.cli import main\n"
-            f"main(['sym-power', '--d', '6', '--g', {path!r}], standalone_mode=False)\n"
+            f"main(['sym-power', '--d', '6', '--g', {path!r}])\n"
         )
         assert out.stdout.splitlines()[2].split()[0] == "1" + "0" * 5000
 
@@ -327,14 +330,17 @@ class TestGenerators:
         out = run_cli_process(
             "import sys\n"
             "from posiflag.cli import main\n"
-            "main(['pascal', '--d', '3'], standalone_mode=False)\n"
+            "main(['pascal', '--d', '3'])\n"
             "print('numpy' in sys.modules)\n"
             "print('dataclasses' in sys.modules)\n"
+            "print('click' in sys.modules)\n"
         )
-        numpy_loaded, dataclasses_loaded = out.stdout.splitlines()[-2:]
+        numpy_loaded, dataclasses_loaded, click_loaded = out.stdout.splitlines()[-3:]
         assert numpy_loaded == "False"
         # start-up pays for no dataclass code generation either
         assert dataclasses_loaded == "False"
+        # nor for a third-party command-line package
+        assert click_loaded == "False"
 
     def test_sym_power_needs_two_by_two(self, runner, files):
         path = files("big.mat", format_matrix(Matrix.identity(3)))
@@ -650,14 +656,96 @@ class TestExitCodes:
         class LaterError(PosiflagError):
             pass
 
-        @main.command("later")
+        @cli_module._command("later")
         def later():
             raise LaterError("boom")
 
         try:
             result = runner.invoke(main, ["later"])
         finally:
-            del main.commands["later"]
+            del cli_module._COMMANDS["later"]
         assert result.exit_code == 3
         assert result.stderr == "error: boom\n"
         assert result.stdout == ""
+
+
+FORMAT = ("--format", ("text", "machine"), "text")
+# every option of every subcommand: (flag, choices, default shown or None)
+HELP = {
+    "tp-check": [("--input", (), None), ("--method", ("staged", "oracle", "both"), "staged"),
+                 ("--emit", ("status", "witness"), "status"), FORMAT],
+    "tuple-check": [("--flags", (), None), ("--method", ("chain", "quad", "both"), "chain"),
+                    FORMAT],
+    "map-check": [("--sample", (), None), FORMAT],
+    "flags-transverse": [("--input", (), None), ("--pair", (), None), FORMAT],
+    "pascal": [("--d", (), None)],
+    "sym-power": [("--d", (), None), ("--g", (), None)],
+    "barbot": [("--d", (), None), ("--j", (), None),
+               ("--emit", ("spec", "basis", "matrix", "flags"), "spec"),
+               ("--g", (), None), ("--points", (), None)],
+    "veronese": [("--d", (), None), ("--points", (), None)],
+    "threshold": [("--u", (), None), ("--flag", (), None), ("--cap", (), "100000"), FORMAT],
+    "limit-demo": [("--d", (), None), ("--j", (), None), ("--g", (), None),
+                   ("--iters", (), "50"), ("--emit", ("series",), "series")],
+    "bench": [("--d-min", (), "3"), ("--d-max", (), "10"), ("--samples", (), "1"),
+              ("--seed", (), None), FORMAT],
+}
+
+
+def option_entry(help_text: str, flag: str) -> str:
+    """The help text's entry for an option: the line it starts, and the
+    continuation lines up to the next option, whitespace collapsed."""
+    lines = help_text.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if re.match(rf"\s+{re.escape(flag)}(?![\w-])", line))
+    end = next((i for i in range(start + 1, len(lines))
+                if not lines[i].strip() or lines[i].lstrip().startswith("-")), len(lines))
+    return " ".join(" ".join(lines[start:end]).split())
+
+
+# DIR marks an empty directory and GOOD a valid 3x3 matrix file
+USAGE_ERRORS = {
+    "directory as --input": ["tp-check", "--input", "DIR"],
+    "bad --method choice": ["tp-check", "--input", "GOOD", "--method", "fast"],
+    "--pair with one value": ["flags-transverse", "--input", "GOOD", "--pair", "1"],
+    "--d-max above its range": ["bench", "--d-max", "13"],
+    "abbreviated option": ["tp-check", "--input", "GOOD", "--meth", "both"],
+    "no subcommand": [],
+    "unknown subcommand": ["frobnicate"],
+}
+
+
+class TestEntryPoint:
+    def test_traced_runner_call_form(self):
+        out = run_cli_process(
+            "from posiflag.cli import main\n"
+            "main(args=['pascal', '--d', '3'], prog_name='posiflag')\n"
+        )
+        assert out.stdout == format_matrix(pascal(3))
+
+    @pytest.mark.parametrize("command", [None, *HELP])
+    def test_help_names_every_option(self, runner, command):
+        result = runner.invoke(main, ["--help"] if command is None else [command, "--help"])
+        assert result.exit_code == 0
+        if command is None:
+            assert all(name in result.stdout for name in HELP)
+            return
+        listed = set(re.findall(r"(?m)^\s+(--[\w-]+)", result.stdout)) - {"--help"}
+        assert listed == {flag for flag, _, _ in HELP[command]}
+        for flag, choices, default in HELP[command]:
+            entry = option_entry(result.stdout, flag)
+            assert all(choice in entry for choice in choices), entry
+            if default is not None:
+                assert f"default: {default}" in entry, entry
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error_exit_two(self, tmp_path, argv):
+        empty, good = tmp_path / "empty", tmp_path / "good.mat"
+        empty.mkdir()
+        good.write_text(format_matrix(pascal(3)))
+        args = [{"DIR": str(empty), "GOOD": str(good)}.get(a, a) for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "posiflag.cli", *args],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.strip() and "Traceback" not in proc.stderr

@@ -11,13 +11,13 @@ ends in one of the documented exit codes 0..4, never in a traceback.
 import random
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from posiflag import ParseError
 from posiflag.cli import main
 from posiflag.fileio import parse_frames, parse_matrix, parse_points, parse_sample
+from helpers import CliRunner
 
 SETTINGS = settings(
     max_examples=80, deadline=None, derandomize=True,
