@@ -23,7 +23,7 @@ returned in the column-scaled form G diag(1/s), each column over one
 positive scale with which it has gcd 1, and `_fractions` builds the
 rational grid only where a Matrix is returned.  Powers of N = u - I stay
 in integers too, as powers of s N for s the lcm of N's denominators:
-Jordan types take every power (`_nilpotent_powers`), while a fixed flag
+Jordan types take every power (`_scaled_powers`), while a fixed flag
 needs only the Jordan chain v, (sN)v, ..., (sN)^(d-1)v, which
 `_jordan_chain` builds from 2d - 1 vector products (`_row_times`)
 instead of d + 1 matrix powers.  Tests compare them against cofactor
@@ -495,25 +495,6 @@ class Matrix:
         return result
 
 
-def _nilpotent_powers(u: Matrix) -> tuple[list[list[list[int]]], int]:
-    """([B^0, ..., B^d], s) for B = s N, N = u - I and s the lcm of N's
-    denominators, so every power is an integer grid.  Each entry is one
-    dot product: u is dense in general, and on dense rows that costs about
-    half the row updates of `_scaled_powers`.  Raises NotUnipotent when
-    N^d != 0."""
-    d = u.dim
-    n = [[x - 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(u._rows)]
-    g, scales = _column_scaled(n)
-    s = lcm(*scales)
-    cols = [[x * (s // sj) for x in col] for col, sj in zip(zip(*g), scales)]
-    powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
-    for _ in range(d):
-        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
-    if any(map(any, powers[d])):
-        raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
-    return powers, s
-
-
 def _jordan_chain(u: Matrix) -> tuple[list[list[int]], int]:
     """([v, Bv, ..., B^(d-1)v], s), the Jordan chain of a unipotent u with
     one Jordan block in integers: B = s N, N = u - I and s the lcm of N's
@@ -561,11 +542,17 @@ def jordan_block_sizes(u: Matrix) -> tuple[int, ...]:
 
     Derived from the rank sequence r_m = rank((u - I)^m): the number of
     blocks of size at least m is r_{m-1} - r_m.  The ranks are those of
-    the integer powers from `_nilpotent_powers`, each eliminated in place.
-    Raises NotUnipotent when (u - I)^dim is nonzero.
+    the integer powers of s (u - I) from `_scaled_powers`, s the lcm of
+    its denominators, each eliminated in place.  Raises NotUnipotent when
+    (u - I)^dim is nonzero.
     """
-    ranks = [_grid_rank(p) for p in _nilpotent_powers(u)[0]] + [0]
+    d = u.dim
+    n = [[x - 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(u._rows)]
+    powers = _scaled_powers(*_column_scaled(n), d)[0]
+    if any(map(any, powers[d])):
+        raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
+    ranks = [_grid_rank(p) for p in powers] + [0]
     # blocks of size exactly m: (r_{m-1} - r_m) - (r_m - r_{m+1})
     return tuple(
-        m for m in range(u.dim, 0, -1) for _ in range(ranks[m - 1] - 2 * ranks[m] + ranks[m + 1])
+        m for m in range(d, 0, -1) for _ in range(ranks[m - 1] - 2 * ranks[m] + ranks[m + 1])
     )

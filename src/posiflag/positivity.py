@@ -22,10 +22,10 @@ distinct:
   consecutive scan loses nothing.  On a failure at level k every smaller
   nontrivial minor is positive, so the first witness has size k: it is
   sought among the k x k nontrivial minors alone, and a zero witness is
-  settled by the row-initial minors (Gasca-Pena's initial-minor test for
-  total nonnegativity of an invertible matrix), tabulated by the oracle's
-  Laplace step along the row chain 1..j.  Status and witness match
-  the oracle exactly, and no table of all minors is built.
+  settled by one column Neville elimination (Gasca-Pena's test for
+  total nonnegativity), O(d^3) integer steps that evaluate no minor.
+  Status and witness match the oracle exactly, the two routes share no
+  minor evaluation, and no table of all minors is built.
 
 Both routes scan an integer grid G with the matrix equal to
 diag(1/r) G diag(1/c) for positive row and column scales r and c (the
@@ -50,7 +50,7 @@ import time
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 from operator import gt
 
 from .errors import InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated
@@ -295,22 +295,28 @@ def _level_witness(
     raise InvariantViolated("a failing level must hold a non-positive nontrivial minor")
 
 
-def _row_initial_nonnegative(grid: list[list[int]], counter: DetCounter) -> bool:
-    """Whether every row-initial minor of G (rows 1..j, any j columns) is >= 0.
+def _neville_nonnegative(grid: list[list[int]]) -> bool:
+    """Whether diag(1/r) G diag(1/c) is totally nonnegative, G an upper
+    triangular integer grid with a positive diagonal, r and c positive.
 
-    On the row chain 1..j every column set is nontrivial, and level j is
-    one `_laplace_step` from level j-1, the step `_full_scan` takes for its
-    rows (1..j) tables: 2^d - 1 minors in all, 1023 at d = 10.  Counts the
-    minors in (j, cols) order up to the first negative one and stops there.
+    Column Neville elimination: in each row r from the top, for c = d-1
+    down to r+1 (0-based), a nonzero x = G[r][c] is cleared by
+    col_c <- |y| col_c - |x| col_(c-1), y = G[r][c-1], whose multiplier
+    x / y must be positive; the column is then divided by its gcd.  Those
+    positive scalings keep total nonnegativity.  Rows above r are zero
+    right of their diagonal, so a step touches rows r..c: O(d^3) in all.
     """
-    terms: dict[int, list[tuple[int, int]]] = {}
-    table = {0: 1}
-    for j, row in enumerate(grid):
-        table = _laplace_step(row, table, j, terms)
-        negative = next((n for n, value in enumerate(table.values(), 1) if value < 0), 0)
-        counter.evaluations += negative or len(table)
-        if negative:
-            return False
+    cols = [list(col) for col in zip(*grid)]
+    for r in range(len(cols)):
+        for c in range(len(cols) - 1, r, -1):
+            right, left = cols[c], cols[c - 1]
+            x, y = right[r], left[r]
+            if x:
+                if x * y <= 0:  # a zero left neighbour, or opposite signs
+                    return False
+                new = [abs(y) * p - abs(x) * q for p, q in zip(right[r:c + 1], left[r:c + 1])]
+                h = gcd(*new)
+                right[r:c + 1] = [v // h for v in new]
     return True
 
 
@@ -330,24 +336,17 @@ def _staged_scan(
     oracle's first witness has size exactly k and comes no later than
     that consecutive minor: `_level_witness` finds it among the size-k
     nontrivial minors.  A negative witness means Outside.  A zero one
-    leaves Outside or NonnegativeBoundary, decided by this theorem (Gasca
-    and Pena, "Total positivity and Neville elimination", Linear Algebra
-    Appl. 165, 1992; Fallat and Johnson, Totally Nonnegative Matrices,
-    2011, ch. 3):
-
-        an invertible d x d matrix A is totally nonnegative if and only
-        if, for each j = 1..d, det A[1..j | 1..j] > 0,
-        det A[alpha | 1..j] >= 0 and det A[1..j | alpha] >= 0 for every
-        increasing j-tuple alpha.
-
-    For unipotent upper triangular u the leading principal minors are 1
-    and a column-initial minor det u[alpha | 1..j] is 1 for alpha = 1..j
-    and 0 otherwise, so u is totally nonnegative exactly when its 2^d - 1
-    row-initial minors are >= 0 (`_row_initial_nonnegative`).  A
-    non-positive verdict thus costs the consecutive scan up to level k,
+    leaves Outside or NonnegativeBoundary, the latter exactly when u is
+    totally nonnegative: when the column Neville elimination of G
+    (`_neville_nonnegative`) finds every multiplier >= 0.  That suffices,
+    as a completed run writes u as a positive diagonal times factors
+    I + t E_(i,i+1), every t >= 0; it is necessary by Gasca and Pena
+    ("Total positivity and Neville elimination", Linear Algebra Appl. 165,
+    1992; Fallat and Johnson, Totally Nonnegative Matrices, 2011, ch. 2).
+    A non-positive verdict thus costs the consecutive scan up to level k,
     at most one elimination per size-k nontrivial minor and, for a zero
-    witness, 2^d - 1 expansion steps, instead of the oracle's table of
-    every nontrivial minor.  Status and witness agree with the oracle.
+    witness, O(d^3) uncounted integer steps, instead of the oracle's table
+    of every nontrivial minor.  Status and witness agree with the oracle.
     """
     for k, _, _, value in _contiguous_minors(grid):
         counter.evaluations += 1
@@ -355,7 +354,7 @@ def _staged_scan(
             rows, cols, minor = _level_witness(grid, k, counter)
             scale = prod(row_scales[i - 1] for i in rows) * prod(col_scales[j - 1] for j in cols)
             witness = Witness(MinorIndex(rows, cols), _ratio(minor, scale))
-            if minor < 0 or not _row_initial_nonnegative(grid, counter):
+            if minor < 0 or not _neville_nonnegative(grid):
                 return PositivityVerdict(Status.OUTSIDE, witness, "staged")
             return PositivityVerdict(Status.NONNEGATIVE_BOUNDARY, witness, "staged")
     return PositivityVerdict(Status.POSITIVE, None, "staged")

@@ -29,6 +29,7 @@ from posiflag import (
     MinorIndex,
     NotSingleJordanBlock,
     NotTransverse,
+    NotUnipotent,
     ProjectivePoint,
     SingularMatrix,
     Status,
@@ -43,7 +44,7 @@ from posiflag import (
 )
 from posiflag.flags import _coordinates, unipotent_fixed_flag
 from posiflag.linalg import (
-    _back_substitute, _bareiss, _cleared, _fractions, _is_unipotent, _nilpotent_powers, _quotient,
+    _back_substitute, _bareiss, _cleared, _column_scaled, _fractions, _is_unipotent, _quotient,
     _ratio, _scaled_powers,
 )
 from posiflag.positivity import _contiguous_minors
@@ -132,10 +133,12 @@ def staged_bareiss_scan(m: Matrix):
     fraction-free elimination per minor).  At the first non-positive one,
     of size k, visits the k x k nontrivial minors in (rows, cols) order up
     to the first non-positive one, the witness.  A zero witness is
-    followed by the row-initial minors (rows 1..j for j = 1..d, columns in
-    lexicographic order) up to the first negative one, which makes the
-    status Outside.  Returns (status, witness, evaluations), counting each
-    minor once as `tp_staged` does.
+    followed by the row-initial minors (rows 1..j for j = 1..d, any j
+    columns; Gasca and Pena's initial-minor test for total nonnegativity)
+    up to the first negative one, which makes the status Outside.  Returns
+    (status, witness, evaluations), counting each minor of the scan and
+    the witness search once as `tp_staged` does; the row-initial minors
+    stand in for its Neville elimination, which counts none.
     """
     d = m.dim
     count = 0
@@ -163,7 +166,6 @@ def _staged_fallback(m: Matrix, k: int, count: int):
                     return Status.OUTSIDE, witness, count
                 for j in range(1, d + 1):
                     for initial in combinations(range(1, d + 1), j):
-                        count += 1
                         if m.minor(MinorIndex(range(1, j + 1), initial)) < 0:
                             return Status.OUTSIDE, witness, count
                 return Status.NONNEGATIVE_BOUNDARY, witness, count
@@ -248,6 +250,20 @@ def random_tp_by_products(d: int, seed: int) -> Matrix:
     return m
 
 
+def staircase_word(d: int, params) -> Matrix:
+    """The staircase word (1)(2,1)...(d-1,...,1) of factors I + t E_{i,i+1},
+    with the d(d-1)/2 parameters t taken from `params` in that order, each
+    factor applied as one column update."""
+    params = iter(params)
+    rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for stage in range(1, d):
+        for i in range(stage, 0, -1):
+            t = next(params)
+            for row in rows[:i]:
+                row[i] += t * row[i - 1]
+    return Matrix(rows)
+
+
 def gen_uniform(d: int, rng: random.Random) -> Matrix:
     """Upper unipotent with uniform small integer entries."""
     rows = []
@@ -283,13 +299,10 @@ def gen_boundary(d: int, rng: random.Random) -> Matrix:
     n_params = d * (d - 1) // 2
     while True:
         zero_at = rng.randrange(n_params)
-        m = Matrix.identity(d)
-        k = 0
-        for stage in range(1, d):
-            for i in range(stage, 0, -1):
-                t = Fraction(0) if k == zero_at else Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                m = m @ Matrix.elementary(d, i, i + 1, t)
-                k += 1
+        m = staircase_word(d, (
+            Fraction(0) if k == zero_at else Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            for k in range(n_params)
+        ))
         if tp_staged(m).status is Status.NONNEGATIVE_BOUNDARY:
             return m
 
@@ -437,11 +450,14 @@ def kernel_fixed_flag(u: Matrix) -> Flag:
 def reference_fixed_flag(u: Matrix) -> Flag:
     """`flags.unipotent_fixed_flag` as it was before it read u's Jordan
     chain off 2d - 1 vector products, kept as the reference: all d + 1
-    integer powers of s N (`_nilpotent_powers`, which raises NotUnipotent
-    when N^d != 0), j the first nonzero column of N^(d-1), and column m
-    of the frame N^(d-m) e_j."""
+    integer powers of s N (`_scaled_powers` of N column-scaled, and
+    NotUnipotent when N^d != 0), j the first nonzero column of N^(d-1),
+    and column m of the frame N^(d-m) e_j."""
     d = u.dim
-    powers, s = _nilpotent_powers(u)
+    n = [[x - 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(u.rows_tuple())]
+    powers, s = _scaled_powers(*_column_scaled(n), d)
+    if any(map(any, powers[d])):
+        raise NotUnipotent("matrix is not unipotent: (u - I)^dim != 0")
     j = next((j for j in range(d) if any(row[j] for row in powers[d - 1])), None)
     if j is None:
         raise NotSingleJordanBlock("fixed flag construction needs a single Jordan block")

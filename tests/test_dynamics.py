@@ -326,20 +326,18 @@ class TestThreshold:
             calls["Flag"] += 1
             real_init(self, frame)
 
-        def counted(name, real):
+        def counted(real):
             def wrapper(*args):
-                calls[name] += 1
-                if name == "_scaled_powers":
-                    powered.append((len(args[0]), args[2]))
+                calls["_scaled_powers"] += 1
+                powered.append((len(args[0]), args[2]))
                 return real(*args)
             return wrapper
 
         monkeypatch.setattr(Flag, "__init__", counted_init)
         modules = [m for m in vars(posiflag).values() if isinstance(m, ModuleType)]
-        for name in ("_nilpotent_powers", "_scaled_powers"):
-            for module in modules:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for module in modules:
+            if hasattr(module, "_scaled_powers"):
+                monkeypatch.setattr(module, "_scaled_powers", counted(module._scaled_powers))
         for d, a in SHEARED_PASCAL_CASES:
             _, desc = standard_flags(d)
             g = desc.apply(Matrix.elementary(d, 1, 2, a))

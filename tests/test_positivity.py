@@ -21,7 +21,8 @@ from posiflag import (
     tp_oracle,
     tp_staged,
 )
-from posiflag.positivity import _contiguous_minors, _laplace_step
+from posiflag.linalg import _column_scaled
+from posiflag.positivity import _contiguous_minors, _laplace_step, _staged_scan
 from helpers import (
     count_nontrivial,
     gen_boundary,
@@ -33,6 +34,7 @@ from helpers import (
     random_tp_by_products,
     reference_laplace_step,
     staged_bareiss_scan,
+    staircase_word,
     tuple_table_scan,
 )
 
@@ -138,13 +140,32 @@ class TestCounts:
         [(gen_perturbed, Status.OUTSIDE), (gen_boundary, Status.NONNEGATIVE_BOUNDARY)],
     )
     def test_non_positive_staged_verdict_builds_no_table(self, gen, status):
-        # the fallback reads one level and the 2^10 - 1 row-initial minors,
-        # never the oracle's table of every nontrivial minor
+        # the fallback reads the nontrivial minors of one level up to the
+        # witness, never the oracle's table of every nontrivial minor; a
+        # zero witness's Neville elimination evaluates no minor
         rng = random.Random(10)
         m = next(m for m in iter(lambda: gen(10, rng), None) if not tp_staged(m).is_positive)
         counter = DetCounter()
         assert tp_staged(m, counter=counter).status is status
         assert counter.evaluations <= 1500 < count_nontrivial(10) // 30
+
+    def test_zero_witness_status_costs_no_minor_beyond_the_witness(self):
+        # a zero witness's status comes from Neville elimination, which
+        # evaluates no minor: the counts are the scan and the witness search
+        d = 40
+        bidiagonal = Matrix([[int(j in (i, i + 1)) for j in range(d)] for i in range(d)])
+        counter = DetCounter()
+        v = tp_staged(bidiagonal, counter=counter)
+        assert v.status is Status.NONNEGATIVE_BOUNDARY
+        assert v.witness.index == MinorIndex((1,), (3,)) and v.witness.value == 0
+        assert counter.evaluations == 6
+        d = 30
+        word = staircase_word(d, [0] + [1] * (d * (d - 1) // 2 - 1))
+        counter = DetCounter()
+        v = tp_staged(word, counter=counter)
+        assert v.status is Status.NONNEGATIVE_BOUNDARY
+        assert v.witness.index == MinorIndex((1,), (d,)) and v.witness.value == 0
+        assert counter.evaluations == 2 * d  # row 1 of level 1, then its d entries again
 
     def test_early_exit_spends_less(self):
         m = Matrix(((1, -1, 0), (0, 1, 1), (0, 0, 1)))
@@ -277,23 +298,52 @@ class TestMethodAgreement:
 
     def test_zero_witness_verdicts_match_oracle(self):
         # a zero first witness leaves Outside or NonnegativeBoundary open; the
-        # staged scan settles it by the row-initial minors, the oracle by its
-        # table, and counts those minors up to the first negative one
+        # staged scan settles it by Neville elimination, the oracle by its
+        # table, the reference by the row-initial minors.  Each input is
+        # checked row-scaled (`tp_staged`) and column-scaled, the form the
+        # tuple engine hands over, with the same counts
         rng = random.Random(15)
-        seen = {Status.OUTSIDE: 0, Status.NONNEGATIVE_BOUNDARY: 0}
+        cases = [
+            gen(d, rng)
+            for d in range(2, 9)
+            for gen in (gen_boundary, gen_perturbed, gen_uniform)
+            for _ in range(15)
+        ]
         for d in range(2, 9):
-            for gen in (gen_boundary, gen_perturbed, gen_uniform):
-                for _ in range(15):
-                    m = gen(d, rng)
-                    o = tp_oracle(m)
-                    if o.witness is None or o.witness.value != 0:
-                        continue
-                    counter = DetCounter()
-                    s = tp_staged(m, counter=counter)
-                    assert (s.status, s.witness) == (o.status, o.witness)
-                    assert (s.status, s.witness, counter.evaluations) == staged_bareiss_scan(m)
-                    seen[o.status] += 1
-        assert seen[Status.OUTSIDE] >= 20 and seen[Status.NONNEGATIVE_BOUNDARY] >= 100, seen
+            n_params = d * (d - 1) // 2
+            for _ in range(12):
+                params = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n_params)]
+                special = rng.choice((0, -F(rng.randint(1, 3), rng.randint(2, 9))))
+                params[rng.randrange(n_params)] = special
+                cases.append(staircase_word(d, params))
+            for _ in range(12):
+                cases.append(Matrix([
+                    [int(i == j) if j <= i else rng.choice((0, 1, 2)) for j in range(d)]
+                    for i in range(d)
+                ]))
+        # one input per rejection: a zero left neighbour, then opposite signs
+        rejected = [
+            Matrix(((1, 0, 1), (0, 1, 0), (0, 0, 1))), Matrix(((1, 0, 0), (0, 1, -1), (0, 0, 1)))
+        ]
+        seen = {Status.OUTSIDE: 0, Status.NONNEGATIVE_BOUNDARY: 0}
+        for m in cases + rejected:
+            o = tp_oracle(m)
+            if o.witness is None or o.witness.value != 0:
+                continue
+            want = staged_bareiss_scan(m)
+            counter = DetCounter()
+            s = tp_staged(m, counter=counter)
+            assert (s.status, s.witness) == (o.status, o.witness)
+            assert (s.status, s.witness, counter.evaluations) == want
+            grid, col_scales = _column_scaled(m.rows_tuple())
+            counter = DetCounter()
+            s = _staged_scan(grid, [1] * m.dim, col_scales, counter)
+            assert (s.status, s.witness, counter.evaluations) == want
+            seen[o.status] += 1
+        for m in rejected:
+            o = tp_oracle(m)
+            assert o.status is Status.OUTSIDE and o.witness.value == 0, m
+        assert seen[Status.OUTSIDE] >= 80 and seen[Status.NONNEGATIVE_BOUNDARY] >= 150, seen
 
     def test_random_tp_is_positive_and_deterministic(self):
         for d in (3, 4, 5):

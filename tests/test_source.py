@@ -177,12 +177,11 @@ def test_only_the_oracle_builds_the_full_table():
 
 
 def test_laplace_expansion_is_written_once():
-    """The oracle's table and the row-initial test expand minors along their
-    last row by one shared step, and nothing else expands by it."""
+    """The oracle's table expands minors along their last row by one step,
+    and nothing else expands by it: the staged route shares no minor
+    evaluation with the oracle."""
     callers = _callers("_laplace_step")
-    assert callers == [
-        ("positivity.py", "_full_scan"), ("positivity.py", "_row_initial_nonnegative")
-    ], f"_laplace_step is called from {callers}"
+    assert callers == [("positivity.py", "_full_scan")], f"_laplace_step is called from {callers}"
 
 
 def test_elimination_is_written_once():
