@@ -25,10 +25,11 @@ root of its binomial coefficient), in which rotation-like elements act
 by isometries; in the plain basis the clean ratio formula simply does
 not hold.
 
-numpy is imported inside the float functions, so importing this module
-(and the exact subcommands of the CLI) does not load it.  Exact grids
-become floats only in `_floats`, which rejects an entry outside the
-float range (PreconditionViolated) rather than passing on inf.
+The float kernel is plain Python on lists, for matrices of desk size: a
+one-sided Jacobi SVD (`_hestenes`, `_jacobi`, `_svd`) and Gram-Schmidt
+applied twice (`_orthonormal`).  Exact grids become floats only in
+`_floats`, which rejects an entry outside the float range
+(PreconditionViolated) rather than passing on inf.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 from .errors import (
     BadParameters,
@@ -66,14 +63,16 @@ __all__ = [
 
 
 class FloatFlag:
-    """Flag presented by an orthonormal float frame.
+    """Flag presented by an orthonormal float frame, a tuple of rows whose
+    first k columns span the flag's k-dimensional subspace.
 
     min_gap records the smallest singular value ratio seen when the flag
     came out of an SVD, as a certificate of how well-separated (hence how
     canonical) the frame is.
     """
 
-    def __init__(self, frame: np.ndarray, dim: int, min_gap: float | None = None):
+    def __init__(self, frame: tuple[tuple[float, ...], ...], dim: int,
+                 min_gap: float | None = None):
         self.frame = frame
         self.dim = dim
         self.min_gap = min_gap
@@ -99,23 +98,166 @@ class SingularProfile(_Value):
         return tuple(a / b for a, b in zip(self.values, self.values[1:]))
 
 
-def _floats(m: Matrix, message: str) -> np.ndarray:
-    """Float array of an exact matrix; PreconditionViolated(message) for an
+def _floats(rows, message: str) -> list[list[float]]:
+    """Float rows of a grid of reals; PreconditionViolated(message) for an
     entry outside the float range."""
-    import numpy as np
-
     try:
-        return np.array([[float(x) for x in row] for row in m.rows_tuple()])
+        return [[float(x) for x in row] for row in rows]
     except OverflowError:
         raise PreconditionViolated(message) from None
 
 
+def _residual(v: list[float], basis: list[list[float]]) -> list[float]:
+    """v less its components along the orthonormal vectors of basis,
+    projected out twice (Gram-Schmidt with one reorthogonalization)."""
+    for _ in range(2):
+        for q in basis:
+            c = sum(map(mul, q, v))
+            v = [x - c * y for x, y in zip(v, q)]
+    return v
+
+
+def _orthonormal(columns, message: str) -> list[list[float]]:
+    """Orthonormal columns spanning the same flag as the given ones;
+    PreconditionViolated(message) when a column's float copy lies in the
+    span of those before it."""
+    basis: list[list[float]] = []
+    for v in columns:
+        v = _residual(list(v), basis)
+        norm = math.hypot(*v)
+        if norm == 0:
+            raise PreconditionViolated(message)
+        basis.append([x / norm for x in v])
+    return basis
+
+
+def _frame(columns: list[list[float]]) -> tuple[tuple[float, ...], ...]:
+    return tuple(zip(*columns))
+
+
+_EPS = 2.0**-52
+_SWEEPS = 40
+_TOP = 500
+
+
+def _jacobi(rows: list[list[float]]) -> tuple[list[float], list[list[float] | None]]:
+    """Singular values of a square float matrix in decreasing order, and
+    for each its left singular vector as a unit column, or None where the
+    value has no direction of its own (see _hestenes).  Entries must be
+    finite.
+    """
+    pairs = _hestenes([list(col) for col in zip(*rows)])
+    pairs.sort(key=lambda pair: pair[0], reverse=True)
+    return [value for value, _ in pairs], [u for _, u in pairs]
+
+
+def _hestenes(cols: list[list[float]], found: tuple[list[float], ...] = ()
+              ) -> list[tuple[float, list[float] | None]]:
+    """(singular value, unit left singular vector or None) for each
+    column, unordered: one-sided Jacobi (Hestenes) SVD of the matrix with
+    these columns, which lie in the orthogonal complement of the unit
+    vectors found.
+
+    Plane rotations on the right make the columns mutually orthogonal;
+    their norms are then the singular values and their directions the
+    vectors.  A pair is rotated while the cosine of its angle exceeds
+    d eps, sweeps over all pairs run until none is, and a sweep past
+    _SWEEPS raises InvariantViolated.  A column at the floor, of norm at
+    most d eps |A|_F, is rotated no more: a residue nearly parallel to a
+    large column would shrink by an ulp a sweep without settling.  Once
+    the rest have converged, each such column loses its components along
+    every direction found so far (Gram-Schmidt applied twice), and the
+    residues are solved the same way on their own scale.  The dropped
+    components are at most the floor in size, so no singular value moves
+    by more than sqrt(d) times the floor (Weyl), the accuracy of any
+    backward-stable SVD; a small column orthogonal to the rest keeps its
+    value and direction exactly, so diag(1e-30, 1e-20, 1) gets e3, e2,
+    e1 in that order.  Each level has fewer columns than the one before,
+    since its largest column is above its own floor.  A residue at most
+    d eps times its column's norm is rounding: the column lies in the
+    span found, and its value (the residue's norm) gets no direction.
+    Each level is first scaled by the power of two that brings its
+    largest entry just below 2^_TOP, so no product of rotated columns
+    overflows or underflows; that is exact for every entry within
+    2^-1500 of the largest.  Demmel and Veselic, "Jacobi's method is
+    more accurate than QR", SIAM J. Matrix Anal. Appl. 13 (1992).
+    """
+    big = max((abs(x) for col in cols for x in col), default=0.0)
+    if big == 0:
+        return [(0.0, None) for _ in cols]
+    shift = _TOP - math.frexp(big)[1]
+    cols = [[math.ldexp(x, shift) for x in col] for col in cols]
+    tol = len(cols[0]) * _EPS
+    floor = tol * math.hypot(*(x for col in cols for x in col))
+    norms = [math.hypot(*col) for col in cols]
+    for _ in range(_SWEEPS):
+        rotated = False
+        for i in range(len(cols) - 1):
+            for j in range(i + 1, len(cols)):
+                a, b = cols[i], cols[j]
+                na, nb = norms[i], norms[j]
+                gamma = sum(map(mul, a, b))
+                if min(na, nb) <= floor or abs(gamma) <= tol * na * nb:
+                    continue
+                rotated = True
+                zeta = (nb - na) * (nb + na) / (2 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1 / math.hypot(1.0, t)
+                s = c * t
+                cols[i] = [c * x - s * y for x, y in zip(a, b)]
+                cols[j] = [s * x + c * y for x, y in zip(a, b)]
+                norms[i], norms[j] = math.hypot(*cols[i]), math.hypot(*cols[j])
+        if not rotated:
+            break
+    else:
+        raise InvariantViolated(f"one-sided Jacobi SVD did not converge in {_SWEEPS} sweeps")
+    cols = [_residual(col, found) for col in cols]
+    norms = [math.hypot(*col) for col in cols]
+    try:
+        out = [(math.ldexp(n, -shift), [x / n for x in col])
+               for n, col in zip(norms, cols) if n > floor]
+    except OverflowError:
+        raise PreconditionViolated("singular values are outside the float range") from None
+    basis = (*found, *(u for _, u in out))
+    residues = []
+    for n, col in zip(norms, cols):
+        if n <= floor:
+            r = _residual(col, basis)
+            if math.hypot(*r) > tol * n:
+                residues.append(r)
+            else:
+                out.append((math.ldexp(math.hypot(*r), -shift), None))
+    out += [(math.ldexp(value, -shift), u) for value, u in _hestenes(residues, basis)]
+    return out
+
+
+def _svd(rows: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Singular values in decreasing order and left singular vectors, as
+    columns.  A value without a direction of its own (zero, or rounding
+    in the span of the others) gets the coordinate vector least in the
+    span of the other vectors, orthogonalized."""
+    values, vectors = _jacobi(rows)
+    basis = [u for u in vectors if u is not None]
+    units = [[1.0 if i == k else 0.0 for i in range(len(rows))] for k in range(len(rows))]
+    for k, u in enumerate(vectors):
+        if u is None:
+            v = max((_residual(e, basis) for e in units), key=lambda v: math.hypot(*v))
+            norm = math.hypot(*v)
+            vectors[k] = [x / norm for x in v]
+            basis.append(vectors[k])
+    return values, vectors
+
+
+def _gaps(values: list[float]) -> list[float]:
+    """Ratios of consecutive singular values, inf past a zero one."""
+    return [a / b if b > 0 else math.inf for a, b in zip(values, values[1:])]
+
+
 def float_flag(f: Flag) -> FloatFlag:
     """Orthonormalized float copy of an exact flag; PreconditionViolated past the float range."""
-    import numpy as np
-
-    q, _ = np.linalg.qr(_floats(f.frame, "flag frame is outside the float range"))
-    return FloatFlag(q, f.dim)
+    message = "flag frame is outside the float range"
+    cols = zip(*_floats(f.frame.rows_tuple(), message))
+    return FloatFlag(_frame(_orthonormal(cols, message)), f.dim)
 
 
 _GAP_TOL = 1e-8
@@ -124,37 +266,48 @@ _GAP_TOL = 1e-8
 def svd_flag(g) -> FloatFlag:
     """Flag of left singular vectors, defined when all gaps are clear.
 
-    Requires every ratio of consecutive singular values to be at least
-    1 + _GAP_TOL; otherwise the subspaces are not canonical and
-    SingularGapTooSmall reports the narrowest gap.
+    g is a square nested sequence of finite reals (BadParameters
+    otherwise).  Requires every ratio of consecutive singular values to
+    be at least 1 + _GAP_TOL; otherwise the subspaces are not canonical
+    and SingularGapTooSmall reports the narrowest gap.  A ratio past a
+    zero singular value counts as inf.
     """
-    import numpy as np
-
-    arr = np.asarray(g, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise BadParameters(f"svd_flag needs a square matrix, got shape {arr.shape}")
-    u, s, _ = np.linalg.svd(arr)
-    gaps = [s[i] / s[i + 1] if s[i + 1] > 0 else math.inf for i in range(len(s) - 1)]
-    min_gap = min(gaps, default=math.inf)
+    try:
+        rows = [list(row) for row in g]
+    except TypeError:
+        raise BadParameters(
+            f"svd_flag needs a square matrix, got a {type(g).__name__} without rows"
+        ) from None
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise BadParameters(
+            f"svd_flag needs a square matrix, got row lengths {[len(row) for row in rows]}"
+        )
+    try:
+        a = _floats(rows, "matrix entry is outside the float range")
+    except (TypeError, ValueError):
+        raise BadParameters("svd_flag needs a square matrix of real entries") from None
+    if not all(math.isfinite(x) for row in a for x in row):
+        raise BadParameters("svd_flag needs finite entries")
+    values, u = _svd(a)
+    min_gap = min(_gaps(values), default=math.inf)
     if min_gap < 1 + _GAP_TOL:
         raise SingularGapTooSmall(
             f"singular value ratio {min_gap:.3e} below 1 + {_GAP_TOL:.1e}; "
             "flag of singular vectors is not canonical",
             min_gap=min_gap,
         )
-    return FloatFlag(u, arr.shape[0], min_gap)
+    return FloatFlag(_frame(u), len(a), min_gap)
 
 
 def flag_distance(a: FloatFlag, b: FloatFlag) -> float:
     """Largest principal angle between corresponding subspaces, over all depths."""
-    import numpy as np
-
     if a.dim != b.dim:
         raise DimensionMismatch(f"flag dims differ: {a.dim} vs {b.dim}")
+    b_cols = list(zip(*b.frame))
+    overlap = [[sum(map(mul, x, y)) for y in b_cols] for x in zip(*a.frame)]
     worst = 0.0
     for k in range(1, a.dim):
-        overlap = a.frame[:, :k].T @ b.frame[:, :k]
-        smallest = min(np.linalg.svd(overlap, compute_uv=False))
+        smallest = _jacobi([row[:k] for row in overlap[:k]])[0][-1]
         worst = max(worst, math.acos(min(1.0, max(-1.0, smallest))))
     return worst
 
@@ -266,33 +419,32 @@ def attracting_fixed_point(g: MoebiusElement) -> ProjectivePoint:
     return ProjectivePoint(int(v[0] * scale), int(v[1] * scale))
 
 
-def _weights(spec: BarbotSpec) -> np.ndarray:
+def _weights(spec: BarbotSpec) -> list[float]:
     """Per-coordinate weights making rotations act by isometries blockwise."""
-    import numpy as np
-
-    return np.array([math.sqrt(math.comb(m - 1, i - 1)) for m, i in _blocks(spec)])
+    return [math.sqrt(math.comb(m - 1, i - 1)) for m, i in _blocks(spec)]
 
 
-def _tau_hat(spec: BarbotSpec, g: MoebiusElement, n: int) -> np.ndarray:
-    """Float matrix of the block family at g^n: det-normalized, weighted basis.
+def _tau_hat(spec: BarbotSpec, g: MoebiusElement, n: int) -> list[list[float]]:
+    """Float rows of the block family at g^n: det-normalized, weighted basis.
 
     Each row is divided by |det g|^(n(m-1)/2), m the size of its block.
     Raises PreconditionViolated when an entry of g^n, |det g|^n or the
     weighted result leaves the float range on the way, instead of passing
-    on inf or nan.
+    on inf or nan.  Float products and quotients overflow to inf without
+    raising, so the result is checked to be finite.
     """
-    import numpy as np
-
     message = f"g^n is outside the float range at n = {n}"
     w = _weights(spec)
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            absdet = abs(float(g.det)) ** n
-            scale = np.array([absdet ** ((m - 1) / 2) for m, _ in _blocks(spec)])
-            normalized = _floats(barbot_matrix(spec, g.power(n)), message) / scale[:, None]
-            return normalized * w[None, :] / w[:, None]
-    except (OverflowError, FloatingPointError):
+        absdet = abs(float(g.det)) ** n
+        scale = [absdet ** ((m - 1) / 2) for m, _ in _blocks(spec)]
+        rows = _floats(barbot_matrix(spec, g.power(n)).rows_tuple(), message)
+        out = [[x / s * wj / wi for x, wj in zip(row, w)] for row, s, wi in zip(rows, scale, w)]
+    except (OverflowError, ZeroDivisionError):
         raise PreconditionViolated(message) from None
+    if not all(math.isfinite(x) for row in out for x in row):
+        raise PreconditionViolated(message)
+    return out
 
 
 def singular_ratio_profile(
@@ -304,15 +456,11 @@ def singular_ratio_profile(
     for i <= k-1 or i >= d-k+1, and sqrt(r) for the middle indices.
     Returns (i, measured, predicted) for i = 1..d-1.
     """
-    import numpy as np
-
     if not g.is_hyperbolic:
         raise NotHyperbolic("singular ratio profile needs a hyperbolic element")
-    sig = np.linalg.svd(_tau_hat(spec, g, n), compute_uv=False)
-    profile = SingularProfile(tuple(sig))
-    g_arr = _floats(g.power(n).matrix, f"g^n is outside the float range at n = {n}")
-    s2 = np.linalg.svd(g_arr, compute_uv=False)
-    r = s2[0] / s2[1]
+    profile = SingularProfile(tuple(_jacobi(_tau_hat(spec, g, n))[0]))
+    g_rows = _floats(g.power(n).matrix.rows_tuple(), f"g^n is outside the float range at n = {n}")
+    r = _gaps(_jacobi(g_rows)[0])[0]
     d, k = spec.d, spec.k
     out = []
     for i, measured in zip(range(1, d), profile.gaps):
@@ -340,16 +488,15 @@ def limit_convergence(spec: BarbotSpec, g: MoebiusElement, n_max: int) -> list[L
     Entries where the singular gaps are below tolerance are marked
     skipped instead of carrying a meaningless distance.
     """
-    import numpy as np
-
     if not g.is_hyperbolic:
         raise NotHyperbolic("limit convergence needs a hyperbolic element")
     x_plus = attracting_fixed_point(g)
     target = barbot_flag(spec, x_plus)
     w = _weights(spec)
-    target_arr = _floats(target.frame, "the limit flag is outside the float range")
-    q, _ = np.linalg.qr(target_arr / w[:, None])
-    target_w = FloatFlag(q, spec.d)
+    message = "the limit flag is outside the float range"
+    rows = _floats(target.frame.rows_tuple(), message)
+    weighted = [[x / wi for x in row] for row, wi in zip(rows, w)]
+    target_w = FloatFlag(_frame(_orthonormal(zip(*weighted), message)), spec.d)
     series = []
     for n in range(1, n_max + 1):
         mat = _tau_hat(spec, g, n)

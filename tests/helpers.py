@@ -294,10 +294,18 @@ def gen_nudged_down(d: int, rng: random.Random) -> Matrix:
     return Matrix(tuple(tuple(r) for r in rows))
 
 
+BOUNDARY_DRAWS = 1000
+
+
 def gen_boundary(d: int, rng: random.Random) -> Matrix:
-    """NonnegativeBoundary sample: staircase word with one zeroed parameter."""
+    """NonnegativeBoundary sample: staircase word with one zeroed parameter.
+
+    Redraws while `tp_staged` says otherwise, at most BOUNDARY_DRAWS
+    times; then RuntimeError, so a staged route that never says
+    boundary fails the test that asked instead of hanging it.
+    """
     n_params = d * (d - 1) // 2
-    while True:
+    for _ in range(BOUNDARY_DRAWS):
         zero_at = rng.randrange(n_params)
         m = staircase_word(d, (
             Fraction(0) if k == zero_at else Fraction(rng.randint(1, 9), rng.randint(1, 9))
@@ -305,6 +313,9 @@ def gen_boundary(d: int, rng: random.Random) -> Matrix:
         ))
         if tp_staged(m).status is Status.NONNEGATIVE_BOUNDARY:
             return m
+    raise RuntimeError(
+        f"gen_boundary: no NonnegativeBoundary staircase word in {BOUNDARY_DRAWS} draws at d = {d}"
+    )
 
 
 def poison_factor(u: Matrix, rng: random.Random) -> Matrix:

@@ -342,6 +342,19 @@ class TestGenerators:
         # nor for a third-party command-line package
         assert click_loaded == "False"
 
+    def test_limit_demo_does_not_import_numpy(self, files):
+        # the float dynamics run on the standard library
+        g = files("g.mat", format_matrix(Matrix(((F(7, 2), -3), (F(3, 2), -1)))))
+        out = run_cli_process(
+            "import sys\n"
+            "from posiflag.cli import main\n"
+            f"main(['limit-demo', '--d', '5', '--j', '2', '--g', {g!r}, '--iters', '5'])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        lines = out.stdout.splitlines()
+        assert lines[0] == "n,distance,min_gap" and len(lines) == 7
+        assert lines[-1] == "False"
+
     def test_sym_power_needs_two_by_two(self, runner, files):
         path = files("big.mat", format_matrix(Matrix.identity(3)))
         result = runner.invoke(main, ["sym-power", "--d", "3", "--g", path])

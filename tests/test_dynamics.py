@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from types import ModuleType
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from posiflag import (
     SingularProfile,
     attracting_fixed_point,
     barbot_flag,
+    barbot_matrix,
     barbot_spec,
     flag_distance,
     float_flag,
@@ -41,7 +43,7 @@ from posiflag import (
     svd_flag,
 )
 from posiflag import dynamics
-from posiflag.dynamics import _tau_hat
+from posiflag.dynamics import _jacobi, _svd, _tau_hat
 from posiflag.positivity import _contiguous_minors
 from helpers import (
     kernel_fixed_flag,
@@ -79,17 +81,165 @@ class TestSvdFlag:
             svd_flag(np.ones((2, 3)))
         with pytest.raises(BadParameters):
             svd_flag(np.ones(3))
+        # a square outer shape whose entries are not real scalars
+        for bad in (np.zeros((2, 2, 2)), np.ones((2, 2, 1)),
+                    [[[1, 2], [3, 4]], [[5, 6], [7, 8]]], [["x", 0], [0, 1]]):
+            with pytest.raises(BadParameters, match="real entries"):
+                svd_flag(bad)
 
     def test_block_family_power_approaches_endpoint(self):
         # the family at h^5, h = diag(2, 1/2), is already within 1e-6 of
         # the flag at the attracting point [1:0]
         spec = barbot_spec(3, 1)
         h = MoebiusElement.of(2, 0, 0, F(1, 2))
-        from posiflag import barbot_matrix
-
         mat = np_of(barbot_matrix(spec, h.power(5)))
         target = float_flag(barbot_flag(spec, ProjectivePoint(1, 0)))
         assert flag_distance(svd_flag(mat), target) < 1e-6
+
+
+    def test_non_finite_entries_rejected_before_any_rotation(self, monkeypatch):
+        # numpy's SVD failed on nan with its own LinAlgError and accepted inf
+        # with an inf gap; neither reaches the kernel now
+        calls = []
+        monkeypatch.setattr(dynamics, "_jacobi", lambda rows: calls.append(rows))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(BadParameters, match="finite entries"):
+                svd_flag([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(BadParameters, match="finite entries"):
+            svd_flag(np.array([[1.0, 2.0], [np.nan, 1.0]]))
+        assert calls == []
+
+    def test_zero_matrix_has_inf_gaps_and_a_coordinate_frame(self):
+        fl = svd_flag(np.zeros((3, 3)))
+        assert fl.min_gap == math.inf
+        assert fl.frame == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        assert list(np.linalg.svd(np.zeros((3, 3)), compute_uv=False)) == [0.0, 0.0, 0.0]
+
+    def test_graded_diagonal_keeps_each_vector_with_its_value(self):
+        # 1e-20 and 1e-30 sit below the rotation floor; their vectors must
+        # follow their values (e2 before e1), as numpy's U does
+        a = [[1e-30, 0.0, 0.0], [0.0, 1e-20, 0.0], [0.0, 0.0, 1.0]]
+        fl = svd_flag(a)
+        un, sn, _ = np.linalg.svd(np.array(a))
+        assert np.array_equal(np.abs(np.array(fl.frame)), np.abs(un))
+        assert fl.min_gap == pytest.approx(sn[1] / sn[2], rel=1e-15)
+
+    def test_frame_is_a_tuple_of_rows(self):
+        fl = svd_flag([[0.0, 3.0], [1.0, 0.0]])
+        assert isinstance(fl.frame, tuple) and all(isinstance(row, tuple) for row in fl.frame)
+        # the leading left singular vector is e_1, for the singular value 3
+        assert abs(fl.frame[0][0]) == 1.0 and fl.frame[1][0] == 0.0
+        assert fl.min_gap == 3.0
+
+
+def sine_distance(u: np.ndarray, v: np.ndarray, depths) -> float:
+    """Largest sine of a principal angle between span u[:, :k] and span
+    v[:, :k] over the given depths, by projection residuals, which stay
+    accurate for small angles where acos(sigma_min) is quantized at ~1e-8."""
+    return max(
+        np.linalg.norm(u[:, :k] - v[:, :k] @ (v[:, :k].T @ u[:, :k]), 2) for k in depths
+    )
+
+
+def seeded_square(d: int, rng: random.Random) -> list[list[float]]:
+    return [[rng.uniform(-1, 1) for _ in range(d)] for _ in range(d)]
+
+
+class TestJacobiAgainstNumpy:
+    """The float kernel against numpy.linalg.svd, a test-only reference."""
+
+    def test_clear_matrices_match(self):
+        rng = random.Random(71)
+        seen = 0
+        for d in range(2, 9):
+            for _ in range(12):
+                a = seeded_square(d, rng)
+                un, sn, _ = np.linalg.svd(np.array(a))
+                if sn[0] / sn[-1] >= 1e8:
+                    continue
+                seen += 1
+                values, u = _svd(a)
+                assert all(values[i] >= values[i + 1] for i in range(d - 1))
+                assert max(abs(x - y) / y for x, y in zip(values, sn)) < 1e-12
+                uu = np.array(u).T
+                assert np.abs(uu.T @ uu - np.eye(d)).max() < 1e-13
+                assert sine_distance(uu, un, range(1, d)) < 1e-10
+        assert seen >= 80
+
+    @pytest.mark.parametrize("drop", [1, 2])
+    def test_rank_deficient_matrices_match(self, drop):
+        # integer products B C of rank d - drop: numpy reports the missing
+        # singular values as noise near 0, and so does the kernel; the
+        # leading d - drop directions are canonical and must agree
+        rng = random.Random(40 + drop)
+        seen = 0
+        for d in range(drop + 1, 9):
+            for _ in range(6):
+                r = d - drop
+                b = np.array([[rng.randint(-5, 5) for _ in range(r)] for _ in range(d)], float)
+                c = np.array([[rng.randint(-5, 5) for _ in range(d)] for _ in range(r)], float)
+                a = b @ c
+                un, sn, _ = np.linalg.svd(a)
+                if sn[r - 1] < 1e-6 * sn[0] or min(
+                    (sn[i] / sn[i + 1] for i in range(r - 1)), default=2) < 1.01:
+                    continue
+                seen += 1
+                values, u = _svd(a.tolist())
+                assert max(abs(x - y) for x, y in zip(values, sn)) < 1e-12 * sn[0]
+                assert max(abs(x - y) / y for x, y in zip(values[:r], sn[:r])) < 1e-12
+                uu = np.array(u).T
+                assert np.abs(uu.T @ uu - np.eye(d)).max() < 1e-13
+                assert sine_distance(uu, un, range(1, r + 1)) < 1e-10
+        assert seen >= 20
+
+    def test_graded_and_extreme_scales(self):
+        # power-of-two scaling keeps squares in range at either end of it
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            a = [[3.0 * scale, 1.0 * scale], [1.0 * scale, 2.0 * scale]]
+            values, _ = _svd(a)
+            want = np.linalg.svd(np.array([[3.0, 1.0], [1.0, 2.0]]), compute_uv=False) * scale
+            assert all(abs(x - y) <= 1e-14 * y for x, y in zip(values, want))
+        values, _ = _jacobi([[2.0**40, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0**-40]])
+        assert values == [2.0**40, 1.0, 2.0**-40]
+
+    def test_entries_spanning_more_than_the_square_range(self):
+        # scaling the largest entry to 1 would flush 2^-1200 to zero; the
+        # kernel must see 2^-600 as numpy does
+        a = [[2.0**600, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0**-600]]
+        assert _jacobi(a)[0] == list(np.linalg.svd(np.array(a), compute_uv=False))
+        spec, g = barbot_spec(3, 1), MoebiusElement.of(2, 0, 0, F(1, 2))
+        sn = np.linalg.svd(np.array(_tau_hat(spec, g, 600)), compute_uv=False)
+        measured = [m for _, m, _ in singular_ratio_profile(spec, g, 600)]
+        assert measured == pytest.approx([sn[0] / sn[1], sn[1] / sn[2]], rel=1e-15)
+
+    def test_column_graded_matrices_match_mpmath(self):
+        # columns scaled by 1, 1e-12, 1e-24, ...: the small columns fall
+        # below the rotation floor and are solved on their own scale, so
+        # every singular value keeps its relative accuracy
+        rng = random.Random(12)
+        seen = 0
+        with mpmath.workdps(80):
+            while seen < 20:
+                d = rng.randint(2, 6)
+                b = seeded_square(d, rng)
+                if np.linalg.cond(np.array(b)) > 10:
+                    continue
+                seen += 1
+                a = [[x * 10.0 ** (-12 * k) for k, x in enumerate(row)] for row in b]
+                want = sorted(mpmath.svd_r(mpmath.matrix(a), compute_uv=False), reverse=True)
+                values, u = _svd(a)
+                assert max(abs(x - y) / y for x, y in zip(values, want)) < 1e-14
+                uu = np.array(u).T
+                assert np.abs(uu.T @ uu - np.eye(d)).max() < 1e-13
+
+    def test_singular_value_past_the_float_range(self):
+        with pytest.raises(PreconditionViolated, match="singular values are outside the float range"):
+            svd_flag([[1e308, 1e308], [1e308, 1e308]])
+
+    def test_sweep_cap_raises_invariant_violated(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_SWEEPS", 1)
+        with pytest.raises(InvariantViolated, match="did not converge in 1 sweeps"):
+            _jacobi(seeded_square(5, random.Random(3)))
 
 
 class TestFlagDistance:
@@ -104,6 +254,13 @@ class TestFlagDistance:
     def test_float_flag_outside_float_range(self):
         frame = Matrix(((1, 10**400), (0, 1)))
         with pytest.raises(PreconditionViolated, match="outside the float range"):
+            float_flag(Flag(frame))
+
+    def test_float_flag_whose_float_copy_is_dependent(self):
+        # exactly invertible, but 2^-1100 rounds to 0.0 and both float
+        # columns become e_1
+        frame = Matrix(((1, 1), (0, F(1, 2**1100))))
+        with pytest.raises(PreconditionViolated, match="flag frame is outside the float range"):
             float_flag(Flag(frame))
 
     def test_dim_mismatch(self):
@@ -436,8 +593,35 @@ class TestWeightedBasis:
             for p, q in ((1, 2), (-3, 5), (7, 1), (0, 1)):
                 g = g_from_point(ProjectivePoint(p, q))
                 for n in (1, 2, 3):
-                    tau = _tau_hat(spec, g, n)
+                    tau = np.array(_tau_hat(spec, g, n))
                     assert np.abs(tau.T @ tau - np.eye(d)).max() < 1e-12
+
+
+    @pytest.mark.parametrize("d, j", [(3, 1), (5, 2), (7, 3)])
+    def test_graded_entries_match_mpmath(self, d, j):
+        # a non-diagonal g with det 5 spreads tau-hat's entries over many
+        # orders of magnitude; each must be the correctly scaled value to a
+        # few roundings, checked against the exact entries at 50 digits
+        spec = barbot_spec(d, j)
+        g = MoebiusElement.of(3, 1, 1, 2)
+        blocks = dynamics._blocks(spec)
+        with mpmath.workdps(50):
+            w = [mpmath.sqrt(math.comb(m - 1, i - 1)) for m, i in blocks]
+            for n in (1, 6, 15):
+                exact = barbot_matrix(spec, g.power(n)).rows_tuple()
+                absdet = mpmath.mpf(abs(g.det).numerator) / abs(g.det).denominator
+                got = _tau_hat(spec, g, n)
+                for i, (m, _) in enumerate(blocks):
+                    scale = absdet ** (mpmath.mpf(n * (m - 1)) / 2)
+                    for k, x in enumerate(exact[i]):
+                        want = mpmath.mpf(x.numerator) / x.denominator / scale * w[k] / w[i]
+                        assert abs(got[i][k] - want) <= 1e-15 * abs(want), (n, i, k)
+
+    def test_vanishing_determinant_is_outside_the_float_range(self):
+        # |det g| = 2^-1200 rounds to 0.0, so the det scaling divides by zero
+        tiny = F(1, 2**600)
+        with pytest.raises(PreconditionViolated, match="g\\^n is outside the float range at n = 1"):
+            _tau_hat(barbot_spec(3, 1), MoebiusElement.of(tiny, 0, 0, tiny), 1)
 
 
 class TestLimitConvergence:
@@ -471,6 +655,20 @@ class TestLimitConvergence:
         window = [live[n] for n in (10, 20, 30, 40) if n in live]
         assert len(window) == 4
         assert all(b < a for a, b in zip(window, window[1:]))
+
+    @pytest.mark.parametrize("d, j, n_max", [(3, 1, 70), (5, 2, 40)])
+    def test_diagonal_past_the_rotation_floor_matches_numpy(self, d, j, n_max):
+        # g = diag(1/2, 2) attracts to [0:1], so tau-hat is diagonal and
+        # increasing in basis order; from n = 25 at (5,2) and n = 51 at (3,1)
+        # its small values are below the rotation floor, and the SVD flag
+        # must still be numpy's U, at distance 0 from the limit
+        spec, g = barbot_spec(d, j), MoebiusElement.of(F(1, 2), 0, 0, 2)
+        series = limit_convergence(spec, g, n_max)
+        assert [(e.skipped, e.distance) for e in series] == [(False, 0.0)] * n_max
+        for n in range(n_max - 15, n_max + 1):
+            tau = _tau_hat(spec, g, n)
+            un = np.linalg.svd(np.array(tau))[0]
+            assert np.array_equal(np.abs(np.array(svd_flag(tau).frame)), np.abs(un)), n
 
     def test_narrow_gaps_are_skipped(self):
         # singular value ratios near 1 + 1e-12 are below the 1 + 1e-8 tolerance

@@ -268,6 +268,16 @@ class TestCondensation:
 
 
 class TestMethodAgreement:
+    def test_boundary_generator_fails_instead_of_hanging(self, monkeypatch):
+        # a staged route that never says boundary ends gen_boundary's
+        # redraws with an error naming d, not with a hung test run
+        import helpers
+
+        monkeypatch.setattr(helpers, "BOUNDARY_DRAWS", 5)
+        monkeypatch.setattr(helpers, "tp_staged", lambda m: tp_staged(pascal(3)))
+        with pytest.raises(RuntimeError, match="in 5 draws at d = 4"):
+            helpers.gen_boundary(4, random.Random(0))
+
     def test_against_independent_scan(self):
         rng = random.Random(101)
         for d in (3, 4):

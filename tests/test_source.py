@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,23 @@ def test_no_assert_statements(path):
     """Invariants are explicit checks that raise, so they survive `python -O`."""
     lines = [node.lineno for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_name_the_standard_library_or_posiflag(path):
+    """The package runs on the standard library alone: every import,
+    including one under TYPE_CHECKING, names a standard module or posiflag."""
+    foreign = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        foreign += [(node.lineno, name) for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names | {"posiflag"}]
+    assert not foreign, f"{path.name} imports outside the standard library: {foreign}"
 
 
 def _literal_all(tree: ast.Module) -> set[str]:
