@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-class Flag:
+class Flag(_Value):
     """Complete flag presented by an invertible frame.
 
     subspace k = span of the first k frame columns.  Two flags compare
@@ -76,10 +76,12 @@ class Flag:
     F^-1 G is upper triangular for their frames F and G.  The frame's
     rows are cleared to integers once, here (`_cleared`): the determinant
     test eliminates a copy, and every solve against the frame reads them,
-    so a Flag is immutable, like its frame.
+    so a Flag is immutable, like its frame: it takes that guard from
+    `_Value`, and is copied by rebuilding from `frame`.  It is unhashable.
     """
 
     __slots__ = ("frame", "dim", "_rows")
+    __match_args__ = ("frame",)
 
     def __init__(self, frame: Matrix):
         rows = _cleared(frame.rows_tuple())
@@ -88,9 +90,6 @@ class Flag:
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "dim", frame.dim)
         object.__setattr__(self, "_rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Flag is immutable")
 
     def column(self, k: int) -> tuple[Fraction, ...]:
         return self.frame.column(k)
@@ -157,10 +156,8 @@ class AdaptedBasis(_Value):
     __slots__ = ("matrix", "source", "inverse")
     __match_args__ = ("matrix", "source")  # `inverse` is derived, not a field
 
-    def __init__(self, matrix: Matrix, source: tuple[Flag, Flag]):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "source", source)
-        f, h = source
+    def _check(self):
+        matrix, (f, h) = self.matrix, self.source
         if not matrix.dim == f.dim == h.dim:
             raise DimensionMismatch("basis and flags must share one dimension")
         try:

@@ -301,14 +301,34 @@ def _quotient(
 class _Value:
     """Immutable value whose fields, in order, are its class's `__slots__`,
     or the fewer `__match_args__` its body names to leave a derived slot
-    out; `__init__` sets them by `object.__setattr__`.  It reprs as
+    out.  `__init__` takes each field once, by position or by name (else
+    TypeError), sets it by `object.__setattr__` and then runs the `_check`
+    hook, which may validate the fields or set a derived slot.  Setting or
+    deleting a slot afterwards raises AttributeError.  It reprs as
     `Name(field=value, ...)`, equals only its own class's instances with
-    equal fields, and hashes as its field tuple."""
+    equal fields, hashes as its field tuple, and copies and pickles by
+    rebuilding through `__init__`, checks included."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if len(args) > len(names) or set(kwargs) != set(rest):
+                raise TypeError(f"{type(self).__name__}() takes each of the fields {names} once, "
+                                f"by position or by name; got {len(args)} by position and "
+                                f"{sorted(kwargs)} by name")
+            args += tuple(kwargs[name] for name in rest)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self):
+        pass
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -324,6 +344,9 @@ class _Value:
 
     def __hash__(self) -> int:
         return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -344,10 +367,10 @@ class MinorIndex(_Value):
     __slots__ = ("rows", "cols")
 
     def __init__(self, rows: Iterable[int], cols: Iterable[int]):
-        rows = tuple(rows)
-        cols = tuple(cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        super().__init__(tuple(rows), tuple(cols))
+
+    def _check(self):
+        rows, cols = self.rows, self.cols
         if not rows or len(rows) != len(cols):
             raise BadParameters("row and column tuples must be nonempty and of equal size")
         for tup in (rows, cols):
@@ -369,10 +392,11 @@ class MinorIndex(_Value):
         return all(b == a + 1 for t in (self.rows, self.cols) for a, b in zip(t, t[1:]))
 
 
-class Matrix:
+class Matrix(_Value):
     """Immutable square matrix with exact rational entries."""
 
     __slots__ = ("_rows", "dim")
+    __match_args__ = ("_rows",)  # the one field, which copies are rebuilt from
 
     def __init__(self, rows: Iterable[Iterable]):
         data = tuple(tuple(_to_fraction(x) for x in row) for row in rows)
@@ -383,9 +407,6 @@ class Matrix:
             raise DimensionMismatch("matrix must be square")
         object.__setattr__(self, "_rows", data)
         object.__setattr__(self, "dim", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def _of(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":

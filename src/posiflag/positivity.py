@@ -72,10 +72,6 @@ class Status(Enum):
 class Witness(_Value):
     __slots__ = ("index", "value")
 
-    def __init__(self, index: MinorIndex, value: Fraction):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "value", value)
-
 
 class PositivityVerdict(_Value):
     """Three-state verdict with an optional offending minor.
@@ -87,11 +83,6 @@ class PositivityVerdict(_Value):
     """
 
     __slots__ = ("status", "witness", "method")
-
-    def __init__(self, status: Status, witness: Witness | None, method: str):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "method", method)
 
     @property
     def is_positive(self) -> bool:
@@ -109,15 +100,6 @@ class BoundaryReport(_Value):
     """
 
     __slots__ = ("level", "failing_index", "corner_index", "corner_value")
-
-    def __init__(
-        self, level: int, failing_index: MinorIndex, corner_index: MinorIndex,
-        corner_value: Fraction,
-    ):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "failing_index", failing_index)
-        object.__setattr__(self, "corner_index", corner_index)
-        object.__setattr__(self, "corner_value", corner_value)
 
 
 class DetCounter:
@@ -443,19 +425,9 @@ def random_tp(d: int, seed: int) -> Matrix:
 class BenchRow(_Value):
     __slots__ = ("d", "method", "dets", "time_ms")
 
-    def __init__(self, d: int, method: str, dets: int, time_ms: float):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "dets", dets)
-        object.__setattr__(self, "time_ms", time_ms)
-
 
 class BenchReport(_Value):
     __slots__ = ("rows", "env")
-
-    def __init__(self, rows: tuple[BenchRow, ...], env: str):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "env", env)
 
 
 def bench(d_values, samples: int, seed: int) -> BenchReport:

@@ -49,8 +49,7 @@ class ProjectivePoint(_Value):
         p, q = p // g, q // g
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        super().__init__(p, q)
 
     @property
     def angle_key(self):
@@ -78,11 +77,10 @@ class MoebiusElement(_Value):
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix: Matrix):
-        object.__setattr__(self, "matrix", matrix)
-        if matrix.dim != 2:
+    def _check(self):
+        if self.matrix.dim != 2:
             raise DimensionMismatch("Moebius element needs a 2x2 matrix")
-        if matrix.det() == 0:
+        if self.matrix.det() == 0:
             raise SingularMatrix("Moebius element must be invertible")
 
     @classmethod
@@ -208,11 +206,8 @@ class BarbotSpec(_Value):
 
     __slots__ = ("d", "j", "k", "perm")
 
-    def __init__(self, d: int, j: int, k: int, perm: tuple[int, ...]):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "perm", perm)
+    def _check(self):
+        d, j, k, perm = self._fields()
         if d % 2 == 0 or d < 3:
             raise BadParameters(f"d must be odd and >= 3, got {d}")
         if not 1 <= j <= (d - 1) // 2:

@@ -43,7 +43,7 @@ from .errors import (
     PreconditionViolated,
     ZeroSuperdiagonal,
 )
-from .flags import AdaptedBasis, Flag, _adapted, _coordinates, _unipotent_quotient
+from .flags import Flag, _adapted, _coordinates, _unipotent_quotient
 from .linalg import ColumnScaled, Matrix, _Value, _fractions
 from .positivity import DetCounter, PositivityVerdict, Status, _staged_scan, is_upper_unipotent
 from .reps import ProjectivePoint, cyclically_ordered
@@ -109,15 +109,6 @@ class TupleCertificate(_Value):
     """
 
     __slots__ = ("adapted", "sign", "factors", "verdicts")
-
-    def __init__(
-        self, adapted: AdaptedBasis, sign: Matrix, factors: tuple[Matrix, ...],
-        verdicts: tuple[PositivityVerdict, ...],
-    ):
-        object.__setattr__(self, "adapted", adapted)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def normalized_factors(self) -> tuple[Matrix, ...]:
@@ -302,9 +293,8 @@ class FlagMapSample(_Value):
 
     __slots__ = ("points", "flags")
 
-    def __init__(self, points: tuple[ProjectivePoint, ...], flags: tuple[Flag, ...]):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "flags", flags)
+    def _check(self):
+        points, flags = self.points, self.flags
         if len(points) != len(flags):
             raise PreconditionViolated(f"{len(points)} points but {len(flags)} flags")
         if len(points) < 3:
@@ -339,16 +329,6 @@ class SampleReport(_Value):
     """
 
     __slots__ = ("status", "positive_triple", "failing_quad", "triples_scanned", "quads_checked")
-
-    def __init__(
-        self, status: str, positive_triple: tuple[int, int, int] | None,
-        failing_quad: tuple[int, int, int, int] | None, triples_scanned: int, quads_checked: int,
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "positive_triple", positive_triple)
-        object.__setattr__(self, "failing_quad", failing_quad)
-        object.__setattr__(self, "triples_scanned", triples_scanned)
-        object.__setattr__(self, "quads_checked", quads_checked)
 
 
 def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:

@@ -281,6 +281,13 @@ class TestSingularProfileType:
         with pytest.raises(BadParameters):
             SingularProfile((2.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "values", [(math.nan,), (math.nan, 1.0), (1.0, math.nan), (2.0, math.nan, 1.0)]
+    )
+    def test_rejects_nan(self, values):
+        with pytest.raises(BadParameters, match="singular values must"):
+            SingularProfile(values)
+
 
 THRESHOLD_KINDS = ["single", "pascal", "split", "identity", "nonunipotent",
                    "nontransverse", "mismatch"]

@@ -241,6 +241,45 @@ def test_consecutive_minor_scan_has_three_callers():
     ], f"_contiguous_minors is called from {callers}"
 
 
+def test_value_fields_are_set_in_one_constructor():
+    """Value fields are set by `_Value.__init__` alone.  `object.__setattr__`
+    appears only there, in the Matrix and Flag constructors and Matrix's
+    unchecked `_of`, and where AdaptedBasis stores its derived inverse; of
+    the values, only the two that normalize their arguments and Matrix and
+    Flag write an `__init__`.  So no hand-written field setter grows back."""
+    sites = []
+    for path in SOURCES:
+        tree = _parse(path)
+        owner = {
+            id(node): f"{cls.name}.{fn.name}"
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        sites += sorted(
+            (path.name, owner.get(id(node), "module level")) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+        )
+    assert sites == [
+        ("flags.py", "AdaptedBasis._check"),
+        ("flags.py", "Flag.__init__"), ("flags.py", "Flag.__init__"), ("flags.py", "Flag.__init__"),
+        ("linalg.py", "Matrix.__init__"), ("linalg.py", "Matrix.__init__"),
+        ("linalg.py", "Matrix._of"), ("linalg.py", "Matrix._of"),
+        ("linalg.py", "_Value.__init__"),
+    ], f"object.__setattr__ is used at {sites}"
+
+    for module in MODULES:
+        importlib.import_module(f"posiflag.{module}")
+    values, stack = [], list(importlib.import_module("posiflag.linalg")._Value.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        values.append(cls)
+        stack += cls.__subclasses__()
+    with_init = sorted(cls.__name__ for cls in values if "__init__" in vars(cls))
+    assert with_init == ["Flag", "Matrix", "MinorIndex", "ProjectivePoint"], with_init
+
+
 def test_every_private_helper_has_a_caller_in_the_package():
     """Every module-level private function and class is read somewhere in the
     package outside its own definition, so no helper stays alive only for

@@ -1,13 +1,22 @@
-"""Contract of the frozen value classes: field order, construction, repr,
-equality within one class, hash of the field tuple, and immutability."""
+"""Contract of the frozen value classes: field order, construction by
+position or by name, repr, equality within one class, hash of the field
+tuple, immutability, and copy and pickle by reconstruction."""
+
+import copy
+import pickle
 
 import pytest
 
 from posiflag import (
+    BadParameters,
+    BarbotSpec,
+    DimensionMismatch,
+    Flag,
     FlagMapSample,
     Matrix,
     MinorIndex,
     MoebiusElement,
+    PreconditionViolated,
     ProjectivePoint,
     SingularProfile,
     adapted_basis,
@@ -30,6 +39,14 @@ def _sample() -> FlagMapSample:
 
 def _outside():
     return tp_staged(Matrix(((1, -1), (0, 1))))
+
+
+def _round_trips(value) -> list:
+    """value copied, deep-copied and pickled at every protocol."""
+    return [copy.copy(value), copy.deepcopy(value)] + [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
 
 
 # class name: (a small real instance, from the library call that returns one
@@ -111,7 +128,67 @@ def test_value_class_contract(name, instances):
         delattr(a, fields[0])
     assert getattr(a, fields[0]) is values[0]
 
+    kwargs = dict(zip(fields, values))
+    for bad_args, bad_kwargs in (
+        (values + values[:1], {}),  # one positional too many
+        (values[:-1], {}),  # one field missing
+        ((), {**kwargs, "bogus": 1}),  # an unknown keyword
+        (values[:1], kwargs),  # the first field by position and by name
+    ):
+        with pytest.raises(TypeError):
+            type(a)(*bad_args, **bad_kwargs)
+
+    for clone in _round_trips(a):
+        assert type(clone) is type(a) and clone == a and repr(clone) == repr(a)
+        if name == "AdaptedBasis":
+            assert clone.inverse == a.inverse
+
     if name == "AdaptedBasis":
         object.__setattr__(b, "inverse", Matrix.reversal(3))
         assert b.inverse != a.inverse == a.matrix.inverse()
         assert a == b and repr(a) == repr(b) and "inverse" not in repr(a)
+
+
+def test_keywords_run_the_checks():
+    """A value built by keywords passes the same checks as one built by position."""
+    sample = _sample()
+    bad = [
+        (BadParameters, lambda: BarbotSpec(d=4, j=1, k=1, perm=(1, 2, 3, 4))),
+        (BadParameters, lambda: SingularProfile(values=(1.0, 2.0))),
+        (BadParameters, lambda: MinorIndex(rows=(2, 1), cols=(3, 4))),
+        (DimensionMismatch, lambda: MoebiusElement(matrix=Matrix.identity(3))),
+        (PreconditionViolated,
+         lambda: FlagMapSample(points=sample.points, flags=sample.flags[:-1])),
+    ]
+    for error, build in bad:
+        with pytest.raises(error):
+            build()
+    assert ProjectivePoint(p=2, q=-4) == ProjectivePoint(-1, 2)
+
+
+def test_copies_rerun_the_checks():
+    profile = SingularProfile((2.0, 1.0))
+    object.__setattr__(profile, "values", (1.0, 2.0))
+    with pytest.raises(BadParameters, match="must not increase"):
+        pickle.loads(pickle.dumps(profile))
+    with pytest.raises(BadParameters, match="must not increase"):
+        copy.copy(profile)
+
+
+@pytest.mark.parametrize(
+    "value, slots",
+    [(Matrix(((1, 2), (3, 5))), ("_rows", "dim")),
+     (Flag(Matrix(((1, 2), (3, 5)))), ("frame", "dim", "_rows"))],
+    ids=["Matrix", "Flag"],
+)
+def test_matrix_and_flag_are_immutable_and_copy_by_reconstruction(value, slots):
+    message = f"^{type(value).__name__} is immutable$"
+    for slot in slots:
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, slot, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, slot)
+    assert value.dim == 2
+    for clone in _round_trips(value):
+        assert type(clone) is type(value) and clone == value and repr(clone) == repr(value)
+        assert clone.dim == value.dim
