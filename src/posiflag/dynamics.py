@@ -26,9 +26,9 @@ by isometries; in the plain basis the clean ratio formula simply does
 not hold.
 
 The float kernel is plain Python on lists, for matrices of desk size: a
-one-sided Jacobi SVD (`_hestenes`, `_jacobi`, `_svd`) and Gram-Schmidt
-applied twice (`_orthonormal`).  Exact grids become floats only in
-`_floats`, which rejects an entry outside the float range
+one-sided Jacobi SVD (`_hestenes`, entered only through `_svd`) and
+Gram-Schmidt applied twice (`_orthonormal`).  Exact grids become floats
+only in `_floats`, which rejects an entry outside the float range
 (PreconditionViolated) rather than passing on inf.
 """
 
@@ -62,23 +62,21 @@ __all__ = [
 ]
 
 
-class FloatFlag:
+class FloatFlag(_Value):
     """Flag presented by an orthonormal float frame, a tuple of rows whose
     first k columns span the flag's k-dimensional subspace.
 
     min_gap records the smallest singular value ratio seen when the flag
     came out of an SVD, as a certificate of how well-separated (hence how
-    canonical) the frame is.
+    canonical) the frame is; it is None for a flag that did not come from
+    an SVD.
     """
 
-    def __init__(self, frame: tuple[tuple[float, ...], ...], dim: int,
-                 min_gap: float | None = None):
-        self.frame = frame
-        self.dim = dim
-        self.min_gap = min_gap
+    __slots__ = ("frame", "min_gap")
 
-    def __repr__(self) -> str:
-        return f"FloatFlag(frame={self.frame!r}, dim={self.dim!r}, min_gap={self.min_gap!r})"
+    @property
+    def dim(self) -> int:
+        return len(self.frame)
 
 
 class SingularProfile(_Value):
@@ -95,7 +93,7 @@ class SingularProfile(_Value):
 
     @property
     def gaps(self) -> tuple[float, ...]:
-        return tuple(a / b for a, b in zip(self.values, self.values[1:]))
+        return tuple(_gaps(self.values))
 
 
 def _floats(rows, message: str) -> list[list[float]]:
@@ -138,17 +136,6 @@ def _frame(columns: list[list[float]]) -> tuple[tuple[float, ...], ...]:
 _EPS = 2.0**-52
 _SWEEPS = 40
 _TOP = 500
-
-
-def _jacobi(rows: list[list[float]]) -> tuple[list[float], list[list[float] | None]]:
-    """Singular values of a square float matrix in decreasing order, and
-    for each its left singular vector as a unit column, or None where the
-    value has no direction of its own (see _hestenes).  Entries must be
-    finite.
-    """
-    pairs = _hestenes([list(col) for col in zip(*rows)])
-    pairs.sort(key=lambda pair: pair[0], reverse=True)
-    return [value for value, _ in pairs], [u for _, u in pairs]
 
 
 def _hestenes(cols: list[list[float]], found: tuple[list[float], ...] = ()
@@ -232,20 +219,24 @@ def _hestenes(cols: list[list[float]], found: tuple[list[float], ...] = ()
 
 
 def _svd(rows: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Singular values in decreasing order and left singular vectors, as
-    columns.  A value without a direction of its own (zero, or rounding
-    in the span of the others) gets the coordinate vector least in the
-    span of the other vectors, orthogonalized."""
-    values, vectors = _jacobi(rows)
+    """Singular values of a square float matrix with finite entries, in
+    decreasing order, and its left singular vectors, as columns.  A value
+    without a direction of its own (zero, or rounding in the span of the
+    others; see _hestenes) gets the coordinate vector least in the span of
+    the other vectors, orthogonalized."""
+    pairs = sorted(_hestenes([list(col) for col in zip(*rows)]),
+                   key=lambda pair: pair[0], reverse=True)
+    vectors = [u for _, u in pairs]
     basis = [u for u in vectors if u is not None]
-    units = [[1.0 if i == k else 0.0 for i in range(len(rows))] for k in range(len(rows))]
+    axes = range(len(rows))
     for k, u in enumerate(vectors):
         if u is None:
-            v = max((_residual(e, basis) for e in units), key=lambda v: math.hypot(*v))
+            v = max((_residual([1.0 if i == m else 0.0 for i in axes], basis) for m in axes),
+                    key=lambda v: math.hypot(*v))
             norm = math.hypot(*v)
             vectors[k] = [x / norm for x in v]
             basis.append(vectors[k])
-    return values, vectors
+    return [value for value, _ in pairs], vectors
 
 
 def _gaps(values: list[float]) -> list[float]:
@@ -257,7 +248,7 @@ def float_flag(f: Flag) -> FloatFlag:
     """Orthonormalized float copy of an exact flag; PreconditionViolated past the float range."""
     message = "flag frame is outside the float range"
     cols = zip(*_floats(f.frame.rows_tuple(), message))
-    return FloatFlag(_frame(_orthonormal(cols, message)), f.dim)
+    return FloatFlag(_frame(_orthonormal(cols, message)), None)
 
 
 _GAP_TOL = 1e-8
@@ -296,7 +287,7 @@ def svd_flag(g) -> FloatFlag:
             "flag of singular vectors is not canonical",
             min_gap=min_gap,
         )
-    return FloatFlag(_frame(u), len(a), min_gap)
+    return FloatFlag(_frame(u), min_gap)
 
 
 def flag_distance(a: FloatFlag, b: FloatFlag) -> float:
@@ -307,7 +298,7 @@ def flag_distance(a: FloatFlag, b: FloatFlag) -> float:
     overlap = [[sum(map(mul, x, y)) for y in b_cols] for x in zip(*a.frame)]
     worst = 0.0
     for k in range(1, a.dim):
-        smallest = _jacobi([row[:k] for row in overlap[:k]])[0][-1]
+        smallest = _svd([row[:k] for row in overlap[:k]])[0][-1]
         worst = max(worst, math.acos(min(1.0, max(-1.0, smallest))))
     return worst
 
@@ -458,9 +449,9 @@ def singular_ratio_profile(
     """
     if not g.is_hyperbolic:
         raise NotHyperbolic("singular ratio profile needs a hyperbolic element")
-    profile = SingularProfile(tuple(_jacobi(_tau_hat(spec, g, n))[0]))
+    profile = SingularProfile(tuple(_svd(_tau_hat(spec, g, n))[0]))
     g_rows = _floats(g.power(n).matrix.rows_tuple(), f"g^n is outside the float range at n = {n}")
-    r = _gaps(_jacobi(g_rows)[0])[0]
+    r = _gaps(_svd(g_rows)[0])[0]
     d, k = spec.d, spec.k
     out = []
     for i, measured in zip(range(1, d), profile.gaps):
@@ -490,7 +481,7 @@ def limit_convergence(spec: BarbotSpec, g: MoebiusElement, n_max: int) -> list[L
     message = "the limit flag is outside the float range"
     rows = _floats(target.frame.rows_tuple(), message)
     weighted = [[x / wi for x in row] for row, wi in zip(rows, w)]
-    target_w = FloatFlag(_frame(_orthonormal(zip(*weighted), message)), spec.d)
+    target_w = FloatFlag(_frame(_orthonormal(zip(*weighted), message)), None)
     series = []
     for n in range(1, n_max + 1):
         mat = _tau_hat(spec, g, n)

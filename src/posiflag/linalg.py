@@ -57,10 +57,11 @@ Cleared = list[tuple[list[int], int]]
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise BadParameters(f"malformed entry {x!r}") from None
     raise BadParameters(f"entries must be integers or rationals, got {type(x).__name__}")
 
 
@@ -257,11 +258,6 @@ def _is_upper(rows) -> bool:
     both present the same flag.
     """
     return not any(any(row[:i]) for i, row in enumerate(rows))
-
-
-def _is_unipotent(rows) -> bool:
-    """Whether a row-major grid is upper triangular with unit diagonal."""
-    return _is_upper(rows) and all(row[i] == 1 for i, row in enumerate(rows))
 
 
 def _quotient(

@@ -53,8 +53,10 @@ from itertools import combinations
 from math import gcd, prod
 from operator import gt
 
-from .errors import InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated
-from .linalg import Matrix, MinorIndex, _Value, _cleared, _det, _is_unipotent, _ratio
+from .errors import (
+    BadParameters, InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated,
+)
+from .linalg import Matrix, MinorIndex, _Value, _cleared, _det, _is_upper, _ratio
 
 __all__ = [
     "BoundaryReport", "DetCounter", "PositivityVerdict", "Status", "Witness",
@@ -112,7 +114,9 @@ class DetCounter:
 
 
 def is_upper_unipotent(m: Matrix) -> bool:
-    return _is_unipotent(m.rows_tuple())
+    """Whether m is upper triangular with unit diagonal."""
+    rows = m.rows_tuple()
+    return _is_upper(rows) and all(row[i] == 1 for i, row in enumerate(rows))
 
 
 def _require_upper_unipotent(m: Matrix):
@@ -439,6 +443,8 @@ def bench(d_values, samples: int, seed: int) -> BenchReport:
     """
     import platform
 
+    if samples < 1:
+        raise BadParameters(f"samples must be at least 1, got {samples}")
     rows = []
     for d in d_values:
         per_method: dict[str, tuple[int, float]] = {}

@@ -67,7 +67,7 @@ def cyclically_ordered(points: list[ProjectivePoint]) -> bool:
     keys = [p.angle_key for p in points]
     if len(set(keys)) != len(keys):
         return False
-    start = keys.index(min(keys))
+    start = min(range(len(keys)), key=keys.__getitem__, default=0)
     rotated = keys[start:] + keys[:start]
     return all(a < b for a, b in zip(rotated, rotated[1:]))
 
@@ -85,14 +85,7 @@ class MoebiusElement(_Value):
 
     @classmethod
     def of(cls, a, b, c, d) -> "MoebiusElement":
-        return cls(
-            Matrix(
-                (
-                    (Fraction(a), Fraction(b)),
-                    (Fraction(c), Fraction(d)),
-                )
-            )
-        )
+        return cls(Matrix(((a, b), (c, d))))
 
     @classmethod
     def identity(cls) -> "MoebiusElement":
@@ -197,39 +190,35 @@ def veronese_flag(x: ProjectivePoint, d: int) -> Flag:
 class BarbotSpec(_Value):
     """Shape data for the reducible family: sizes, and the interleaved basis.
 
-    d odd, 1 <= j <= (d-1)/2, k = (d-2j+1)/2.  perm[m] is the standard
-    index of the m-th basis vector: the first d-j standard vectors carry
-    the large symmetric power, the last j the small one, and the basis
-    order is (f_1..f_k, f'_1, f_(k+1), f'_2, f_(k+2), ..., f'_j,
-    f_(k+j), f_(k+j+1), ..., f_(d-j)) with f_i = e_i, f'_i = e_(d-j+i).
+    d odd, 1 <= j <= (d-1)/2; k = (d-2j+1)/2 and perm follow from (d, j)
+    and are set by the constructor.  perm[m] is the standard index of the
+    m-th basis vector: the first d-j standard vectors carry the large
+    symmetric power, the last j the small one, and the basis order is
+    (f_1..f_k, f'_1, f_(k+1), f'_2, f_(k+2), ..., f'_j, f_(k+j),
+    f_(k+j+1), ..., f_(d-j)) with f_i = e_i, f'_i = e_(d-j+i).
     """
 
     __slots__ = ("d", "j", "k", "perm")
+    __match_args__ = ("d", "j")  # k and perm are derived, not fields
 
     def _check(self):
-        d, j, k, perm = self._fields()
-        if d % 2 == 0 or d < 3:
+        d, j = self.d, self.j
+        if d < 3 or d % 2 == 0:
             raise BadParameters(f"d must be odd and >= 3, got {d}")
         if not 1 <= j <= (d - 1) // 2:
             raise BadParameters(f"j must lie in [1, {(d - 1) // 2}], got {j}")
-        if 2 * k != d - 2 * j + 1:
-            raise BadParameters("k must equal (d - 2j + 1)/2")
-        if sorted(perm) != list(range(1, d + 1)):
-            raise BadParameters("perm must be a permutation of 1..d")
+        k = (d - 2 * j + 1) // 2
+        order = list(range(1, k + 1))
+        for i in range(1, j + 1):
+            order.append(d - j + i)
+            order.append(k + i)
+        order.extend(range(k + j + 1, d - j + 1))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "perm", tuple(order))
 
 
 def barbot_spec(d: int, j: int) -> BarbotSpec:
-    if d < 3 or d % 2 == 0:
-        raise BadParameters(f"d must be odd and >= 3, got {d}")
-    if not 1 <= j <= (d - 1) // 2:
-        raise BadParameters(f"j must lie in [1, {(d - 1) // 2}], got {j}")
-    k = (d - 2 * j + 1) // 2
-    order = list(range(1, k + 1))
-    for i in range(1, j + 1):
-        order.append(d - j + i)
-        order.append(k + i)
-    order.extend(range(k + j + 1, d - j + 1))
-    return BarbotSpec(d, j, k, tuple(order))
+    return BarbotSpec(d, j)
 
 
 def _blocks(spec: BarbotSpec) -> list[tuple[int, int]]:

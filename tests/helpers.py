@@ -36,6 +36,7 @@ from posiflag import (
     Witness,
     ZeroSuperdiagonal,
     is_positive_triple,
+    is_upper_unipotent,
     jordan_block_sizes,
     random_tp,
     standard_flags,
@@ -44,7 +45,7 @@ from posiflag import (
 )
 from posiflag.flags import _coordinates, unipotent_fixed_flag
 from posiflag.linalg import (
-    _back_substitute, _bareiss, _cleared, _column_scaled, _fractions, _is_unipotent, _quotient,
+    _back_substitute, _bareiss, _cleared, _column_scaled, _fractions, _quotient,
     _ratio, _scaled_powers,
 )
 from posiflag.positivity import _contiguous_minors
@@ -642,7 +643,7 @@ def fraction_coordinates(f: Flag, h: Flag, failure: str) -> Matrix:
     c = Matrix([[Fraction(v, den) for v in row] for row in x])
     placed, t = fraction_reverse_echelon(c, failure)
     u = Matrix([[col[i] for col in placed[::-1]] for i in range(c.dim)])
-    if not _is_unipotent(u.rows_tuple()):
+    if not is_upper_unipotent(u):
         raise InvariantViolated(
             "each F^k intersect H^{d-k+1} must be a one-dimensional line with unit k-th coordinate"
         )

@@ -569,6 +569,20 @@ class TestInputFiles:
         assert result.stderr == f"error: {bad} is not UTF-8 text (byte 6)\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("kind", ["directory", "unreadable"])
+    def test_directory_or_unreadable_file_exit_two(self, runner, tmp_path, monkeypatch, kind):
+        # root reads a chmod 000 file anyway, so the unreadable case fakes os.access
+        path = tmp_path
+        if kind == "unreadable":
+            path = tmp_path / "good.mat"
+            path.write_text(format_matrix(pascal(3)))
+            monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        result = runner.invoke(main, ["tp-check", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        want = "a directory" if kind == "directory" else "not readable"
+        assert f"file {str(path)!r} is {want}" in result.stderr
+
 
 def strip_times(output: str) -> str:
     return re.sub(r"time_ms=\d+\.\d+", "time_ms=X", output)

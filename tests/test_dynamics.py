@@ -15,6 +15,7 @@ from posiflag import (
     CapExceeded,
     DimensionMismatch,
     Flag,
+    FloatFlag,
     InvariantViolated,
     LimitEntry,
     Matrix,
@@ -43,7 +44,7 @@ from posiflag import (
     svd_flag,
 )
 from posiflag import dynamics
-from posiflag.dynamics import _jacobi, _svd, _tau_hat
+from posiflag.dynamics import _svd, _tau_hat
 from posiflag.positivity import _contiguous_minors
 from helpers import (
     kernel_fixed_flag,
@@ -101,7 +102,7 @@ class TestSvdFlag:
         # numpy's SVD failed on nan with its own LinAlgError and accepted inf
         # with an inf gap; neither reaches the kernel now
         calls = []
-        monkeypatch.setattr(dynamics, "_jacobi", lambda rows: calls.append(rows))
+        monkeypatch.setattr(dynamics, "_svd", lambda rows: calls.append(rows))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(BadParameters, match="finite entries"):
                 svd_flag([[bad, 0.0], [0.0, 1.0]])
@@ -123,6 +124,13 @@ class TestSvdFlag:
         un, sn, _ = np.linalg.svd(np.array(a))
         assert np.array_equal(np.abs(np.array(fl.frame)), np.abs(un))
         assert fl.min_gap == pytest.approx(sn[1] / sn[2], rel=1e-15)
+
+    def test_float_flags_are_values_with_a_derived_dim(self):
+        a = [[3.0, 1.0], [0.0, 1.0]]
+        assert svd_flag(a) == svd_flag(a)
+        assert FloatFlag(svd_flag(a).frame, 5.0).dim == 2
+        fl = float_flag(standard_flags(3)[0])
+        assert fl.dim == 3 and fl.min_gap is None
 
     def test_frame_is_a_tuple_of_rows(self):
         fl = svd_flag([[0.0, 3.0], [1.0, 0.0]])
@@ -199,14 +207,14 @@ class TestJacobiAgainstNumpy:
             values, _ = _svd(a)
             want = np.linalg.svd(np.array([[3.0, 1.0], [1.0, 2.0]]), compute_uv=False) * scale
             assert all(abs(x - y) <= 1e-14 * y for x, y in zip(values, want))
-        values, _ = _jacobi([[2.0**40, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0**-40]])
+        values, _ = _svd([[2.0**40, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0**-40]])
         assert values == [2.0**40, 1.0, 2.0**-40]
 
     def test_entries_spanning_more_than_the_square_range(self):
         # scaling the largest entry to 1 would flush 2^-1200 to zero; the
         # kernel must see 2^-600 as numpy does
         a = [[2.0**600, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0**-600]]
-        assert _jacobi(a)[0] == list(np.linalg.svd(np.array(a), compute_uv=False))
+        assert _svd(a)[0] == list(np.linalg.svd(np.array(a), compute_uv=False))
         spec, g = barbot_spec(3, 1), MoebiusElement.of(2, 0, 0, F(1, 2))
         sn = np.linalg.svd(np.array(_tau_hat(spec, g, 600)), compute_uv=False)
         measured = [m for _, m, _ in singular_ratio_profile(spec, g, 600)]
@@ -239,7 +247,7 @@ class TestJacobiAgainstNumpy:
     def test_sweep_cap_raises_invariant_violated(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_SWEEPS", 1)
         with pytest.raises(InvariantViolated, match="did not converge in 1 sweeps"):
-            _jacobi(seeded_square(5, random.Random(3)))
+            _svd(seeded_square(5, random.Random(3)))
 
 
 class TestFlagDistance:

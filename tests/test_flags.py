@@ -50,6 +50,23 @@ def rand_flag(d: int, rng: random.Random) -> Flag:
             return Flag(m)
 
 
+# each routine of two or three flags (or a basis and flags) given two dimensions
+_ASC2, _DESC2 = standard_flags(2)
+_ASC3, _DESC3 = standard_flags(3)
+DIMENSION_MISMATCHES = {
+    "transverse": lambda: transverse(_ASC2, _DESC3),
+    "AdaptedBasis": lambda: AdaptedBasis(Matrix.identity(2), (_ASC3, _DESC3)),
+    "adapted_basis": lambda: adapted_basis(_ASC3, _DESC2),
+    "transporter": lambda: transporter(_ASC3, _DESC3, _ASC2),
+}
+
+
+@pytest.mark.parametrize("call", DIMENSION_MISMATCHES.values(), ids=DIMENSION_MISMATCHES)
+def test_flags_of_two_dimensions_are_rejected(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
 class TestFlagType:
     def test_rejects_singular_frame(self):
         with pytest.raises(SingularMatrix):
@@ -61,6 +78,8 @@ class TestFlagType:
         assert a == b
         c = Flag(Matrix.reversal(3))
         assert a != c
+        assert a != Flag(Matrix.identity(2)) and a != Matrix.identity(3)
+        assert a.__eq__(Matrix.identity(3)) is NotImplemented
 
     def test_equality_matches_the_rank_definition(self):
         """F^-1 G upper triangular against rank [F^k | G^k] = k for every k,

@@ -54,6 +54,33 @@ class TestMinorIndex:
             MinorIndex((0, 1), (1, 2))
 
 
+# each bad call of the Matrix constructors and accessors, with its error
+BAD_CALLS = {
+    "no rows": (BadParameters, "at least one row", lambda: Matrix(())),
+    "identity(0)": (BadParameters, "dimension must be positive", lambda: Matrix.identity(0)),
+    "elementary on the diagonal": (IndexOutOfRange, r"bad elementary position \(2, 2\)",
+                                   lambda: Matrix.elementary(3, 2, 2, 1)),
+    "elementary out of range": (IndexOutOfRange, r"bad elementary position \(1, 4\)",
+                                lambda: Matrix.elementary(3, 1, 4, 1)),
+    "row 0": (IndexOutOfRange, "row 0 out of range", lambda: Matrix.identity(2).row(0)),
+    "column 3": (IndexOutOfRange, "column 3 out of range", lambda: Matrix.identity(2).column(3)),
+    "matmul across dims": (DimensionMismatch, "cannot multiply dim 2 by dim 3",
+                           lambda: Matrix.identity(2) @ Matrix.identity(3)),
+    "zero denominator": (BadParameters, "malformed entry '1/0'", lambda: Matrix((("1/0",),))),
+    "not a number": (BadParameters, "malformed entry 'abc'", lambda: Matrix((("abc",),))),
+    "elementary malformed": (BadParameters, "malformed entry '2/0'",
+                             lambda: Matrix.elementary(2, 1, 2, "2/0")),
+    "diagonal malformed": (BadParameters, "malformed entry 'x'",
+                           lambda: Matrix.diagonal((1, "x"))),
+}
+
+
+@pytest.mark.parametrize("error, message, call", BAD_CALLS.values(), ids=BAD_CALLS)
+def test_bad_matrix_calls(error, message, call):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMatrixBasics:
     def test_construction_coerces_to_fraction(self):
         m = Matrix(((1, "1/2"), (0, 1)))

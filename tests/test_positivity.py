@@ -6,6 +6,7 @@ from operator import le
 import pytest
 
 from posiflag import (
+    BadParameters,
     DetCounter,
     InvariantViolated,
     Matrix,
@@ -17,12 +18,13 @@ from posiflag import (
     is_upper_unipotent,
     pascal,
     random_tp,
+    sign_normalize,
     staged_minor_count,
     tp_oracle,
     tp_staged,
 )
 from posiflag.linalg import _column_scaled
-from posiflag.positivity import _contiguous_minors, _laplace_step, _staged_scan
+from posiflag.positivity import _contiguous_minors, _laplace_step, _staged_scan, bench
 from helpers import (
     count_nontrivial,
     gen_boundary,
@@ -58,6 +60,12 @@ class TestGuards:
             tp_staged(bad)
         with pytest.raises(NotUnipotentUpperTriangular):
             tp_oracle(bad)
+        with pytest.raises(NotUnipotentUpperTriangular):
+            sign_normalize(bad)
+
+    def test_bench_needs_a_sample(self):
+        with pytest.raises(BadParameters, match="samples must be at least 1, got 0"):
+            bench([3], 0, 1)
 
 
 class TestKnownVerdicts:

@@ -61,6 +61,8 @@ class TestProjectivePoint:
         assert cyclically_ordered(pts)
         assert cyclically_ordered(pts[1:] + pts[:1])
         assert not cyclically_ordered([pts[0], pts[2], pts[1], pts[3]])
+        assert not cyclically_ordered([pts[0], pts[1], ProjectivePoint(-2, 0)])
+        assert cyclically_ordered(pts[:1]) and cyclically_ordered([])
 
 
 class TestMoebius:
@@ -69,6 +71,11 @@ class TestMoebius:
             MoebiusElement.of(1, 2, 2, 4)
         with pytest.raises(DimensionMismatch):
             MoebiusElement(Matrix.identity(3))
+
+    def test_of_takes_entries_as_matrix_does(self):
+        with pytest.raises(BadParameters, match="got float"):
+            MoebiusElement.of(0.1, 0, 0, 1)
+        assert MoebiusElement.of("1/2", 0, 0, 2).matrix == Matrix.diagonal((F(1, 2), 2))
 
     def test_hyperbolicity(self):
         assert MoebiusElement.of(2, 0, 0, F(1, 2)).is_hyperbolic
@@ -141,6 +148,8 @@ class TestPascal:
     def test_known_values(self):
         assert pascal(1) == Matrix(((1,),))
         assert pascal(3) == Matrix(((1, 1, 1), (0, 1, 2), (0, 0, 1)))
+        with pytest.raises(BadParameters, match="pascal needs d >= 1, got 0"):
+            pascal(0)
 
     def test_entries_are_binomials(self):
         q = pascal(6)

@@ -221,6 +221,16 @@ def test_back_substitution_is_written_once():
     ], f"_back_substitute is called from {callers}"
 
 
+def test_svd_kernel_has_one_entry():
+    """Every singular value and vector comes out of `_svd`, which sorts them
+    and completes the vectors without a direction: the Jacobi kernel
+    `_hestenes` is called from there and from its own recursion only."""
+    callers = _callers("_hestenes")
+    assert callers == [
+        ("dynamics.py", "_hestenes"), ("dynamics.py", "_svd"),
+    ], f"_hestenes is called from {callers}"
+
+
 def test_jordan_chain_has_two_callers():
     """The fixed flag and the threshold search take u's Jordan chain from one
     routine; nothing else builds a fixed flag's frame."""
@@ -244,9 +254,10 @@ def test_consecutive_minor_scan_has_three_callers():
 def test_value_fields_are_set_in_one_constructor():
     """Value fields are set by `_Value.__init__` alone.  `object.__setattr__`
     appears only there, in the Matrix and Flag constructors and Matrix's
-    unchecked `_of`, and where AdaptedBasis stores its derived inverse; of
-    the values, only the two that normalize their arguments and Matrix and
-    Flag write an `__init__`.  So no hand-written field setter grows back."""
+    unchecked `_of`, where AdaptedBasis stores its derived inverse, and
+    where BarbotSpec stores its derived k and perm; of the values, only the
+    two that normalize their arguments and Matrix and Flag write an
+    `__init__`.  So no hand-written field setter grows back."""
     sites = []
     for path in SOURCES:
         tree = _parse(path)
@@ -267,6 +278,7 @@ def test_value_fields_are_set_in_one_constructor():
         ("linalg.py", "Matrix.__init__"), ("linalg.py", "Matrix.__init__"),
         ("linalg.py", "Matrix._of"), ("linalg.py", "Matrix._of"),
         ("linalg.py", "_Value.__init__"),
+        ("reps.py", "BarbotSpec._check"), ("reps.py", "BarbotSpec._check"),
     ], f"object.__setattr__ is used at {sites}"
 
     for module in MODULES:

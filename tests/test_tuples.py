@@ -82,6 +82,8 @@ class TestTriple:
         assert cert.normalized_factors[0] == pascal(3)
         assert cert.sign == Matrix.identity(3)
         assert cert.replays([asc, desc.apply(pascal(3)), desc])
+        assert not cert.replays([asc, desc])
+        assert not cert.replays([asc, desc, desc])
 
     def test_sign_flip_absorbed(self):
         asc, desc = standard_flags(3)

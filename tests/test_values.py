@@ -26,6 +26,7 @@ from posiflag import (
     is_positive_tuple_chain,
     limit_convergence,
     standard_flags,
+    svd_flag,
     tp_staged,
     veronese_flag,
 )
@@ -64,7 +65,7 @@ CASES = {
     "AdaptedBasis": (lambda: adapted_basis(*standard_flags(3)), ("matrix", "source")),
     "ProjectivePoint": (lambda: ProjectivePoint(2, -4), ("p", "q")),
     "MoebiusElement": (lambda: MoebiusElement.of(2, 1, 1, 1), ("matrix",)),
-    "BarbotSpec": (lambda: barbot_spec(5, 2), ("d", "j", "k", "perm")),
+    "BarbotSpec": (lambda: barbot_spec(5, 2), ("d", "j")),
     "TupleCertificate": (
         lambda: is_positive_tuple_chain(list(_sample().flags))[1],
         ("adapted", "sign", "factors", "verdicts"),
@@ -79,6 +80,7 @@ CASES = {
         lambda: limit_convergence(barbot_spec(3, 1), MoebiusElement.of(2, 0, 0, 1), 1)[0],
         ("n", "distance", "min_gap", "skipped"),
     ),
+    "FloatFlag": (lambda: svd_flag([[3.0, 1.0], [0.0, 1.0]]), ("frame", "min_gap")),
 }
 
 REPRS = {
@@ -142,6 +144,8 @@ def test_value_class_contract(name, instances):
         assert type(clone) is type(a) and clone == a and repr(clone) == repr(a)
         if name == "AdaptedBasis":
             assert clone.inverse == a.inverse
+        if name == "BarbotSpec":
+            assert (clone.k, clone.perm) == (a.k, a.perm) == (1, (1, 4, 2, 5, 3))
 
     if name == "AdaptedBasis":
         object.__setattr__(b, "inverse", Matrix.reversal(3))
@@ -153,7 +157,7 @@ def test_keywords_run_the_checks():
     """A value built by keywords passes the same checks as one built by position."""
     sample = _sample()
     bad = [
-        (BadParameters, lambda: BarbotSpec(d=4, j=1, k=1, perm=(1, 2, 3, 4))),
+        (BadParameters, lambda: BarbotSpec(d=4, j=1)),
         (BadParameters, lambda: SingularProfile(values=(1.0, 2.0))),
         (BadParameters, lambda: MinorIndex(rows=(2, 1), cols=(3, 4))),
         (DimensionMismatch, lambda: MoebiusElement(matrix=Matrix.identity(3))),
