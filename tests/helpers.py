@@ -177,7 +177,7 @@ def tuple_table_scan(m: Matrix):
     """`tp_oracle`'s table of every nontrivial minor, keyed by index tuples.
 
     The oracle's earlier form, kept as a differential reference for its
-    bitmask-keyed table: rows cleared to the integer grid G, each size-k
+    plan-indexed table: rows cleared to the integer grid G, each size-k
     minor expanded along its last row into the size k-1 minors of the
     previous table, every entry counted as it is computed, and a stop at
     the first negative one.  Returns (status, witness, evaluations).
@@ -730,7 +730,8 @@ def per_pair_coordinates(f: Flag, h: Flag, failure: str):
 def reference_laplace_step(
     row: list[int], sub: dict[int, int], last: int, terms: dict[int, list[tuple[int, int]]]
 ) -> dict[int, int]:
-    """`positivity._laplace_step` as first written, kept as the reference:
+    """The oracle's last-row Laplace step as first written, one row set's
+    table of minors, kept as the reference for `positivity._index_plan`:
     every set of `sub` looks up its part at or above `last` in `terms` and
     is extended by each column from max(its highest + 1, `last`) to d - 1,
     each minor expanded by the full alternating sum along its last row."""

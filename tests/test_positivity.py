@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 from operator import le
@@ -24,7 +26,9 @@ from posiflag import (
     tp_staged,
 )
 from posiflag.linalg import _column_scaled
-from posiflag.positivity import _contiguous_minors, _laplace_step, _staged_scan, bench
+from posiflag.positivity import (
+    _contiguous_minors, _index_plan, _level_table, _plan_level, _staged_scan, bench,
+)
 from helpers import (
     count_nontrivial,
     gen_boundary,
@@ -217,29 +221,108 @@ class TestOracleTable:
         assert seen == set(Status)
 
     def test_laplace_step_matches_reference(self):
-        # every row set's table, in _full_scan's order and each side with one
-        # memo for the grid, has the reference's keys in its insertion order
-        # and its values: witnesses and Outside counts read that order
+        # each plan level, evaluated on the grid, holds every row set's table
+        # in combinations order; each row set's part has the reference's keys
+        # in its insertion order and its values: witnesses and Outside counts
+        # read that order
         rng = random.Random(20)
         entries = (0, 0, -1, 1, 2, -3, 7)
         for d in range(1, 10):
+            plan = _index_plan(d)
             for _ in range(4 if d < 8 else 2):
                 grid = [
                     [0] * i + [rng.randint(1, 4)] + [rng.choice(entries) for _ in range(i + 1, d)]
                     for i in range(d)
                 ]
-                terms, ref_terms = {}, {}
-                prev = ref_prev = {(): {0: 1}}
+                signed = [x for row in grid for x in (*row, *[-x for x in row])]
+                prev, ref_terms, ref_prev = [1], {}, {(): {0: 1}}
                 for k in range(1, d + 1):
-                    cur, ref_cur = {}, {}
-                    for rows in combinations(range(d), k):
-                        row, last = grid[rows[-1]], rows[-1]
-                        table = cur[rows] = _laplace_step(row, prev[rows[:-1]], last, terms)
+                    level = _plan_level(plan, d, k)
+                    starts, keys = level[:2]
+                    table = _level_table(level, signed, prev)
+                    ref_cur = {}
+                    for i, rows in enumerate(combinations(range(d), k)):
+                        last = rows[-1]
                         ref = ref_cur[rows] = reference_laplace_step(
-                            row, ref_prev[rows[:-1]], last, ref_terms
+                            grid[last], ref_prev[rows[:-1]], last, ref_terms
                         )
-                        assert list(table.items()) == list(ref.items()), (grid, rows)
-                    prev, ref_prev = cur, ref_cur
+                        part = slice(starts[i], starts[i + 1])
+                        assert list(zip(keys[part], table[part])) == list(ref.items()), (grid, rows)
+                    assert starts[-1] == len(table) == len(keys)
+                    prev, ref_prev = table, ref_cur
+
+    def test_plan_is_reused_across_dimensions(self):
+        # d = 8, 9, 8 with Outside, boundary and positive inputs in turn: a
+        # plan built cold, extended, or reused after the other dimension's
+        # calls gives the tuple-keyed table's status, witness and count
+        rng = random.Random(33)
+        _index_plan.cache_clear()
+        seen = set()
+        for d in (8, 9, 8):
+            for gen in (gen_nudged_down, gen_boundary, None):
+                m = gen(d, rng) if gen else random_tp(d, rng.randrange(10**9))
+                counter = DetCounter()
+                v = tp_oracle(m, counter=counter)
+                assert (v.status, v.witness, counter.evaluations) == tuple_table_scan(m), (d, gen)
+                seen.add(v.status)
+        assert seen == set(Status)
+        assert _index_plan.cache_info().currsize == 2
+
+    def test_plan_is_built_lazily_for_two_dimensions(self):
+        # a negative entry, then a negative 2 x 2 minor of rows (1, 2) over
+        # positive entries: a cold call builds the levels up to its witness's
+        # size only, and a Positive call extends them
+        for size, (i, j, value) in ((1, (0, 3, -1)), (2, (0, 2, 10**6))):
+            rows = [list(r) for r in pascal(10).rows_tuple()]
+            rows[i][j] = value
+            early = Matrix(rows)
+            _index_plan.cache_clear()
+            counter = DetCounter()
+            v = tp_oracle(early, counter=counter)
+            assert (v.status, v.witness.index.size) == (Status.OUTSIDE, size)
+            assert (v.status, v.witness, counter.evaluations) == tuple_table_scan(early)
+            assert sorted(_index_plan(10)) == list(range(1, size + 1))
+        counter = DetCounter()
+        v = tp_oracle(pascal(10), counter=counter)
+        assert (v.status, v.witness, counter.evaluations) == tuple_table_scan(pascal(10))
+        assert sorted(_index_plan(10)) == list(range(1, 11))
+        # one call at each d = 3..10 keeps the plans of 9 and 10 alone
+        _index_plan.cache_clear()
+        for d in range(3, 11):
+            tp_oracle(pascal(d))
+        assert _index_plan.cache_info()[1:] == (8, 2, 2)  # misses, maxsize, currsize
+        tp_oracle(pascal(9))
+        assert _index_plan.cache_info().hits == 1
+
+    def test_threads_sharing_a_cold_plan_agree(self):
+        # seven threads build one cold d = 8 plan at once, with frequent thread
+        # switches; every verdict and count matches the tuple-keyed table
+        rng = random.Random(34)
+        inputs = [gen(8, rng) for gen in (gen_nudged_down, gen_boundary, gen_perturbed)] * 2
+        inputs += [pascal(8)]
+        want = [tuple_table_scan(m) for m in inputs]
+        for _ in range(3):
+            _index_plan.cache_clear()
+            got = [None] * len(inputs)
+
+            def run(n):
+                counter = DetCounter()
+                v = tp_oracle(inputs[n], counter=counter)
+                got[n] = (v.status, v.witness, counter.evaluations)
+
+            threads = [threading.Thread(target=run, args=(n,)) for n in range(len(inputs))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert got == want
+            assert sorted(_index_plan(8)) == list(range(1, 9))
 
     def test_outside_count_is_position_of_first_negative_minor(self):
         # the oracle stops at its first negative minor, having counted every

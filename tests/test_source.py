@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -189,17 +191,47 @@ def _callers(name: str) -> list[tuple[str, str]]:
 def test_only_the_oracle_builds_the_full_table():
     """`_full_scan` tabulates every nontrivial minor.  It is the oracle's
     independent route, so no other code, the staged scan's fallback
-    included, calls it."""
-    callers = _callers("_full_scan")
-    assert callers == [("positivity.py", "tp_oracle")], f"_full_scan is called from {callers}"
+    included, calls it, and only it reads the index plan and evaluates
+    its levels."""
+    callers = {name: _callers(name) for name in ("_full_scan", "_index_plan", "_plan_level",
+                                                 "_level_table")}
+    assert callers == {
+        "_full_scan": [("positivity.py", "tp_oracle")],
+        "_index_plan": [("positivity.py", "_full_scan")],
+        "_plan_level": [("positivity.py", "_full_scan")],
+        "_level_table": [("positivity.py", "_full_scan")],
+    }, f"the oracle's table is built from {callers}"
 
 
 def test_laplace_expansion_is_written_once():
-    """The oracle's table expands minors along their last row by one step,
-    and nothing else expands by it: the staged route shares no minor
-    evaluation with the oracle."""
+    """The oracle's index plan expands minors along their last row by one
+    step, written once and called by the plan builder alone, and nothing
+    else expands by it: the staged route shares no minor evaluation with
+    the oracle."""
     callers = _callers("_laplace_step")
-    assert callers == [("positivity.py", "_full_scan")], f"_laplace_step is called from {callers}"
+    assert callers == [("positivity.py", "_plan_level")], f"_laplace_step is called from {callers}"
+
+
+def test_start_up_builds_no_index_plan():
+    """Importing posiflag and printing pascal(5) build no oracle plan and
+    load no `array` module, so every command but the oracle's starts as
+    before."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "import posiflag\n"
+         "from posiflag.cli import main\n"
+         "from posiflag.positivity import _index_plan\n"
+         "print(_index_plan.cache_info().misses)\n"
+         "main(['pascal', '--d', '5'])\n"
+         "print(_index_plan.cache_info().misses, 'array' in sys.modules)\n"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[1:3], lines[-1], len(lines)) == (
+        "0", ["dim 5", "entries"], "0 False", 9
+    ), out.stdout
 
 
 def test_elimination_is_written_once():
