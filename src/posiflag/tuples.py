@@ -8,11 +8,13 @@ c_j carrying F_n to F_j: c_n is the identity and c_j = c_{j+1} u_j, so
 u_j = c_{j+1}^{-1} c_j, which is also the quotient of the coordinates
 of F_{j+1} and F_j over F_1 (see flags): F_n drops out.  Those
 coordinates are kept in integers, and the elimination that builds them
-also decides each pair's transversality, so every pair of a family is
-checked once, before any factor is built.  Each factor stays in
-integers too, as G diag(1/s) with positive column scales s, from the
-back substitution that builds it to the minor scan that judges it; only
-the chain route's certificate turns factors into Matrices.  The definition
+also decides each pair's transversality.  They are built on demand, an
+anchor flag at a time: a Positive verdict stands for the pairs no chain
+read, since a positive tuple is pairwise transverse, and any other
+outcome checks every pair first.  Each factor stays in integers too, as
+G diag(1/s) with positive column scales s, from the back substitution
+that builds it to the minor scan that judges it; only the chain route's
+certificate turns factors into Matrices.  The definition
 allows any adapted basis; the only freedom that affects total positivity
 of the factors is a diagonal sign flip, which is resolved here by
 conjugating every factor by the one +-1 diagonal that makes u_{n-1}'s
@@ -30,7 +32,7 @@ failing one.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from itertools import combinations
 from math import comb
 
@@ -139,29 +141,45 @@ def _aggregate(verdicts: Iterable[PositivityVerdict]) -> PositivityVerdict:
 
 
 class _TupleEngine:
-    """Memo of the chain factors of subtuples of one pairwise transverse family.
+    """Memo of the pair coordinates and chain factors of one flag family.
 
-    Construction builds, for every pair a < x of 0-based flag indices,
-    the integer coordinates c_{a,x} = ū diag(1/δ) of F_x over F_a: one
-    solve per anchor frame, one forward elimination per pair.  A zero pivot
-    of that elimination is exactly a failure of transversality, and raises
-    NotTransverse with the 1-based pair, the pairs taken in order: (1, n)
-    first, then (1, j) for 1 < j < n, then the rest.  So an engine
-    exists only over a pairwise transverse family, and every subtuple
-    needs no further check.  The factor of (a, y, x) is
+    For a pair a < x of 0-based flag indices, c_{a,x} = ū diag(1/δ) are
+    the integer coordinates of F_x over F_a, built an anchor at a time:
+    one solve of anchor a's frame against all later frames, one forward
+    elimination per pair.  `anchors` builds anchors 0..a on first use, in
+    order, pairs (1, n) first, then (1, j) for 1 < j < n, then anchor 2's
+    and so on.  A zero pivot of an elimination is exactly a failure of
+    transversality, and raises NotTransverse with the 1-based pair, the
+    first failing one in that order; `chain` and `factor` read pair
+    coordinates through `anchors` only.  The factor of (a, y, x) is
     c_{a,y}^-1 c_{a,x}; the transporter of (F_a, F_e, F_x) is
     c_{a,e}^-1 c_{a,x}, so factors do not depend on the last flag e and
     are shared across subtuples, and so is the staged verdict of each
     factor under each sign vector.  A chain's sign vector is read off two
     pair coordinates before its factors are built, so a chain refused by
     a zero superdiagonal builds none.  An engine lives for one call of a
-    public entry point.
+    public entry point, which settles its outcome by `_ruled`: a Positive
+    one returns at once, since a positive tuple is pairwise transverse
+    (Fock and Goncharov 2006), and any other builds every remaining
+    anchor first.
     """
 
     def __init__(self, flags: list[Flag]):
-        n = len(flags)
+        self._flags = flags
         self._pairs: dict[tuple[int, int], ColumnScaled] = {}
-        for a in range(1, n):
+        self._built = 0
+        self._factors: dict[tuple[int, int, int], ColumnScaled] = {}
+        self._verdicts: dict[tuple[int, int, int, tuple[int, ...]], PositivityVerdict] = {}
+
+    def anchors(self, last: int | None = None) -> dict[tuple[int, int], ColumnScaled]:
+        """The pair coordinates, with every anchor up to `last` (0-based; all
+        when None) built, the unbuilt ones now and in order."""
+        flags = self._flags
+        n = len(flags)
+        if last is None:
+            last = n - 2
+        while self._built <= last:
+            a = self._built + 1
             later = [n] + list(range(2, n)) if a == 1 else list(range(a + 1, n + 1))
             coords = _coordinates(
                 flags[a - 1]._rows, [flags[b - 1]._rows for b in later], "not transverse"
@@ -171,15 +189,16 @@ class _TupleEngine:
                     self._pairs[(a - 1, b - 1)] = next(coords)
             except NotTransverse:
                 raise NotTransverse(f"flags {a} and {b} are not transverse", pair=(a, b)) from None
-        self._factors: dict[tuple[int, int, int], ColumnScaled] = {}
-        self._verdicts: dict[tuple[int, int, int, tuple[int, ...]], PositivityVerdict] = {}
+            self._built = a
+        return self._pairs
 
     def factor(self, a: int, y: int, x: int) -> ColumnScaled:
         """(G, s) with G diag(1/s) = c_{a,y}^-1 c_{a,x}, checked upper unipotent."""
         key = (a, y, x)
         u = self._factors.get(key)
         if u is None:
-            u = self._factors[key] = _unipotent_quotient(self._pairs[(a, y)], self._pairs[(a, x)])
+            pairs = self.anchors(a)
+            u = self._factors[key] = _unipotent_quotient(pairs[(a, y)], pairs[(a, x)])
         return u
 
     def verdict(self, a: int, y: int, x: int, signs: tuple[int, ...]) -> PositivityVerdict:
@@ -205,12 +224,13 @@ class _TupleEngine:
         (ū_x[i][i+1] δ_y[i+1] - ū_y[i][i+1] δ_x[i+1]) / (δ_x[i+1] δ_y[i+1]).
         """
         a = idx[0]
-        keys = [(a, y, x) for x, y in zip(idx[1:-1], idx[2:])]
-        (uy, dy), (ux, dx) = self._pairs[(a, idx[-1])], self._pairs[(a, idx[-2])]
+        pairs = self.anchors(a)
+        (uy, dy), (ux, dx) = pairs[(a, idx[-1])], pairs[(a, idx[-2])]
         signs = _signs([
             (ux[i][i + 1] * dy[i + 1] - uy[i][i + 1] * dx[i + 1]) * dx[i + 1] * dy[i + 1]
             for i in range(len(dx) - 1)
         ])
+        keys = [(a, y, x) for x, y in zip(idx[1:-1], idx[2:])]
         factors = tuple(self.factor(*key) for key in keys)
         verdicts = tuple(self.verdict(*key, signs) for key in keys)
         return _aggregate(verdicts), signs, factors, verdicts
@@ -230,12 +250,38 @@ def _require_one_dim(flags) -> None:
 
 
 def _engine(flags: list[Flag]) -> _TupleEngine:
-    """An engine over a pairwise transverse tuple of at least 3 flags of one dimension."""
+    """An engine over a tuple of at least 3 flags of one dimension."""
     n = len(flags)
     if n < 3:
         raise BadParameters(f"tuple positivity needs at least 3 flags, got {n}")
     _require_one_dim(flags)
     return _TupleEngine(list(flags))
+
+
+def _ruled(engine: _TupleEngine, run: Callable[[], object], positive: Callable[..., bool]):
+    """run()'s outcome under the rule every public route shares: a Positive
+    outcome returns at once; any other, ZeroSuperdiagonal included, first
+    builds every remaining anchor, so a non-transverse pair raises
+    NotTransverse before it, at the same pair as if all pairs came first.
+
+    A positive tuple is pairwise transverse: any two of its flags differ
+    by a totally positive unipotent (Fock and Goncharov, "Moduli spaces of
+    local systems and higher Teichmüller theory", Publ. Math. IHÉS 103,
+    2006).  In the basis adapted to (F_1, F_n), F_i = U_j V E⁻ and
+    F_j = U_j E⁻ with V = u_{j-1} ... u_i, so F_i and F_j are transverse
+    exactly when V's minors on rows 1..k and columns d-k+1..d are nonzero,
+    k = 1..d-1: nontrivial minors of a product of totally positive
+    factors, up to the sign conjugation.  So a Positive outcome certifies
+    the pairs that no chain read, and pairs (1, j) the chain reads itself.
+    """
+    try:
+        result = run()
+    except ZeroSuperdiagonal:
+        engine.anchors()
+        raise
+    if not positive(result):
+        engine.anchors()
+    return result
 
 
 def is_positive_tuple_chain(
@@ -249,10 +295,19 @@ def is_positive_tuple_chain(
     The verdict is Positive iff every factor passes; otherwise it carries
     the status and witness of the first failing factor (the witness
     indexes into that factor, see the certificate's verdict list).
+
+    Only the pairs (1, j) are built on the way to a Positive verdict: a
+    positive tuple is pairwise transverse (Fock and Goncharov 2006; see
+    `_ruled`).  Any other outcome checks every pair first, so a
+    non-transverse pair raises NotTransverse, the first in the order
+    (1, n), (1, 2), ..., (1, n-1), (2, 3), ..., (n-1, n).
     """
     engine = _engine(flags)
-    verdict, signs, factors, verdicts = engine.chain(tuple(range(len(flags))))
-    adapted = _adapted(flags[0], flags[-1], engine._pairs[(0, len(flags) - 1)])
+    n = len(flags)
+    verdict, signs, factors, verdicts = _ruled(
+        engine, lambda: engine.chain(tuple(range(n))), lambda out: out[0].is_positive
+    )
+    adapted = _adapted(flags[0], flags[-1], engine.anchors(0)[(0, n - 1)])
     factors = tuple(Matrix._of(_fractions(g, s)) for g, s in factors)
     return verdict, TupleCertificate(adapted, Matrix.diagonal(signs), factors, verdicts)
 
@@ -262,9 +317,11 @@ def is_positive_triple(
 ) -> tuple[PositivityVerdict, TupleCertificate]:
     """Certify a triple: one transporter, sign-normalized and scanned.
 
-    Transversality of (f1, f3) and (f1, f2) is structurally necessary;
-    (f2, f3) is checked as well, and its failure is raised as
-    NotTransverse with pair (2, 3) to keep it distinguishable.
+    Transversality of (f1, f3) and (f1, f2) is structurally necessary.
+    (f2, f3) is checked only when the verdict is not Positive, since a
+    positive triple is pairwise transverse (Fock and Goncharov 2006; see
+    `_ruled`); its failure is raised as NotTransverse with pair (2, 3) to
+    keep it distinguishable.
     """
     return is_positive_tuple_chain([f1, f2, f3])
 
@@ -275,11 +332,16 @@ def is_positive_tuple_quad(flags: list[Flag]) -> PositivityVerdict:
     Equivalent to the chain route but quadratic instead of global: a
     tuple is positive iff every ordered quadruple inside it is.  Returns
     the verdict of the first failing quadruple (lexicographic order) or
-    Positive; a triple is its own only subtuple.
+    Positive; a triple is its own only subtuple.  Pair transversality
+    follows the chain route's rule (`_ruled`).
     """
     n = len(flags)
     engine = _engine(flags)
-    return _aggregate(engine.chain(sub)[0] for sub in combinations(range(n), min(n, 4)))
+    return _ruled(
+        engine,
+        lambda: _aggregate(engine.chain(sub)[0] for sub in combinations(range(n), min(n, 4))),
+        lambda verdict: verdict.is_positive,
+    )
 
 
 class FlagMapSample(_Value):
@@ -334,21 +396,31 @@ class SampleReport(_Value):
 def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
     """Finite-sample consistency check of positivity propagation.
 
-    Verifies all pairs transverse (raising NotTransverse with the 1-based
-    pair on failure), scans triples in lexicographic order for one
-    positive triple, and if one exists checks that every ordered
-    quadruple of the sample is positive.  A finite check, not a proof.
+    Scans triples in lexicographic order for one positive triple, and if
+    one exists checks that every ordered quadruple of the sample is
+    positive.  Every pair is transverse unless NotTransverse is raised,
+    with the first failing 1-based pair in the chain route's order.  A
+    finite check, not a proof.
 
-    The work is n - 1 solves and C(n, 2) pair eliminations (the engine),
-    at most C(n, 3) triple chains, then one chain of n - 2 factors over
-    the whole sample: the sample is positive exactly when all its ordered
-    quadruples are.  Only when that chain fails are the quadruples
-    scanned in lexicographic order, each by its own chain, for the first
-    failing one; finding none raises InvariantViolated, since the two
-    routes must agree.
+    A consistent sample costs one solve and n - 1 pair eliminations (the
+    pairs (1, j)), the chain of its first triple, then one chain of n - 2
+    factors over the whole sample: the sample is positive exactly when
+    all its ordered quadruples are, and a positive sample is pairwise
+    transverse (Fock and Goncharov 2006; see `_ruled`), so no other pair
+    is built.  Any other report builds every pair first, n - 1 solves and
+    C(n, 2) eliminations in all, after at most C(n, 3) triple chains.
+    Only when the whole chain fails are the quadruples scanned in
+    lexicographic order, each by its own chain, for the first failing
+    one; finding none raises InvariantViolated, since the two routes must
+    agree.
     """
-    n = len(sample.flags)
     engine = _TupleEngine(list(sample.flags))
+    n = len(sample.flags)
+    return _ruled(engine, lambda: _sampled_report(engine, n), lambda r: r.status == "consistent")
+
+
+def _sampled_report(engine: _TupleEngine, n: int) -> SampleReport:
+    """The sampled check's report, from the chains of `engine`'s n flags."""
     positive_triple = None
     triples = 0
     for sub in combinations(range(n), 3):

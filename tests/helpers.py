@@ -50,6 +50,7 @@ from posiflag.linalg import (
 )
 from posiflag.positivity import _contiguous_minors
 from posiflag.reps import MoebiusElement
+from posiflag.tuples import _TupleEngine
 
 
 def reference_bareiss(a: list[list[int]], swaps: bool = True) -> tuple[list[int], int]:
@@ -360,6 +361,14 @@ def reverse_column_echelon(c: Matrix) -> Matrix | None:
             return None
         reduced.append([x / pivot for x in v])
     return Matrix([[reduced[d - 1 - j][i] for j in range(d)] for i in range(d)])
+
+
+def all_anchors(flags: list[Flag]) -> _TupleEngine:
+    """A new engine over `flags` with the coordinates of every pair built,
+    or the NotTransverse that building them raises."""
+    engine = _TupleEngine(flags)
+    engine.anchors()
+    return engine
 
 
 def all_pairs_transverse(flags: list[Flag]) -> bool:

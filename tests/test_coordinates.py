@@ -41,7 +41,7 @@ import posiflag.flags as flags_module
 from posiflag.flags import _coordinates, _undoes_to
 from posiflag.linalg import _fractions, _grid_det, _quotient
 from posiflag.tuples import _TupleEngine
-from helpers import back_substitute, fraction_coordinates, lu_identity_holds
+from helpers import all_anchors, back_substitute, fraction_coordinates, lu_identity_holds
 
 SETTINGS = settings(
     max_examples=6, deadline=None, derandomize=True,
@@ -147,13 +147,14 @@ class TestIntegerCoordinates:
     @given(data=st.data())
     def test_engine_transversality_is_the_determinant_test(self, kind, shape, data):
         """A zero pivot of the pair coordinates is exactly a failure of the
-        determinant test, and the engine refuses a family at its first one."""
+        determinant test, and building every pair of the engine refuses a
+        family at its first one."""
         flags = data.draw(flag_tuples(kind, shape, 4))
         msg = "flags are not transverse"
         for f, h in combinations(flags, 2):
             assert (outcome(pair_coordinates, f, h, msg)[0] != "NotTransverse") == transverse(f, h)
         pairwise = all(transverse(f, h) for f, h in combinations(flags, 2))
-        assert isinstance(outcome(_TupleEngine, flags), _TupleEngine) == pairwise
+        assert isinstance(outcome(all_anchors, flags), _TupleEngine) == pairwise
 
     @cases
     @settings(SETTINGS, max_examples=3)

@@ -32,6 +32,7 @@ from posiflag import (
     barbot_flag,
     barbot_spec,
     check_sampled_positivity,
+    is_positive_triple,
     is_positive_tuple_chain,
     is_positive_tuple_quad,
     pascal,
@@ -47,6 +48,7 @@ from posiflag import (
 from posiflag.linalg import _fractions
 from posiflag.tuples import _signs, _TupleEngine
 from helpers import (
+    all_anchors,
     all_pairs_transverse,
     brute_threshold,
     distinct_points,
@@ -175,15 +177,16 @@ IDS = [name for name, _, _ in FAMILIES]
 
 @pytest.mark.parametrize("name,pts,flags", FAMILIES, ids=IDS)
 def test_engine_chain_matches_uncached(name, pts, flags):
-    """An engine is built only over a pairwise transverse family; then every
-    subtuple's chain matches the reference.  Pair numbers relative to a
-    subtuple are covered by the public routes below."""
+    """Building every pair refuses a family exactly as the reference does;
+    over a pairwise transverse one, every subtuple's chain matches the
+    reference.  Pair numbers relative to a subtuple are covered by the
+    public routes below."""
     flags = list(flags)
     refused = outcome(ref_transverse, flags)
     if refused is not None:
-        assert outcome(_TupleEngine, flags) == refused, name
+        assert outcome(all_anchors, flags) == refused, name
         return
-    engine = _TupleEngine(flags)
+    engine = all_anchors(flags)
     for size in (3, 4, len(flags)):
         for idx in combinations(range(len(flags)), size):
             sub = [flags[i] for i in idx]
@@ -286,9 +289,9 @@ def test_engine_coordinates_match_per_pair_route(d):
         integral.append([barbot_flag(spec, x) for x in pts])
     rational = [transverse_family(d, 5, rng, True) for _ in range(2)]
     for flags in integral + rational:
-        engine = _TupleEngine(flags)
-        assert len(engine._pairs) == comb(len(flags), 2)
-        for (a, b), got in engine._pairs.items():
+        pairs = all_anchors(flags).anchors()
+        assert len(pairs) == comb(len(flags), 2)
+        for (a, b), got in pairs.items():
             want = per_pair_coordinates(flags[a], flags[b], "flags are not transverse")
             if flags in integral:
                 assert got == want, (a, b)
@@ -315,8 +318,8 @@ def shared_family(d, n, rng, pairs):
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_engine_refuses_at_the_reference_pair(d):
-    """With exactly one non-transverse pair, at each position in turn, the
-    engine raises NotTransverse with that pair and the reference message;
+    """With exactly one non-transverse pair, at each position in turn,
+    building every pair raises NotTransverse with that pair and the reference message;
     with two or more, at the first pair in the reference order."""
     rng = random.Random(1_900 + d)
     n = 5
@@ -329,12 +332,75 @@ def test_engine_refuses_at_the_reference_pair(d):
                 break
         want = ("NotTransverse", (i + 1, j + 1), f"flags {i + 1} and {j + 1} are not transverse")
         assert outcome(ref_transverse, flags) == want
-        assert outcome(_TupleEngine, flags) == want
+        assert outcome(all_anchors, flags) == want
     for first, second in combinations(positions, 2):
         flags = shared_family(d, n, rng, [first, second])
         want = outcome(ref_transverse, flags)
         assert want[0] == "NotTransverse"
-        assert outcome(_TupleEngine, flags) == want, (first, second)
+        assert outcome(all_anchors, flags) == want, (first, second)
+
+
+def test_public_routes_refuse_a_late_pair_before_any_verdict():
+    """A Positive outcome stands for the pairs no chain read; any other
+    outcome checks them first.  With one non-transverse pair, at each
+    anchor from 2 on, d = 2..5, the anchor-1 whole chain is refused
+    (Outside, NonnegativeBoundary or ZeroSuperdiagonal, each reached),
+    and the chain, quad and sampled routes raise the reference pair and
+    message; the triple of flag 1 and the pair raises (2, 3)."""
+    n = 5
+    positions = list(combinations(range(n), 2))
+    seen = set()
+    for d, (i, j) in ((d, pair) for d in range(2, 6) for pair in positions[n - 1:]):
+        rng = random.Random(2_300 + 10 * d + i + j)
+        while True:
+            flags = shared_family(d, n, rng, [(i, j)])
+            failing = [(p, q) for p, q in positions if not transverse(flags[p], flags[q])]
+            if failing == [(i, j)]:
+                break
+        want = ("NotTransverse", (i + 1, j + 1), f"flags {i + 1} and {j + 1} are not transverse")
+        assert outcome(ref_transverse, flags) == want
+        whole = outcome(_TupleEngine(flags).chain, tuple(range(n)))
+        seen.add(whole[0] if isinstance(whole[0], str) else whole[0].status)
+        assert outcome(is_positive_tuple_chain, flags) == want, (d, i, j)
+        assert outcome(is_positive_tuple_quad, flags) == want, (d, i, j)
+        sample = FlagMapSample(tuple(distinct_points(n, rng)), tuple(flags))
+        assert outcome(check_sampled_positivity, sample) == want, (d, i, j)
+        triple = outcome(is_positive_triple, flags[0], flags[i], flags[j])
+        assert triple == ("NotTransverse", (2, 3), "flags 2 and 3 are not transverse"), (d, i, j)
+    assert seen == {"ZeroSuperdiagonal", Status.OUTSIDE, Status.NONNEGATIVE_BOUNDARY}
+
+
+def map_sweep_samples():
+    """(name, points, flags) on the Veronese shapes (d, n) of the map sweep."""
+    rng = random.Random(5_151)
+    out = []
+    for d, n in ((3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (5, 5)):
+        pts = distinct_points(n, rng)
+        out.append((f"veronese d={d} n={n}", pts, [veronese_flag(x, d) for x in pts]))
+    return out
+
+
+def test_positive_outcomes_are_pairwise_transverse():
+    """The theorem behind the Positive shortcut, checked by the determinant
+    test `transverse` and not by the engine's eliminations: every subtuple
+    of three or more flags that the chain route calls Positive, and every
+    sample that the sampled check calls consistent, is pairwise transverse."""
+    positives = consistent = 0
+    for name, pts, flags in FAMILIES + sampled_corpus() + map_sweep_samples():
+        n = len(flags)
+        transverse_pairs = {(a, b) for a, b in combinations(range(n), 2)
+                            if transverse(flags[a], flags[b])}
+        for size in range(3, n + 1):
+            for idx in combinations(range(n), size):
+                chain = outcome(is_positive_tuple_chain, [flags[i] for i in idx])
+                if not isinstance(chain[0], str) and chain[0].is_positive:
+                    positives += 1
+                    assert set(combinations(idx, 2)) <= transverse_pairs, (name, idx)
+        report = outcome(check_sampled_positivity, FlagMapSample(tuple(pts), tuple(flags)))
+        if isinstance(report, SampleReport) and report.status == "consistent":
+            consistent += 1
+            assert len(transverse_pairs) == comb(n, 2), name
+    assert positives > 0 and consistent > 0
 
 
 # -- chain signs from the pair coordinates ------------------------------------
@@ -376,7 +442,7 @@ def test_chain_signs_match_the_built_factor():
     message and position are the same."""
     seen = set()
     for name, flags in sign_rule_families():
-        engine = _TupleEngine(flags)
+        engine = all_anchors(flags)
         for a, x, y in combinations(range(len(flags)), 3):
             g, _ = engine.factor(a, y, x)
             want = outcome(_signs, [g[i][i + 1] for i in range(len(g) - 1)])
@@ -436,14 +502,37 @@ def test_threshold_matches_brute_force_on_random_flags():
         checked += 1
 
 
+def count_pair_work(monkeypatch):
+    """Lists that record, from now on, the right-hand columns of each
+    solve of the pair coordinates and the rows of each of their forward
+    eliminations (the solves run linalg's own)."""
+    import posiflag.flags as flags_module
+
+    solves, eliminations = [], []
+    real_solve, real_bareiss = flags_module._scaled_solve, flags_module._bareiss
+
+    def counted_solve(a, bs):
+        solves.append(sum(len(b[0][0]) for b in bs))
+        return real_solve(a, bs)
+
+    def counted_bareiss(a, swaps=True):
+        eliminations.append(len(a))
+        return real_bareiss(a, swaps)
+
+    monkeypatch.setattr(flags_module, "_scaled_solve", counted_solve)
+    monkeypatch.setattr(flags_module, "_bareiss", counted_bareiss)
+    return solves, eliminations
+
+
 def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
     """Work-count guard: a Veronese d = 4, n = 6 sample is checked without
-    the determinant test `transverse`, with one solve per anchor frame
-    (n - 1), one forward elimination of d rows per pair (C(n, 2); the
-    solves run linalg's own), then, after the positive triple (1, 2, 3),
-    one chain over the whole sample: n - 2 factors, one staged scan per
-    (factor, sign), the triple's factor shared, and no Fraction built on
-    the way."""
+    the determinant test `transverse`, with one solve, of anchor 1's frame
+    against the n - 1 others, and one forward elimination of d rows per
+    pair (1, j); after the positive triple (1, 2, 3), one chain over the
+    whole sample: n - 2 factors, one staged scan per (factor, sign), the
+    triple's factor shared, and no Fraction built on the way.  The chain
+    is positive, so the sample is pairwise transverse and no other pair
+    is built."""
     import posiflag
     import posiflag.flags as flags_module
     import posiflag.linalg as linalg_module
@@ -455,18 +544,10 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
 
     for module in (posiflag, flags_module):
         monkeypatch.setattr(module, "transverse", refuse)
-    solves, eliminations, quotients, scans, ratios = [], [], [], [], []
-    real_solve, real_bareiss = flags_module._scaled_solve, flags_module._bareiss
+    solves, eliminations = count_pair_work(monkeypatch)
+    quotients, scans, ratios = [], [], []
     real_quotient = flags_module._quotient
     real_scan, real_ratio = tuples_module._staged_scan, linalg_module._ratio
-
-    def counted_solve(a, bs):
-        solves.append(sum(len(b[0][0]) for b in bs))
-        return real_solve(a, bs)
-
-    def counted_bareiss(a, swaps=True):
-        eliminations.append(len(a))
-        return real_bareiss(a, swaps)
 
     def counted_quotient(*args):
         quotients.append(args)
@@ -480,8 +561,6 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
         ratios.append((n, d))
         return real_ratio(n, d)
 
-    monkeypatch.setattr(flags_module, "_scaled_solve", counted_solve)
-    monkeypatch.setattr(flags_module, "_bareiss", counted_bareiss)
     monkeypatch.setattr(flags_module, "_quotient", counted_quotient)
     monkeypatch.setattr(tuples_module, "_staged_scan", counted_scan)
     n, d = 6, 4
@@ -491,12 +570,43 @@ def test_sampled_check_reads_transversality_from_pair_coordinates(monkeypatch):
         monkeypatch.setattr(module, "_ratio", counted_ratio)
     report = check_sampled_positivity(sample)
     assert report == SampleReport("consistent", (1, 2, 3), None, 1, comb(n, 4))
-    # anchor a (1-based) solves against the n - a later frames at once
-    assert solves == [d * (n - a) for a in range(1, n)]
-    assert eliminations == [d] * comb(n, 2)
+    assert solves == [d * (n - 1)]
+    assert eliminations == [d] * (n - 1)
     assert len(quotients) == n - 2
     assert (len(scans), len(set(scans))) == (4, 4)  # one per (factor, sign) reached
     assert ratios == []
+
+
+def test_vacuous_sample_builds_every_pair(monkeypatch):
+    """Work-count guard: a Barbot (3, 1) sample, n = 6, is vacuous, and a
+    vacuous report stands on every pair: each anchor a (1-based) solves
+    against its n - a later frames at once, n - 1 solves and C(n, 2)
+    eliminations in all, the last anchor built after the triple scan."""
+    solves, eliminations = count_pair_work(monkeypatch)
+    n, d = 6, 3
+    pts = distinct_points(n, random.Random(22))
+    spec = barbot_spec(d, 1)
+    sample = FlagMapSample(tuple(pts), tuple(barbot_flag(spec, x) for x in pts))
+    assert check_sampled_positivity(sample).status == "vacuously consistent, no positive triple"
+    assert solves == [d * (n - a) for a in range(1, n)]
+    assert eliminations == [d] * comb(n, 2)
+
+
+def test_positive_chain_builds_only_the_first_anchor(monkeypatch):
+    """Work-count guard: the chain route certifies a positive Veronese
+    d = 4, n = 6 tuple from the pairs (1, j) alone, one solve and n - 1
+    eliminations; an Outside verdict on the same flags, the second and
+    third swapped so that the tuple is no longer cyclically ordered,
+    builds every pair."""
+    solves, eliminations = count_pair_work(monkeypatch)
+    n, d = 6, 4
+    flags = [veronese_flag(x, d) for x in distinct_points(n, random.Random(6))]
+    assert is_positive_tuple_chain(flags)[0].is_positive
+    assert (solves, eliminations) == ([d * (n - 1)], [d] * (n - 1))
+    del solves[:], eliminations[:]
+    flags[1:3] = flags[2:0:-1]
+    assert is_positive_tuple_chain(flags)[0].status is Status.OUTSIDE
+    assert (solves, eliminations) == ([d * (n - a) for a in range(1, n)], [d] * comb(n, 2))
 
 
 def test_quad_route_runs_one_chain_per_quadruple(monkeypatch):

@@ -244,6 +244,14 @@ def test_elimination_is_written_once():
     ], f"_bareiss is called from {callers}"
 
 
+def test_pair_coordinates_are_built_by_anchors_alone():
+    """The tuple engine builds pair coordinates in one place, anchor by
+    anchor, so every chain reads them, and every route checks the pairs
+    left, through `_TupleEngine.anchors`."""
+    callers = [caller for caller in _callers("_coordinates") if caller[0] == "tuples.py"]
+    assert callers == [("tuples.py", "anchors")], f"_coordinates is called from {callers}"
+
+
 def test_back_substitution_is_written_once():
     """Every solve, inverse, chain factor and threshold quotient c^-1 S c
     back-substitutes by one integer loop, called from these two places only."""
