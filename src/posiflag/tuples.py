@@ -32,7 +32,7 @@ failing one.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from itertools import combinations
 from math import comb
 
@@ -158,14 +158,15 @@ class _TupleEngine:
     factor under each sign vector.  A chain's sign vector is read off two
     pair coordinates before its factors are built, so a chain refused by
     a zero superdiagonal builds none.  An engine lives for one call of a
-    public entry point, which settles its outcome by `_ruled`: a Positive
-    one returns at once, since a positive tuple is pairwise transverse
-    (Fock and Goncharov 2006), and any other builds every remaining
-    anchor first.
+    public entry point, over at least 3 flags of one dimension.
     """
 
     def __init__(self, flags: list[Flag]):
-        self._flags = flags
+        n = len(flags)
+        if n < 3:
+            raise BadParameters(f"tuple positivity needs at least 3 flags, got {n}")
+        _require_one_dim(flags)
+        self._flags = list(flags)
         self._pairs: dict[tuple[int, int], ColumnScaled] = {}
         self._built = 0
         self._factors: dict[tuple[int, int, int], ColumnScaled] = {}
@@ -222,18 +223,40 @@ class _TupleEngine:
         c_y and c_x are upper unipotent, so the superdiagonal of c_y^-1 c_x
         is c_x's minus c_y's; with c = ū diag(1/δ), entry i is
         (ū_x[i][i+1] δ_y[i+1] - ū_y[i][i+1] δ_x[i+1]) / (δ_x[i+1] δ_y[i+1]).
+
+        Every public route settles pair transversality here, by one rule:
+        a Positive chain returns at once; any other outcome,
+        ZeroSuperdiagonal included, first builds every remaining anchor, so
+        a non-transverse pair raises NotTransverse before it, at the same
+        pair as if all pairs came first.  A positive tuple is pairwise transverse: any two
+        of its flags differ by a totally positive unipotent (Fock and
+        Goncharov, "Moduli spaces of local systems and higher Teichmüller
+        theory", Publ. Math. IHÉS 103, 2006).  In the basis adapted to
+        (F_1, F_n), F_i = U_j V E⁻ and F_j = U_j E⁻ with V = u_{j-1} ... u_i,
+        so F_i and F_j are transverse exactly when V's minors on rows 1..k
+        and columns d-k+1..d are nonzero, k = 1..d-1: nontrivial minors of a
+        product of totally positive factors, up to the sign conjugation.  So
+        a Positive chain certifies the pairs that it did not read, and the
+        pairs (a, j) it reads itself.
         """
         a = idx[0]
         pairs = self.anchors(a)
         (uy, dy), (ux, dx) = pairs[(a, idx[-1])], pairs[(a, idx[-2])]
-        signs = _signs([
-            (ux[i][i + 1] * dy[i + 1] - uy[i][i + 1] * dx[i + 1]) * dx[i + 1] * dy[i + 1]
-            for i in range(len(dx) - 1)
-        ])
+        try:
+            signs = _signs([
+                (ux[i][i + 1] * dy[i + 1] - uy[i][i + 1] * dx[i + 1]) * dx[i + 1] * dy[i + 1]
+                for i in range(len(dx) - 1)
+            ])
+        except ZeroSuperdiagonal:
+            self.anchors()
+            raise
         keys = [(a, y, x) for x, y in zip(idx[1:-1], idx[2:])]
         factors = tuple(self.factor(*key) for key in keys)
         verdicts = tuple(self.verdict(*key, signs) for key in keys)
-        return _aggregate(verdicts), signs, factors, verdicts
+        verdict = _aggregate(verdicts)
+        if not verdict.is_positive:
+            self.anchors()
+        return verdict, signs, factors, verdicts
 
     def positive(self, idx: tuple[int, ...]) -> bool:
         """Chain verdict collapsed to a boolean; a zero superdiagonal means no."""
@@ -249,41 +272,6 @@ def _require_one_dim(flags) -> None:
         raise DimensionMismatch("flags in a tuple must share one dimension")
 
 
-def _engine(flags: list[Flag]) -> _TupleEngine:
-    """An engine over a tuple of at least 3 flags of one dimension."""
-    n = len(flags)
-    if n < 3:
-        raise BadParameters(f"tuple positivity needs at least 3 flags, got {n}")
-    _require_one_dim(flags)
-    return _TupleEngine(list(flags))
-
-
-def _ruled(engine: _TupleEngine, run: Callable[[], object], positive: Callable[..., bool]):
-    """run()'s outcome under the rule every public route shares: a Positive
-    outcome returns at once; any other, ZeroSuperdiagonal included, first
-    builds every remaining anchor, so a non-transverse pair raises
-    NotTransverse before it, at the same pair as if all pairs came first.
-
-    A positive tuple is pairwise transverse: any two of its flags differ
-    by a totally positive unipotent (Fock and Goncharov, "Moduli spaces of
-    local systems and higher Teichmüller theory", Publ. Math. IHÉS 103,
-    2006).  In the basis adapted to (F_1, F_n), F_i = U_j V E⁻ and
-    F_j = U_j E⁻ with V = u_{j-1} ... u_i, so F_i and F_j are transverse
-    exactly when V's minors on rows 1..k and columns d-k+1..d are nonzero,
-    k = 1..d-1: nontrivial minors of a product of totally positive
-    factors, up to the sign conjugation.  So a Positive outcome certifies
-    the pairs that no chain read, and pairs (1, j) the chain reads itself.
-    """
-    try:
-        result = run()
-    except ZeroSuperdiagonal:
-        engine.anchors()
-        raise
-    if not positive(result):
-        engine.anchors()
-    return result
-
-
 def is_positive_tuple_chain(
     flags: list[Flag],
 ) -> tuple[PositivityVerdict, TupleCertificate]:
@@ -296,17 +284,14 @@ def is_positive_tuple_chain(
     the status and witness of the first failing factor (the witness
     indexes into that factor, see the certificate's verdict list).
 
-    Only the pairs (1, j) are built on the way to a Positive verdict: a
-    positive tuple is pairwise transverse (Fock and Goncharov 2006; see
-    `_ruled`).  Any other outcome checks every pair first, so a
-    non-transverse pair raises NotTransverse, the first in the order
+    Only the pairs (1, j) are built on the way to a Positive verdict (see
+    `_TupleEngine.chain`).  Any other outcome checks every pair first, so
+    a non-transverse pair raises NotTransverse, the first in the order
     (1, n), (1, 2), ..., (1, n-1), (2, 3), ..., (n-1, n).
     """
-    engine = _engine(flags)
+    engine = _TupleEngine(flags)
     n = len(flags)
-    verdict, signs, factors, verdicts = _ruled(
-        engine, lambda: engine.chain(tuple(range(n))), lambda out: out[0].is_positive
-    )
+    verdict, signs, factors, verdicts = engine.chain(tuple(range(n)))
     adapted = _adapted(flags[0], flags[-1], engine.anchors(0)[(0, n - 1)])
     factors = tuple(Matrix._of(_fractions(g, s)) for g, s in factors)
     return verdict, TupleCertificate(adapted, Matrix.diagonal(signs), factors, verdicts)
@@ -319,9 +304,9 @@ def is_positive_triple(
 
     Transversality of (f1, f3) and (f1, f2) is structurally necessary.
     (f2, f3) is checked only when the verdict is not Positive, since a
-    positive triple is pairwise transverse (Fock and Goncharov 2006; see
-    `_ruled`); its failure is raised as NotTransverse with pair (2, 3) to
-    keep it distinguishable.
+    positive triple is pairwise transverse (see `_TupleEngine.chain`); its
+    failure is raised as NotTransverse with pair (2, 3) to keep it
+    distinguishable.
     """
     return is_positive_tuple_chain([f1, f2, f3])
 
@@ -333,15 +318,11 @@ def is_positive_tuple_quad(flags: list[Flag]) -> PositivityVerdict:
     tuple is positive iff every ordered quadruple inside it is.  Returns
     the verdict of the first failing quadruple (lexicographic order) or
     Positive; a triple is its own only subtuple.  Pair transversality
-    follows the chain route's rule (`_ruled`).
+    follows the chain's rule (`_TupleEngine.chain`).
     """
     n = len(flags)
-    engine = _engine(flags)
-    return _ruled(
-        engine,
-        lambda: _aggregate(engine.chain(sub)[0] for sub in combinations(range(n), min(n, 4))),
-        lambda verdict: verdict.is_positive,
-    )
+    engine = _TupleEngine(flags)
+    return _aggregate(engine.chain(sub)[0] for sub in combinations(range(n), min(n, 4)))
 
 
 class FlagMapSample(_Value):
@@ -406,21 +387,15 @@ def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
     pairs (1, j)), the chain of its first triple, then one chain of n - 2
     factors over the whole sample: the sample is positive exactly when
     all its ordered quadruples are, and a positive sample is pairwise
-    transverse (Fock and Goncharov 2006; see `_ruled`), so no other pair
-    is built.  Any other report builds every pair first, n - 1 solves and
-    C(n, 2) eliminations in all, after at most C(n, 3) triple chains.
-    Only when the whole chain fails are the quadruples scanned in
-    lexicographic order, each by its own chain, for the first failing
-    one; finding none raises InvariantViolated, since the two routes must
-    agree.
+    transverse (see `_TupleEngine.chain`), so no other pair is built.
+    Any other report builds every pair at its first chain that is not
+    Positive, n - 1 solves and C(n, 2) eliminations in all.  Only when the
+    whole chain fails are the quadruples scanned in lexicographic order,
+    each by its own chain, for the first failing one; finding none raises
+    InvariantViolated, since the two routes must agree.
     """
-    engine = _TupleEngine(list(sample.flags))
+    engine = _TupleEngine(sample.flags)
     n = len(sample.flags)
-    return _ruled(engine, lambda: _sampled_report(engine, n), lambda r: r.status == "consistent")
-
-
-def _sampled_report(engine: _TupleEngine, n: int) -> SampleReport:
-    """The sampled check's report, from the chains of `engine`'s n flags."""
     positive_triple = None
     triples = 0
     for sub in combinations(range(n), 3):

@@ -343,7 +343,8 @@ def test_engine_refuses_at_the_reference_pair(d):
 def test_public_routes_refuse_a_late_pair_before_any_verdict():
     """A Positive outcome stands for the pairs no chain read; any other
     outcome checks them first.  With one non-transverse pair, at each
-    anchor from 2 on, d = 2..5, the anchor-1 whole chain is refused
+    anchor from 2 on, d = 2..5, the anchor-1 whole chain, read from an
+    engine that never builds past the anchor it is asked for, is refused
     (Outside, NonnegativeBoundary or ZeroSuperdiagonal, each reached),
     and the chain, quad and sampled routes raise the reference pair and
     message; the triple of flag 1 and the pair raises (2, 3)."""
@@ -359,7 +360,9 @@ def test_public_routes_refuse_a_late_pair_before_any_verdict():
                 break
         want = ("NotTransverse", (i + 1, j + 1), f"flags {i + 1} and {j + 1} are not transverse")
         assert outcome(ref_transverse, flags) == want
-        whole = outcome(_TupleEngine(flags).chain, tuple(range(n)))
+        raw = _TupleEngine(flags)
+        raw.anchors = lambda last=None, build=raw.anchors: build(0 if last is None else last)
+        whole = outcome(raw.chain, tuple(range(n)))
         seen.add(whole[0] if isinstance(whole[0], str) else whole[0].status)
         assert outcome(is_positive_tuple_chain, flags) == want, (d, i, j)
         assert outcome(is_positive_tuple_quad, flags) == want, (d, i, j)
@@ -581,7 +584,7 @@ def test_vacuous_sample_builds_every_pair(monkeypatch):
     """Work-count guard: a Barbot (3, 1) sample, n = 6, is vacuous, and a
     vacuous report stands on every pair: each anchor a (1-based) solves
     against its n - a later frames at once, n - 1 solves and C(n, 2)
-    eliminations in all, the last anchor built after the triple scan."""
+    eliminations in all, every anchor built at the first refused triple."""
     solves, eliminations = count_pair_work(monkeypatch)
     n, d = 6, 3
     pts = distinct_points(n, random.Random(22))
@@ -607,6 +610,42 @@ def test_positive_chain_builds_only_the_first_anchor(monkeypatch):
     flags[1:3] = flags[2:0:-1]
     assert is_positive_tuple_chain(flags)[0].status is Status.OUTSIDE
     assert (solves, eliminations) == ([d * (n - a) for a in range(1, n)], [d] * comb(n, 2))
+
+
+def test_each_route_builds_the_pairs_its_outcome_needs(monkeypatch):
+    """Work-count guard over `families()`, `sampled_corpus()` and the map
+    sweep's Veronese shapes: a Positive chain route builds anchor 1 alone,
+    one solve and n - 1 eliminations; a Positive quad route anchors 1 to
+    n - 3, the anchors of its quadruples; a consistent sampled check
+    anchor 1 alone, after the one triple (1, 2, 3); and every other
+    outcome that raises no NotTransverse builds every anchor, n - 1
+    solves and C(n, 2) eliminations."""
+    solves, eliminations = count_pair_work(monkeypatch)
+    seen = set()
+    for name, pts, flags in FAMILIES + sampled_corpus() + map_sweep_samples():
+        n, d = len(flags), flags[0].dim
+        routes = {
+            "chain": lambda: is_positive_tuple_chain(flags)[0],
+            "quad": lambda: is_positive_tuple_quad(flags),
+            "sampled": lambda: check_sampled_positivity(FlagMapSample(tuple(pts), tuple(flags))),
+        }
+        for route, run in routes.items():
+            del solves[:], eliminations[:]
+            got = outcome(run)
+            if isinstance(got, tuple) and got[0] == "NotTransverse":
+                continue
+            if isinstance(got, SampleReport):
+                positive = got.status == "consistent"
+                if positive:
+                    assert (got.positive_triple, got.triples_scanned) == ((1, 2, 3), 1), name
+            else:
+                positive = isinstance(got, PositivityVerdict) and got.is_positive
+            anchors = (n - 3 if route == "quad" else 1) if positive else n - 1
+            assert solves == [d * (n - a) for a in range(1, anchors + 1)], (name, route)
+            assert eliminations == [d] * sum(n - a for a in range(1, anchors + 1)), (name, route)
+            seen.add((route, positive))
+    assert seen == {(route, positive) for route in ("chain", "quad", "sampled")
+                    for positive in (True, False)}
 
 
 def test_quad_route_runs_one_chain_per_quadruple(monkeypatch):

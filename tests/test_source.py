@@ -252,6 +252,35 @@ def test_pair_coordinates_are_built_by_anchors_alone():
     assert callers == [("tuples.py", "anchors")], f"_coordinates is called from {callers}"
 
 
+def test_transversality_rule_is_written_once():
+    """A chain that does not come out Positive builds every remaining
+    anchor, and nothing else does: `anchors()` with no argument is called
+    only inside `_TupleEngine.chain`, once for a zero superdiagonal and
+    once for any other verdict, and no wrapper applies the rule for it."""
+    sites = []
+    for path in SOURCES:
+        tree = _parse(path)
+        owner = {id(node): fn.name for fn in tree.body for node in ast.walk(fn)
+                 if isinstance(fn, ast.FunctionDef)}
+        owner |= {
+            id(node): f"{cls.name}.{fn.name}"
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        sites += [
+            (path.name, owner.get(id(node), "module level")) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "anchors"
+            and not node.args and not node.keywords
+        ]
+    assert sites == [("tuples.py", "_TupleEngine.chain")] * 2, f"anchors() is called at {sites}"
+    wrappers = {
+        node.name for node in ast.walk(_parse(ROOT / "src" / "posiflag" / "tuples.py"))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    } & {"_ruled", "_engine"}
+    assert not wrappers, f"tuples.py defines {sorted(wrappers)}"
+
+
 def test_back_substitution_is_written_once():
     """Every solve, inverse, chain factor and threshold quotient c^-1 S c
     back-substitutes by one integer loop, called from these two places only."""
