@@ -322,10 +322,12 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
     superdiagonal t and needs no sign normalization.  With s the lcm of
     M's denominators, s^(d-1) V^t = sum over k < d of binom(t, k) A_k,
     A_k = s^(d-1-k) (sM)^k: an integer grid whose consecutive minors have
-    the signs of V^t's.  Each t builds the grid row by row and moves on
-    to t + 1 at the first row with a non-positive entry on or above the
-    diagonal: that entry is a non-positive 1 x 1 consecutive minor, the
-    first one a scan would report.  Only a grid whose entries all pass
+    the signs of V^t's.  Any non-positive entry on or above the diagonal
+    is a non-positive 1 x 1 consecutive minor and rejects t.  So each t
+    first evaluates the entry that rejected t - 1, one sum of products,
+    and moves on if it is still non-positive; otherwise it builds the
+    grid row by row up to the first row with such an entry, the least
+    of which it remembers.  Only a grid whose entries all pass
     is scanned (`_contiguous_minors`) up to its first non-positive
     minor.  A totally positive factor already makes u^t G transverse to
     G, so no t needs a transversality test.  Reaching the cap raises
@@ -363,13 +365,18 @@ def power_positivity_threshold(u: Matrix, g: Flag, cap: int = 100_000) -> int:
             for j in range(i + k, d):
                 terms[i][j].append(scale * power[i][j])
     binom = [1] + [0] * (d - 1)
+    failed = None  # the terms of the entry that rejected the last power
     for t in range(1, cap + 1):
         for k in range(d - 1, 0, -1):
             binom[k] += binom[k - 1]
+        if failed is not None and sum(map(mul, binom, failed)) <= 0:
+            continue
         grid = []
         for i, row in enumerate(terms):
             grid.append([sum(map(mul, binom, entry)) for entry in row])
-            if min(grid[i][i:]) <= 0:
+            low = min(grid[i][i:])
+            if low <= 0:
+                failed = row[grid[i].index(low, i)]
                 break
         else:
             if all(value > 0 for *_, value in _contiguous_minors(grid)):

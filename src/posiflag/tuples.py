@@ -20,7 +20,10 @@ of the factors is a diagonal sign flip, which is resolved here by
 conjugating every factor by the one +-1 diagonal that makes u_{n-1}'s
 superdiagonal positive.  That diagonal is read off the coordinates of
 F_n and F_{n-1} alone, so a zero superdiagonal entry refuses the tuple
-(ZeroSuperdiagonal) before any factor is built.
+before any factor is built.  Inside the engine a refusal is a value, the
+position of the zero entry, that costs at most the d - 1 products of the
+sign reading and raises nothing; a public route raises it as
+ZeroSuperdiagonal only when it hands back its result.
 
 The quadruple route certifies an n-tuple by checking only its ordered
 4-element subtuples, which suffices; both routes agree on every input.
@@ -66,25 +69,35 @@ def _sign_conjugate(rows, signs: tuple[int, ...]) -> tuple[tuple, ...]:
     )
 
 
-def _signs(superdiagonal) -> tuple[int, ...]:
+def _signs(superdiagonal) -> tuple[int, ...] | int:
     """The +-1 diagonal, first entry +1, whose conjugation makes every
     superdiagonal entry of a unipotent u positive, read from u's
     superdiagonal (1, 2), ..., (d-1, d) or from numbers of the same signs.
 
     A zero superdiagonal entry is a zero nontrivial 1x1 minor, unfixable
-    by any diagonal conjugation, so it raises ZeroSuperdiagonal: u is
-    certainly not conjugate into the fully positive set.
+    by any diagonal conjugation: u is certainly not conjugate into the
+    fully positive set.  So the reading stops at the first zero, entry
+    (i, i+1), and returns its 1-based position i in place of the signs, a
+    refusal that `_accepted` raises as ZeroSuperdiagonal.
     """
     signs = [1]
     for i, s in enumerate(superdiagonal, 1):
         if s == 0:
-            raise ZeroSuperdiagonal(
-                f"superdiagonal entry ({i},{i + 1}) is zero; "
-                "no sign conjugation can make it positive",
-                position=i,
-            )
+            return i
         signs.append(signs[-1] if s > 0 else -signs[-1])
     return tuple(signs)
+
+
+def _accepted(result):
+    """`result`, unless it is a refusal: an int, the 1-based position i of a
+    zero superdiagonal entry (i, i+1), which raises ZeroSuperdiagonal."""
+    if type(result) is int:
+        raise ZeroSuperdiagonal(
+            f"superdiagonal entry ({result},{result + 1}) is zero; "
+            "no sign conjugation can make it positive",
+            position=result,
+        )
+    return result
 
 
 def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
@@ -96,7 +109,7 @@ def sign_normalize(u: Matrix) -> tuple[Matrix, Matrix]:
     if not is_upper_unipotent(u):
         raise NotUnipotentUpperTriangular("sign normalization needs an upper unipotent input")
     rows = u.rows_tuple()
-    signs = _signs([rows[i][i + 1] for i in range(u.dim - 1)])
+    signs = _accepted(_signs(rows[i][i + 1] for i in range(u.dim - 1)))
     return Matrix.diagonal(signs), Matrix._of(_sign_conjugate(rows, signs))
 
 
@@ -157,8 +170,10 @@ class _TupleEngine:
     are shared across subtuples, and so is the staged verdict of each
     factor under each sign vector.  A chain's sign vector is read off two
     pair coordinates before its factors are built, so a chain refused by
-    a zero superdiagonal builds none.  An engine lives for one call of a
-    public entry point, over at least 3 flags of one dimension.
+    a zero superdiagonal builds none: it returns the entry's position in
+    place of a verdict, and the engine raises no ZeroSuperdiagonal.  An
+    engine lives for one call of a public entry point, over at least 3
+    flags of one dimension.
     """
 
     def __init__(self, flags: list[Flag]):
@@ -213,22 +228,27 @@ class _TupleEngine:
             )
         return v
 
-    def chain(self, idx: tuple[int, ...]) -> tuple[PositivityVerdict, tuple[int, ...], tuple, tuple]:
+    def chain(
+        self, idx: tuple[int, ...]
+    ) -> tuple[PositivityVerdict, tuple[int, ...], tuple, tuple] | int:
         """Verdict, signs, factors (G, s) and factor verdicts for the flags at
         `idx`; u_j is the factor of (idx_1, idx_{j+1}, idx_j), and the signs
-        are those of the last factor.
+        are those of the last factor.  A chain refused by a zero
+        superdiagonal entry (i, i+1) returns i, 1-based, instead: the public
+        routes raise it as ZeroSuperdiagonal (`_accepted`).
 
-        The signs come first, from the pair coordinates alone, so a zero
-        superdiagonal raises ZeroSuperdiagonal before any factor is built.
+        The signs come first, from the pair coordinates alone, one product
+        per superdiagonal entry up to the first zero, so a refusal costs at
+        most d - 1 products and builds no factor.
         c_y and c_x are upper unipotent, so the superdiagonal of c_y^-1 c_x
         is c_x's minus c_y's; with c = ū diag(1/δ), entry i is
         (ū_x[i][i+1] δ_y[i+1] - ū_y[i][i+1] δ_x[i+1]) / (δ_x[i+1] δ_y[i+1]).
 
         Every public route settles pair transversality here, by one rule:
-        a Positive chain returns at once; any other outcome,
-        ZeroSuperdiagonal included, first builds every remaining anchor, so
-        a non-transverse pair raises NotTransverse before it, at the same
-        pair as if all pairs came first.  A positive tuple is pairwise transverse: any two
+        a Positive chain returns at once; any other outcome, a refusal
+        included, first builds every remaining anchor, so a non-transverse
+        pair raises NotTransverse before it, at the same pair as if all
+        pairs came first.  A positive tuple is pairwise transverse: any two
         of its flags differ by a totally positive unipotent (Fock and
         Goncharov, "Moduli spaces of local systems and higher Teichmüller
         theory", Publ. Math. IHÉS 103, 2006).  In the basis adapted to
@@ -242,14 +262,13 @@ class _TupleEngine:
         a = idx[0]
         pairs = self.anchors(a)
         (uy, dy), (ux, dx) = pairs[(a, idx[-1])], pairs[(a, idx[-2])]
-        try:
-            signs = _signs([
-                (ux[i][i + 1] * dy[i + 1] - uy[i][i + 1] * dx[i + 1]) * dx[i + 1] * dy[i + 1]
-                for i in range(len(dx) - 1)
-            ])
-        except ZeroSuperdiagonal:
+        signs = _signs(
+            (ux[i][i + 1] * dy[i + 1] - uy[i][i + 1] * dx[i + 1]) * dx[i + 1] * dy[i + 1]
+            for i in range(len(dx) - 1)
+        )
+        if type(signs) is int:
             self.anchors()
-            raise
+            return signs
         keys = [(a, y, x) for x, y in zip(idx[1:-1], idx[2:])]
         factors = tuple(self.factor(*key) for key in keys)
         verdicts = tuple(self.verdict(*key, signs) for key in keys)
@@ -259,12 +278,9 @@ class _TupleEngine:
         return verdict, signs, factors, verdicts
 
     def positive(self, idx: tuple[int, ...]) -> bool:
-        """Chain verdict collapsed to a boolean; a zero superdiagonal means no."""
-        try:
-            verdict = self.chain(idx)[0]
-        except ZeroSuperdiagonal:
-            return False
-        return verdict.is_positive
+        """Chain verdict collapsed to a boolean; a refusal means no."""
+        result = self.chain(idx)
+        return type(result) is not int and result[0].is_positive
 
 
 def _require_one_dim(flags) -> None:
@@ -291,7 +307,7 @@ def is_positive_tuple_chain(
     """
     engine = _TupleEngine(flags)
     n = len(flags)
-    verdict, signs, factors, verdicts = engine.chain(tuple(range(n)))
+    verdict, signs, factors, verdicts = _accepted(engine.chain(tuple(range(n))))
     adapted = _adapted(flags[0], flags[-1], engine.anchors(0)[(0, n - 1)])
     factors = tuple(Matrix._of(_fractions(g, s)) for g, s in factors)
     return verdict, TupleCertificate(adapted, Matrix.diagonal(signs), factors, verdicts)
@@ -317,12 +333,15 @@ def is_positive_tuple_quad(flags: list[Flag]) -> PositivityVerdict:
     Equivalent to the chain route but quadratic instead of global: a
     tuple is positive iff every ordered quadruple inside it is.  Returns
     the verdict of the first failing quadruple (lexicographic order) or
-    Positive; a triple is its own only subtuple.  Pair transversality
-    follows the chain's rule (`_TupleEngine.chain`).
+    Positive; a triple is its own only subtuple.  A quadruple refused by a
+    zero superdiagonal before any failing one raises ZeroSuperdiagonal.
+    Pair transversality follows the chain's rule (`_TupleEngine.chain`).
     """
     n = len(flags)
     engine = _TupleEngine(flags)
-    return _aggregate(engine.chain(sub)[0] for sub in combinations(range(n), min(n, 4)))
+    return _aggregate(
+        _accepted(engine.chain(sub))[0] for sub in combinations(range(n), min(n, 4))
+    )
 
 
 class FlagMapSample(_Value):
@@ -389,7 +408,10 @@ def check_sampled_positivity(sample: FlagMapSample) -> SampleReport:
     all its ordered quadruples are, and a positive sample is pairwise
     transverse (see `_TupleEngine.chain`), so no other pair is built.
     Any other report builds every pair at its first chain that is not
-    Positive, n - 1 solves and C(n, 2) eliminations in all.  Only when the
+    Positive, n - 1 solves and C(n, 2) eliminations in all.  A triple
+    refused by a zero superdiagonal costs at most the d - 1 products of
+    its sign reading and raises nothing, so a vacuous sample, every triple
+    refused, adds C(n, 3) such readings to its pair work.  Only when the
     whole chain fails are the quadruples scanned in lexicographic order,
     each by its own chain, for the first failing one; finding none raises
     InvariantViolated, since the two routes must agree.

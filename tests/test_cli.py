@@ -750,6 +750,22 @@ class TestEntryPoint:
         )
         assert out.stdout == format_matrix(pascal(3))
 
+    @pytest.mark.parametrize("argv,code", [(["pascal", "--d", "3"], 0),
+                                           (["tp-check", "--input", "BAD"], 2)],
+                             ids=["pascal", "bad input"])
+    def test_package_runs_the_cli(self, tmp_path, argv, code):
+        """`python -m posiflag` prints and exits exactly as `python -m
+        posiflag.cli` does, on a good run and on an unparsable input."""
+        bad = tmp_path / "bad.mat"
+        bad.write_text("dim 3\nentries\n1 x\n")
+        args = [str(bad) if a == "BAD" else a for a in argv]
+        runs = [subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
+                               text=True, env=child_env())
+                for module in ("posiflag", "posiflag.cli")]
+        package, module = ((r.stdout, r.stderr, r.returncode) for r in runs)
+        assert package == module
+        assert package[2] == code and (package[0] if code == 0 else package[1])
+
     @pytest.mark.parametrize("command", [None, *HELP])
     def test_help_names_every_option(self, runner, command):
         result = runner.invoke(main, ["--help"] if command is None else [command, "--help"])

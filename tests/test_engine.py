@@ -46,7 +46,7 @@ from posiflag import (
     veronese_flag,
 )
 from posiflag.linalg import _fractions
-from posiflag.tuples import _signs, _TupleEngine
+from posiflag.tuples import _accepted, _signs, _TupleEngine
 from helpers import (
     all_anchors,
     all_pairs_transverse,
@@ -140,6 +140,14 @@ def outcome(fn, *args):
         return ("ZeroSuperdiagonal", exc.position, str(exc))
 
 
+def as_raised(result):
+    """An engine chain's or `_signs`' result, with a refusal, the 1-based
+    position of a zero superdiagonal entry returned in place of a verdict,
+    mapped to the outcome of the ZeroSuperdiagonal that the public routes
+    raise for it."""
+    return outcome(_accepted, result)
+
+
 # -- families ----------------------------------------------------------------
 
 
@@ -191,7 +199,7 @@ def test_engine_chain_matches_uncached(name, pts, flags):
         for idx in combinations(range(len(flags)), size):
             sub = [flags[i] for i in idx]
             want = outcome(ref_chain, sub)
-            got = outcome(engine.chain, idx)
+            got = as_raised(outcome(engine.chain, idx))
             if isinstance(want[0], str):
                 assert got == want, (name, idx)
                 continue
@@ -362,7 +370,7 @@ def test_public_routes_refuse_a_late_pair_before_any_verdict():
         assert outcome(ref_transverse, flags) == want
         raw = _TupleEngine(flags)
         raw.anchors = lambda last=None, build=raw.anchors: build(0 if last is None else last)
-        whole = outcome(raw.chain, tuple(range(n)))
+        whole = as_raised(outcome(raw.chain, tuple(range(n))))
         seen.add(whole[0] if isinstance(whole[0], str) else whole[0].status)
         assert outcome(is_positive_tuple_chain, flags) == want, (d, i, j)
         assert outcome(is_positive_tuple_quad, flags) == want, (d, i, j)
@@ -448,8 +456,8 @@ def test_chain_signs_match_the_built_factor():
         engine = all_anchors(flags)
         for a, x, y in combinations(range(len(flags)), 3):
             g, _ = engine.factor(a, y, x)
-            want = outcome(_signs, [g[i][i + 1] for i in range(len(g) - 1)])
-            got = outcome(engine.chain, (a, x, y))
+            want = as_raised(_signs([g[i][i + 1] for i in range(len(g) - 1)]))
+            got = as_raised(outcome(engine.chain, (a, x, y)))
             if not isinstance(got[0], str):
                 got = got[1]
             assert got == want, (name, a, x, y)
@@ -476,6 +484,38 @@ def test_barbot_sample_builds_no_factor(monkeypatch):
     assert report == SampleReport(
         "vacuously consistent, no positive triple", None, None, comb(n, 3), 0
     )
+
+
+@pytest.mark.parametrize("shape,n", [((3, 1), 8), ((5, 2), 6)])
+def test_vacuous_sample_raises_no_refusal(monkeypatch, shape, n):
+    """Work-count guard: a refused triple is a value inside the engine, not
+    an exception.  On a vacuous Barbot sample the sampled check scans all
+    C(n, 3) triples and constructs no ZeroSuperdiagonal; over the same
+    flags the chain and quad routes still raise one each, with the
+    uncached reference's position and its fixed message."""
+    pts = distinct_points(n, random.Random(22))
+    spec = barbot_spec(*shape)
+    flags = [barbot_flag(spec, x) for x in pts]
+    want_chain, want_quad = outcome(ref_chain, flags), outcome(ref_quad, flags)
+    for kind, position, message in (want_chain, want_quad):
+        assert (kind, message) == ("ZeroSuperdiagonal", f"superdiagonal entry ({position},"
+                                   f"{position + 1}) is zero; no sign conjugation can make it positive")
+    made = []
+    real_init = ZeroSuperdiagonal.__init__
+
+    def counted_init(self, message, position):
+        made.append(position)
+        real_init(self, message, position)
+
+    monkeypatch.setattr(ZeroSuperdiagonal, "__init__", counted_init)
+    report = check_sampled_positivity(FlagMapSample(tuple(pts), tuple(flags)))
+    assert report == SampleReport(
+        "vacuously consistent, no positive triple", None, None, comb(n, 3), 0
+    )
+    assert made == []
+    assert outcome(is_positive_tuple_chain, flags) == want_chain
+    assert outcome(is_positive_tuple_quad, flags) == want_quad
+    assert made == [want_chain[1], want_quad[1]]
 
 
 @pytest.mark.parametrize("d,a", [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
@@ -704,7 +744,7 @@ def test_sampled_check_matches_uncached_reference():
         assert report == outcome(ref_sampled, flags), name
         status = report[0] if isinstance(report, tuple) else report.status
         if status == "inconsistent":
-            whole = outcome(_TupleEngine(list(flags)).chain, tuple(range(len(flags))))
+            whole = as_raised(outcome(_TupleEngine(list(flags)).chain, tuple(range(len(flags)))))
             status += " after ZeroSuperdiagonal" if whole[0] == "ZeroSuperdiagonal" else ""
         seen.add(status)
     assert seen >= {"consistent", "inconsistent", "inconsistent after ZeroSuperdiagonal",

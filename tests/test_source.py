@@ -281,6 +281,18 @@ def test_transversality_rule_is_written_once():
     assert not wrappers, f"tuples.py defines {sorted(wrappers)}"
 
 
+def test_tuple_engine_catches_no_refusal():
+    """A zero superdiagonal is a value inside the tuple engine, raised only
+    where a public route hands back its result: tuples.py has no handler
+    that catches ZeroSuperdiagonal."""
+    handlers = sorted(
+        node.lineno for node in ast.walk(_parse(ROOT / "src" / "posiflag" / "tuples.py"))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and "ZeroSuperdiagonal" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    )
+    assert not handlers, f"tuples.py catches ZeroSuperdiagonal at lines {handlers}"
+
+
 def test_back_substitution_is_written_once():
     """Every solve, inverse, chain factor and threshold quotient c^-1 S c
     back-substitutes by one integer loop, called from these two places only."""
