@@ -29,7 +29,8 @@ distinct:
   runs (the consecutive-minor criterion, cf. Gasca-Pena 1992), so the
   consecutive scan loses nothing.  On a failure at level k every smaller
   nontrivial minor is positive, so the first witness has size k: it is
-  sought among the k x k nontrivial minors alone, and a zero witness is
+  sought among the k x k nontrivial minors alone, with a determinant only
+  for those whose sign the scan has not settled, and a zero witness is
   settled by one column Neville elimination (Gasca-Pena's test for
   total nonnegativity), O(d^3) integer steps that evaluate no minor.
   Status and witness match the oracle exactly, the two routes share no
@@ -61,7 +62,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby, islice
 from math import gcd, prod
-from operator import gt, itemgetter
+from operator import ge, itemgetter
 
 from .errors import (
     BadParameters, InvariantViolated, NotUnipotentUpperTriangular, PreconditionViolated,
@@ -115,7 +116,9 @@ class BoundaryReport(_Value):
 
 
 class DetCounter:
-    """Counts determinant evaluations for benchmarking."""
+    """Counts minor evaluations for benchmarking: each table entry of the
+    oracle, each consecutive minor of the staged scan and each determinant
+    its witness search takes.  A minor whose sign is known is not counted."""
 
     __slots__ = ("evaluations",)
 
@@ -349,24 +352,38 @@ def _full_scan(
 
 
 def _level_witness(
-    grid: list[list[int]], k: int, counter: DetCounter
+    grid: list[list[int]], stop: tuple[int, int, int, int], counter: DetCounter
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(rows, cols, value) of G's first non-positive nontrivial k x k minor
-    in lexicographic (rows, cols) order, each minor one `linalg._det`.
+    in lexicographic (rows, cols) order, given `stop` = (k, a, b, value):
+    the condensation's first non-positive minor, rows a..a+k-1 and columns
+    b..b+k-1, with every nontrivial minor below size k positive.
 
-    Callers know that one exists: a consecutive k x k minor is non-positive.
+    Only a minor whose sign is not yet known takes a `linalg._det`.  One
+    with some r_i = c_i is skipped: G is upper triangular, so the minor is
+    block upper triangular, split before position i and again after it,
+    and is a product of smaller nontrivial minors and the positive
+    diagonal entry G[r_i][r_i].  A consecutive minor before (a, b) is
+    skipped too, as the condensation found it positive, and reaching
+    (a, b) returns its value.  So the candidates are the minors with
+    r_i < c_i for every i, and the search ends at (a, b) at the latest.
     """
+    k, a, b, value = stop
     d = len(grid)
     for rows in combinations(range(1, d + 1), k):
         picked = [grid[i - 1] for i in rows]
-        for cols in combinations(range(rows[0], d + 1), k):
-            if any(map(gt, rows, cols)):
+        run = rows[-1] - rows[0] == k - 1
+        for cols in combinations(range(rows[0] + 1, d + 1), k):
+            if any(map(ge, rows, cols)):
                 continue
-            a = [[row[j - 1] for j in cols] for row in picked]
+            if run and cols[-1] - cols[0] == k - 1:
+                if (rows[0], cols[0]) == (a, b):
+                    return rows, cols, value
+                continue
             counter.evaluations += 1
-            value = _det(a)
-            if value <= 0:
-                return rows, cols, value
+            minor = _det([[row[j - 1] for j in cols] for row in picked])
+            if minor <= 0:
+                return rows, cols, minor
     raise InvariantViolated("a failing level must hold a non-positive nontrivial minor")
 
 
@@ -418,15 +435,16 @@ def _staged_scan(
     I + t E_(i,i+1), every t >= 0; it is necessary by Gasca and Pena
     ("Total positivity and Neville elimination", Linear Algebra Appl. 165,
     1992; Fallat and Johnson, Totally Nonnegative Matrices, 2011, ch. 2).
-    A non-positive verdict thus costs the consecutive scan up to level k,
-    at most one elimination per size-k nontrivial minor and, for a zero
-    witness, O(d^3) uncounted integer steps, instead of the oracle's table
-    of every nontrivial minor.  Status and witness agree with the oracle.
+    A non-positive verdict thus costs the consecutive scan up to its first
+    non-positive minor, one elimination per size-k nontrivial minor before
+    the witness whose sign is still open and, for a zero witness, O(d^3)
+    uncounted integer steps, instead of the oracle's table of every
+    nontrivial minor.  Status and witness agree with the oracle.
     """
-    for k, _, _, value in _contiguous_minors(grid):
+    for stop in _contiguous_minors(grid):
         counter.evaluations += 1
-        if value <= 0:
-            rows, cols, minor = _level_witness(grid, k, counter)
+        if stop[3] <= 0:
+            rows, cols, minor = _level_witness(grid, stop, counter)
             scale = prod(row_scales[i - 1] for i in rows) * prod(col_scales[j - 1] for j in cols)
             witness = Witness(MinorIndex(rows, cols), _ratio(minor, scale))
             if minor < 0 or not _neville_nonnegative(grid):

@@ -133,12 +133,12 @@ def staged_bareiss_scan(m: Matrix):
     Visits the nontrivial minors with consecutive row and column runs in
     (size, rows, cols) order, each evaluated by `Matrix.minor` (one
     fraction-free elimination per minor).  At the first non-positive one,
-    of size k, visits the k x k nontrivial minors in (rows, cols) order up
-    to the first non-positive one, the witness.  A zero witness is
-    followed by the row-initial minors (rows 1..j for j = 1..d, any j
-    columns; Gasca and Pena's initial-minor test for total nonnegativity)
-    up to the first negative one, which makes the status Outside.  Returns
-    (status, witness, evaluations), counting each minor of the scan and
+    of size k, `_staged_fallback` finds the witness among the k x k
+    nontrivial minors.  A zero witness is followed by the row-initial
+    minors (rows 1..j for j = 1..d, any j columns; Gasca and Pena's
+    initial-minor test for total nonnegativity) up to the first negative
+    one, which makes the status Outside.  Returns (status, witness,
+    evaluations), counting each minor of the scan and each determinant of
     the witness search once as `tp_staged` does; the row-initial minors
     stand in for its Neville elimination, which counts none.
     """
@@ -149,17 +149,37 @@ def staged_bareiss_scan(m: Matrix):
             for b in range(a, d - k + 2):
                 count += 1
                 if m.minor(MinorIndex(range(a, a + k), range(b, b + k))) <= 0:
-                    return _staged_fallback(m, k, count)
+                    return _staged_fallback(m, k, a, b, count)
     return Status.POSITIVE, None, count
 
 
-def _staged_fallback(m: Matrix, k: int, count: int):
+def _staged_fallback(m: Matrix, k: int, a: int, b: int, count: int):
+    """The witness search of `staged_bareiss_scan` from its first
+    non-positive consecutive minor, rows a..a+k-1 and columns b..b+k-1.
+
+    Visits the k x k nontrivial minors in (rows, cols) order and evaluates
+    only those whose sign is open.  Every nontrivial minor below size k is
+    positive.  A minor with some r_i = c_i is then positive: m is upper
+    triangular, so its entries in rows from r_i on and columns before c_i
+    vanish, and so do those in rows after r_i and column c_i; the minor is
+    block upper triangular, the product of the nontrivial minor on its
+    first i-1 rows and columns, the diagonal entry m[r_i][r_i] and the
+    nontrivial minor on its last k-i.  A consecutive minor before (a, b)
+    was found positive by the scan.  So such minors are passed over
+    uncounted, and the search stops at (a, b) without counting it again.
+    """
     d = m.dim
     for rows in combinations(range(1, d + 1), k):
         for cols in combinations(range(1, d + 1), k):
             if any(i > j for i, j in zip(rows, cols)):
                 continue
-            count += 1
+            if rows[-1] - rows[0] == cols[-1] - cols[0] == k - 1:
+                if (rows[0], cols[0]) != (a, b):
+                    continue
+            elif any(i == j for i, j in zip(rows, cols)):
+                continue
+            else:
+                count += 1
             index = MinorIndex(rows, cols)
             value = m.minor(index)
             if value <= 0:

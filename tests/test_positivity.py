@@ -3,7 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations
-from operator import le
+from operator import eq, le
 
 import pytest
 
@@ -163,21 +163,49 @@ class TestCounts:
 
     def test_zero_witness_status_costs_no_minor_beyond_the_witness(self):
         # a zero witness's status comes from Neville elimination, which
-        # evaluates no minor: the counts are the scan and the witness search
+        # evaluates no minor, and a level-1 witness is a consecutive minor,
+        # so the witness search takes no determinant: the counts are the scan's
         d = 40
         bidiagonal = Matrix([[int(j in (i, i + 1)) for j in range(d)] for i in range(d)])
         counter = DetCounter()
         v = tp_staged(bidiagonal, counter=counter)
         assert v.status is Status.NONNEGATIVE_BOUNDARY
         assert v.witness.index == MinorIndex((1,), (3,)) and v.witness.value == 0
-        assert counter.evaluations == 6
+        assert counter.evaluations == 3  # row 1 of level 1 up to column 3
         d = 30
         word = staircase_word(d, [0] + [1] * (d * (d - 1) // 2 - 1))
         counter = DetCounter()
         v = tp_staged(word, counter=counter)
         assert v.status is Status.NONNEGATIVE_BOUNDARY
         assert v.witness.index == MinorIndex((1,), (d,)) and v.witness.value == 0
-        assert counter.evaluations == 2 * d  # row 1 of level 1, then its d entries again
+        assert counter.evaluations == d  # row 1 of level 1
+
+    def test_perturbed_staircase_search_takes_no_determinant(self):
+        # minor-scan's perturbed shape, the last word parameter just below
+        # zero: every size-k minor before the first non-positive consecutive
+        # one has a known sign, so the count is the consecutive scan's alone
+        rng = random.Random(37)
+        for d in range(4, 11):
+            n_params = d * (d - 1) // 2
+            for _ in range(3):
+                params = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n_params - 1)]
+                m = staircase_word(d, params + [-F(1, rng.randint(10, 99))])
+                counter = DetCounter()
+                assert tp_staged(m, counter=counter).status is Status.OUTSIDE
+                assert counter.evaluations == first_non_positive_consecutive(m)
+
+    def test_late_witness_search_skips_minors_of_known_sign(self):
+        # late witnesses: these 15 draws took 27,545 evaluations when the
+        # search took a determinant for every size-k nontrivial minor
+        rng = random.Random(20)
+        total = 0
+        for _ in range(15):
+            m = gen_nudged_down(10, rng)
+            counter = DetCounter()
+            v = tp_staged(m, counter=counter)
+            assert (v.status, v.witness, counter.evaluations) == staged_bareiss_scan(m)
+            total += counter.evaluations
+        assert total < 27_545 // 2
 
     def test_early_exit_spends_less(self):
         m = Matrix(((1, -1, 0), (0, 1, 1), (0, 0, 1)))
@@ -198,6 +226,53 @@ def first_negative_position(m: Matrix) -> int:
         if all(map(le, rows, cols))
     )
     return next(n for n, (rows, cols) in enumerate(nontrivial, 1) if naive_minor(m, rows, cols) < 0)
+
+
+def first_non_positive_consecutive(m: Matrix) -> int:
+    """1-based position of m's first non-positive nontrivial consecutive
+    minor in (size, rows, cols) order, each minor by `Matrix.minor`."""
+    d = m.dim
+    consecutive = (
+        MinorIndex(range(a, a + k), range(b, b + k))
+        for k in range(1, d + 1)
+        for a in range(1, d - k + 2)
+        for b in range(a, d - k + 2)
+    )
+    return next(n for n, index in enumerate(consecutive, 1) if m.minor(index) <= 0)
+
+
+class TestKnownSigns:
+    def test_minors_the_witness_search_skips_are_positive(self):
+        # at a failing level k the witness search takes no determinant for a
+        # nontrivial minor with some r_i = c_i, nor for a consecutive minor
+        # before the witness; each is positive by cofactor expansion, which
+        # shares no kernel with the elimination or the condensation
+        rng = random.Random(37)
+        checked = {"inputs": 0, "diagonal": 0, "consecutive": 0}
+        for gen in (gen_perturbed, gen_nudged_down, gen_boundary):
+            for d in range(3, 9):
+                for _ in range(3):
+                    m = gen(d, rng)
+                    v = tp_staged(m)
+                    if v.is_positive:
+                        continue
+                    checked["inputs"] += 1
+                    witness = v.witness.index
+                    k = witness.size
+                    for rows in combinations(range(1, d + 1), k):
+                        for cols in combinations(range(rows[0], d + 1), k):
+                            index = MinorIndex(rows, cols)
+                            if not index.nontrivial:
+                                continue
+                            if any(map(eq, rows, cols)):
+                                kind = "diagonal"
+                            elif index.consecutive and (rows, cols) < (witness.rows, witness.cols):
+                                kind = "consecutive"
+                            else:
+                                continue
+                            assert naive_minor(m, rows, cols) > 0, (d, index)
+                            checked[kind] += 1
+        assert checked["inputs"] > 25 and checked["consecutive"] > 100, checked
 
 
 class TestOracleTable:
