@@ -22,11 +22,15 @@ triangular and δ its diagonal (see _coordinates): one solve per anchor
 frame, against all later flags, and one forward elimination per pair
 build them, and a zero pivot of the latter is exactly a failure of
 transversality, which is how the tuple engine checks every pair of a
-family.  Each pair's elimination is checked to be the fraction-free LU
-factorization of its grid by undoing it, on the elimination's own
-integers.  Quotients c_H^-1 c_G run the solve's integer back substitution
-and stay in integers, G diag(1/s) (`_unipotent_quotient`, shared with the
-tuple engine, which also checks that they are upper unipotent); Fractions
+family.  A pair's elimination starts from the solve's determinant D
+rather than 1, so its pivots are the mixed determinants `transverse`
+takes, up to the solve's row scaling, and no entry carries the powers
+of D that every minor of D F^-1 H has.  Each pair's elimination is
+checked to be the fraction-free LU factorization of its grid by
+undoing it, on the elimination's own integers.  Quotients c_H^-1 c_G
+run the solve's integer back substitution and stay in integers,
+G diag(1/s) (`_unipotent_quotient`, shared with the tuple engine,
+which also checks that they are upper unipotent); Fractions
 appear only in the Matrix outputs of `adapted_basis` and `transporter`.
 `transverse` stays the determinant test, for callers that want
 transversality alone.
@@ -187,47 +191,53 @@ def _coordinates(f: Cleared, hs: Sequence[Cleared], failure: str) -> Iterator[Co
     X = D F^-1 [H_1 | ... | H_m] in integers (with denominators, the
     joint row lcm may scale ū, not c).  Row m of a block's grid A is
     column m of its d columns of X, coordinates reversed, so A = t^T U,
-    U unit upper triangular.  Its fraction-free elimination E (no row
-    swaps) is the LU factorization A = L diag(1/(p_0 p_1), ...,
-    1/(p_(d-1) p_d)) U', p_0 = 1 and p_k the leading k-minor of A:
-    U' = diag(p_1 .. p_d) U is E's upper part and L, with diagonal
-    p_1 .. p_d, its lower part.  Fewer than d pivots mean exactly that h
-    is not transverse to f, and raise NotTransverse(failure) at the first
-    such h.  The rows of U', last first and coordinates reversed, are the
-    columns of ū = u diag(δ), upper triangular with δ = (p_d, ..., p_1) on
-    its diagonal.  The factorization is checked on the integers, by
-    undoing the elimination (`_undoes_to`).
+    U unit upper triangular.  Each k x k minor of A is D^(k-1) times an
+    integer (Sylvester's identity), so its fraction-free elimination E
+    (no row swaps) starts from p_0 = D (`_bareiss`), and is the LU
+    factorization A = L diag(p_0/(p_0 p_1), ..., p_0/(p_(d-1) p_d)) U',
+    p_k the leading k-minor of A over D^(k-1): U' = diag(p_1 .. p_d) U is
+    E's upper part and L, with diagonal p_1 .. p_d, its lower part.  The
+    pivot p_k is ±det(T) det[F_(d-k) | H_k], T the solve's row scaling
+    and F_(d-k) | H_k the first d-k columns of F beside the first k of
+    H: the determinants `transverse` takes, and det H at k = d.  So
+    fewer than d pivots mean exactly that h is not transverse to f, and
+    raise NotTransverse(failure) at the first such h.  The rows of U',
+    last first and coordinates reversed, are the columns of
+    ū = u diag(δ), upper triangular with δ = (p_d, ..., p_1) on its
+    diagonal.  The factorization is checked on the integers, by undoing
+    the elimination (`_undoes_to`).
     """
     d = len(f)
-    x, _ = _scaled_solve(f, hs)
+    x, den = _scaled_solve(f, hs)
     cols = list(zip(*x))
     for start in range(0, len(cols), d):
         a = [list(col[::-1]) for col in cols[start:start + d]]
         e = [row[:] for row in a]
-        if len(_bareiss(e, swaps=False)[0]) < d:
+        if len(_bareiss(e, swaps=False, p0=den)[0]) < d:
             raise NotTransverse(failure)
-        if not _undoes_to(e, a):
+        if not _undoes_to(e, a, den):
             raise InvariantViolated("adapted coordinates must carry the descending flag to H")
         ubar = [[e[d - 1 - k][d - 1 - i] if i <= k else 0 for k in range(d)] for i in range(d)]
         yield ubar, [e[m][m] for m in range(d - 1, -1, -1)]
 
 
-def _undoes_to(e: list[list[int]], a: list[list[int]]) -> bool:
+def _undoes_to(e: list[list[int]], a: list[list[int]], p0: int) -> bool:
     """Whether E, the elimination of a square grid A with a pivot in every
-    column, is A's fraction-free LU factorization (see `_coordinates`).
+    column, started from the divisor p0, is A's fraction-free LU
+    factorization (see `_coordinates`).
 
     Each row i of E is run back through the Bareiss steps: from the row's
     entries on and past the diagonal, R^(k) = (p_k R^(k+1) + l_k U'_k) /
     p_(k+1) on the columns past k, for k = i-1 down to 0, where
-    l_k = E[i][k] is the stored multiplier and column k of R^(k); R^(0)
-    must be row i of A.  Over the rationals this is row i of
-    A = L diag(1/(p_k p_(k+1))) U' in nested form.  That factorization
+    l_k = E[i][k] is the stored multiplier and column k of R^(k), and
+    p_0 = p0; R^(0) must be row i of A.  Over the rationals this is row i
+    of A = L diag(p_0/(p_k p_(k+1))) U' in nested form.  That factorization
     is unique, so an E that satisfies it is the true elimination, whose
     intermediate rows are integer minors: an inexact division is a
     failure too, and no integer outgrows the elimination's own.  A zero
     multiplier between two equal pivots leaves the row as it is.
     """
-    p = [1] + [row[m] for m, row in enumerate(e)]
+    p = [p0] + [row[m] for m, row in enumerate(e)]
     for i, row in enumerate(e):
         r = row[i:]
         for k in range(i - 1, -1, -1):

@@ -15,6 +15,10 @@ forward elimination, `_bareiss`, where every interior division is
 exact, does all the elimination work:
 determinants read its last pivot (`_det`), ranks count its pivots, and
 solves and inverses back-substitute its triangular form (`_scaled_solve`).
+Its first divisor is 1 unless the caller knows a factor common to the
+grid's minors: a grid built from a solve's output D A^-1 B starts from
+D, which every k x k minor carries k - 1 times, so no entry carries
+those factors (see flags).
 One integer back substitution, `_back_substitute`, does all the back
 substitution work: solves and inverses scale it by the last pivot, and
 quotients of triangular integer forms (`_quotient`) by the determinant
@@ -72,26 +76,31 @@ def _to_fraction(x) -> Fraction:
 # They eliminate in `int` on grids whose rows `_cleared` made integral.
 
 
-def _bareiss(a: list[list[int]], swaps: bool = True) -> tuple[list[int], int]:
+def _bareiss(a: list[list[int]], swaps: bool = True, p0: int = 1) -> tuple[list[int], int]:
     """Fraction-free forward elimination of a rectangular integer grid, in place.
 
-    One-step Bareiss: after the step on pivot row r, a[i][j] for i > r and
-    j past the pivot column is the minor of the (row-swapped) grid on rows
-    0..r, i and the pivot columns so far plus column j, so every division
-    by the previous pivot is exact and the whole computation stays in plain
-    integers.  Row r is final once it is the pivot row: its pivot is the
-    leading minor on rows 0..r and the pivot columns, and the entries
-    below the pivot keep the multipliers of that step.  A row whose
-    multiplier is zero is only rescaled by pivot / prev, and left as it
-    is when the two are equal.  A column whose entry in the next pivot
-    row is zero takes as pivot the first nonzero entry below it when
-    `swaps` is set, and is skipped without a pivot otherwise.  Returns
-    (pivot columns, sign of the row permutation).
+    One-step Bareiss with first divisor p0: after the step on pivot row r,
+    a[i][j] for i > r and j past the pivot column is the minor of the
+    (row-swapped) grid on rows 0..r, i and the pivot columns so far plus
+    column j, divided by p0^(r+1).  Every division by the previous pivot
+    is exact, and the whole computation stays in plain integers, whenever
+    each k x k minor of the grid is divisible by p0^(k-1): always for
+    p0 = 1, and for p0 = ±det A when the grid's rows or columns are
+    columns of p0 A^-1 B, for integer grids A and B (Sylvester's
+    identity; Bareiss, Math. Comp. 22, 1968).  Row r is final once it is
+    the pivot row: its pivot is the leading minor on rows 0..r and the
+    pivot columns over p0^r, and the entries below the pivot keep the
+    multipliers of that step.  A row whose multiplier is zero is only
+    rescaled by pivot / prev, and left as it is when the two are equal.
+    A column whose entry in the next pivot row is zero takes as pivot the
+    first nonzero entry below it when `swaps` is set, and is skipped
+    without a pivot otherwise.  Returns (pivot columns, sign of the row
+    permutation).
     """
     nrows, ncols = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
     sign = 1
-    prev = 1
+    prev = p0
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:

@@ -177,16 +177,17 @@ class TestIntegerCoordinates:
 
 
 def eliminated_blocks(flags):
-    """(A, E) for every pair block that `_coordinates` eliminates with a
-    pivot in every column, over all pairs of flags."""
+    """(A, E, p0) for every pair block that `_coordinates` eliminates with
+    a pivot in every column, over all pairs of flags, p0 the elimination's
+    first divisor."""
     blocks = []
     real = flags_module._bareiss
 
-    def recorded(a, swaps=True):
+    def recorded(a, swaps=True, p0=1):
         before = [row[:] for row in a]
-        pivots, sign = real(a, swaps)
+        pivots, sign = real(a, swaps, p0)
         if len(pivots) == len(a):
-            blocks.append((before, [row[:] for row in a]))
+            blocks.append((before, [row[:] for row in a], p0))
         return pivots, sign
 
     with pytest.MonkeyPatch.context() as mp:
@@ -220,7 +221,7 @@ class TestEliminationCheck:
         copy of its E fails the undo exactly when it fails the lcm-scaled
         product."""
         blocks = eliminated_blocks(data.draw(flag_tuples(kind, shape, 3)))
-        for a, e in blocks:
-            assert _undoes_to(e, a) and lu_identity_holds(a, e)
+        for a, e, p0 in blocks:
+            assert _undoes_to(e, a, p0) and lu_identity_holds(a, e, p0)
             for bad in corruptions(e):
-                assert _undoes_to(bad, a) == lu_identity_holds(a, bad)
+                assert _undoes_to(bad, a, p0) == lu_identity_holds(a, bad, p0)

@@ -47,6 +47,7 @@ from posiflag import dynamics
 from posiflag.dynamics import _svd, _tau_hat
 from posiflag.positivity import _contiguous_minors
 from helpers import (
+    hadamard_squared,
     kernel_fixed_flag,
     power_triple_positive,
     random_mild_hyperbolic,
@@ -518,6 +519,32 @@ class TestThreshold:
             assert power_positivity_threshold(pascal(d), g) == (d - 1) * a + 1
             assert calls == Counter(_scaled_powers=1), f"d={d} a={a}: {dict(calls)}"
             assert powered == [(d, d - 1)], f"d={d} a={a}: {powered}"
+
+    def test_coordinates_stay_within_hadamard_bound(self, monkeypatch):
+        """Work pin on integer size, on the sheared pascal cases: every entry
+        of the coordinates c = ū diag(1/δ) of g over the Jordan chain's
+        integer frame is, up to sign, a d x d determinant of columns of the
+        two frames, so at most Hadamard's bound on their d longest columns.
+        At d = 6 that is 27 bits; an elimination started from 1 instead of
+        the solve's determinant gave 132."""
+        seen = []
+        real = dynamics._coordinates
+
+        def recorded(f, hs, failure):
+            for c in real(f, hs, failure):
+                seen.append(([r for r, _ in f], [r for r, _ in hs[0]], c))
+                yield c
+
+        monkeypatch.setattr(dynamics, "_coordinates", recorded)
+        for d, a in SHEARED_PASCAL_CASES:
+            _, desc = standard_flags(d)
+            seen.clear()
+            assert power_positivity_threshold(pascal(d), desc.apply(Matrix.elementary(d, 1, 2, a)))
+            (f, h, (ubar, delta)), = seen
+            entries = [x for row in ubar for x in row] + delta
+            assert max(x * x for x in entries) <= hadamard_squared(d, f, h), (d, a)
+            if d == 6:
+                assert max(abs(x).bit_length() for x in entries) <= 32, a
 
     def test_dependent_chain_is_an_invariant_violation(self, monkeypatch):
         """A chain that is not a basis cannot come out of `_jordan_chain`; if

@@ -14,7 +14,7 @@ signs, read off them, with the signs of the factor it would build.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm, prod
 
 import pytest
 
@@ -45,13 +45,15 @@ from posiflag import (
     unipotent_fixed_flag,
     veronese_flag,
 )
-from posiflag.linalg import _fractions
+from posiflag.flags import _coordinates
+from posiflag.linalg import _fractions, _grid_det
 from posiflag.tuples import _accepted, _signs, _TupleEngine
 from helpers import (
     all_anchors,
     all_pairs_transverse,
     brute_threshold,
     distinct_points,
+    hadamard_squared,
     per_pair_coordinates,
     poison_factor,
     reverse_column_echelon,
@@ -307,6 +309,88 @@ def test_engine_coordinates_match_per_pair_route(d):
                 assert _fractions(*got) == _fractions(*want), (a, b)
 
 
+def mixed_det(f, h, k):
+    """det[F_(d-k) | H_k]: the first d - k frame columns of f beside the
+    first k of h, the grids `transverse` stacks, and det H at k = d."""
+    cols = [f.column(m) for m in range(1, f.dim - k + 1)] + [h.column(m) for m in range(1, k + 1)]
+    return _grid_det(cols)
+
+
+def row_scaling(f, h):
+    """det T for the row scaling T of the solve of h against f: each row
+    joined over the lcm of the two frames' row scales."""
+    return prod(lcm(s, t) for (_, s), (_, t) in zip(f._rows, h._rows))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_pair_pivots_are_the_mixed_determinants(d):
+    """A pair's pivots are the determinants `transverse` takes, scaled by
+    the solve's row scaling T: |δ_(d+1-k)| = |det T det[F_(d-k) | H_k]|
+    for k = 1..d, with T = I on integral frames.  Checked by each pair's
+    own solve on random integral and rational frames, each set with one
+    pair that shares a line (a refused pair must have a zero mixed
+    determinant), and in the anchors' joint solves of integral random,
+    Veronese and Barbot families.  Started from 1, the elimination would
+    give these times D^(k-1), D the solve's determinant."""
+    rng = random.Random(3_800 + d)
+    ks = range(1, d + 1)
+    refused = 0
+    for pair in ((0, 2), (0, 3)):
+        # integral frames, then rational ones; flags 1 and 3 or 4 share a line
+        if d > 1:
+            flags = shared_family(d, 8, rng, [pair])
+        else:
+            flags = random_family(d, 8, rng, denominators=pair[1] == 3)
+        for f, h in combinations(flags, 2):
+            try:
+                _, delta = next(_coordinates(f._rows, (h._rows,), "not transverse"))
+            except NotTransverse:
+                refused += 1
+                assert not all(mixed_det(f, h, k) for k in ks)
+                continue
+            scale = row_scaling(f, h)
+            assert [abs(delta[d - k]) for k in ks] == [abs(scale * mixed_det(f, h, k)) for k in ks]
+    families = [transverse_family(d, 5, rng, False)]
+    if d > 1:
+        pts = distinct_points(6, rng)
+        families.append([veronese_flag(x, d) for x in pts])
+        if d % 2:
+            spec = barbot_spec(d, d // 2)
+            families.append([barbot_flag(spec, x) for x in pts])
+    for flags in families:
+        for (a, b), (_, delta) in all_anchors(flags).anchors().items():
+            f, h = flags[a], flags[b]
+            assert [abs(delta[d - k]) for k in ks] == [abs(mixed_det(f, h, k)) for k in ks]
+    assert refused >= 2 * (d > 1)
+
+
+@pytest.mark.parametrize("kind,shape", [("barbot", (7, 3)), ("veronese", 5)])
+def test_pair_coordinates_stay_within_hadamard_bound(kind, shape):
+    """Work pin on integer size, on samples shaped like the map sweep's
+    largest (n = 5): every entry of a pair's ū and δ is, up to sign, a
+    d x d determinant of columns of the two integral frames, so it is at
+    most Hadamard's bound on their d longest columns, and no entry takes
+    more than 64 bits.  Started from 1 instead of the solve's determinant
+    D, the eliminations carried D^(k-1) into these entries: up to 363 and
+    284 bits, against 52 and 57 now and Hadamard bounds of 58 and 61."""
+    pts = distinct_points(5, random.Random(0))
+    if kind == "barbot":
+        spec = barbot_spec(*shape)
+        flags = [barbot_flag(spec, x) for x in pts]
+    else:
+        flags = [veronese_flag(x, shape) for x in pts]
+    frames = [[r for r, s in flag._rows if s == 1] for flag in flags]
+    d = flags[0].dim
+    assert all(len(rows) == d for rows in frames)
+    largest = 0
+    for (a, b), (ubar, delta) in all_anchors(flags).anchors().items():
+        bound = hadamard_squared(d, frames[a], frames[b])
+        for x in [x for row in ubar for x in row] + delta:
+            assert x * x <= bound, (a, b)
+            largest = max(largest, abs(x).bit_length())
+    assert largest <= 64
+
+
 def shared_family(d, n, rng, pairs):
     """n random flags, where for each (i, j) in `pairs` flag j takes flag
     i's first k columns, so that the two share a line; frames with
@@ -558,9 +642,9 @@ def count_pair_work(monkeypatch):
         solves.append(sum(len(b[0][0]) for b in bs))
         return real_solve(a, bs)
 
-    def counted_bareiss(a, swaps=True):
+    def counted_bareiss(a, swaps=True, p0=1):
         eliminations.append(len(a))
-        return real_bareiss(a, swaps)
+        return real_bareiss(a, swaps, p0)
 
     monkeypatch.setattr(flags_module, "_scaled_solve", counted_solve)
     monkeypatch.setattr(flags_module, "_bareiss", counted_bareiss)

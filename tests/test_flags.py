@@ -426,8 +426,8 @@ def skew_reduction(monkeypatch):
     F's frame but no longer span the lines of H."""
     real = flags_module._bareiss
 
-    def skewed(a, swaps=True):
-        pivots, sign = real(a, swaps)
+    def skewed(a, swaps=True, p0=1):
+        pivots, sign = real(a, swaps, p0)
         a[0][pivots[0] + 1:] = [2 * x for x in a[0][pivots[0] + 1:]]
         return pivots, sign
 
@@ -443,8 +443,8 @@ def corrupt_entry(monkeypatch, i, j):
     doubled when nonzero and set to 1 when zero, so no pivot becomes zero."""
     real = flags_module._bareiss
 
-    def corrupted(a, swaps=True):
-        out = real(a, swaps)
+    def corrupted(a, swaps=True, p0=1):
+        out = real(a, swaps, p0)
         a[i][j] += a[i][j] or 1
         return out
 
@@ -514,8 +514,8 @@ class TestInvariants:
             "asc, desc = standard_flags(3)\n"
             "h, g = desc.apply(pascal(3)), desc.apply(pascal(3).power(2))\n"
             f"for i, j in {list(CORRUPTED_ENTRIES.values())!r}:\n"
-            "    def corrupted(a, swaps=True, i=i, j=j):\n"
-            "        out = real(a, swaps)\n"
+            "    def corrupted(a, swaps=True, p0=1, i=i, j=j):\n"
+            "        out = real(a, swaps, p0)\n"
             "        a[i][j] += a[i][j] or 1\n"
             "        return out\n"
             "    m._bareiss = corrupted\n"
